@@ -2,7 +2,6 @@ package mac
 
 import (
 	"math"
-	"sort"
 
 	"csmabw/internal/sim"
 )
@@ -19,6 +18,10 @@ import (
 // station. Per the package-comment simplifications, control frames are
 // never corrupted, and stations outside the cluster resume contention
 // no earlier than the cluster's end.
+//
+// Like the single-domain path, the resolver allocates nothing once
+// warm: winners, candidates and entries live in engine-owned scratch
+// (entries as a value arena) that Reset carries over.
 
 // clusterEntry is one transmission inside a busy cluster.
 type clusterEntry struct {
@@ -42,12 +45,42 @@ type clusterEntry struct {
 	corrupted bool // no (effective) overlap, but failed the channel error trial
 }
 
+// clusterCand is a contending station outside the cluster's initial
+// winners, with its effective countdown expiry.
+type clusterCand struct {
+	s      *station
+	expiry sim.Time
+}
+
+// candLess orders candidates by (expiry, station id). Station ids are
+// unique, so this is a total order.
+func candLess(a, b clusterCand) bool {
+	if a.expiry != b.expiry {
+		return a.expiry < b.expiry
+	}
+	return a.s.id < b.s.id
+}
+
+// sortCands sorts cands in place by candLess. An insertion sort: the
+// slice holds at most one candidate per station and arrives in station
+// order, and unlike sort.Slice it allocates nothing.
+func sortCands(cands []clusterCand) {
+	for i := 1; i < len(cands); i++ {
+		c := cands[i]
+		j := i
+		for ; j > 0 && candLess(c, cands[j-1]); j-- {
+			cands[j] = cands[j-1]
+		}
+		cands[j] = c
+	}
+}
+
 // newClusterEntry computes the exchange timeline of a transmission
 // starting at start.
-func (e *Engine) newClusterEntry(s *station, start sim.Time) *clusterEntry {
+func (e *Engine) newClusterEntry(s *station, start sim.Time) clusterEntry {
 	p := e.phy
 	f := s.hol()
-	en := &clusterEntry{s: s, f: f, start: start, rts: e.usesRTS(f)}
+	en := clusterEntry{s: s, f: f, start: start, rts: e.usesRTS(f)}
 	if en.rts {
 		rtsEnd := start + p.RTSTxTime()
 		ctsEnd := rtsEnd + p.SIFS + p.CTSTxTime()
@@ -73,14 +106,13 @@ func (e *Engine) newClusterEntry(s *station, start sim.Time) *clusterEntry {
 func (e *Engine) transmitCluster(txAt sim.Time) {
 	p := e.phy
 
+	winners, cands, entries := e.winnersScratch[:0], e.candScratch[:0], e.entryScratch[:0]
+	defer func() {
+		e.winnersScratch, e.candScratch, e.entryScratch = winners[:0], cands[:0], entries[:0]
+	}()
+
 	// Effective countdown expiries, clamped to now exactly as contend()
 	// computed them when it chose txAt.
-	type cand struct {
-		s      *station
-		expiry sim.Time
-	}
-	var winners []*station
-	var cands []cand
 	for _, s := range e.stations {
 		if s.backoff < 0 {
 			continue
@@ -93,13 +125,12 @@ func (e *Engine) transmitCluster(txAt sim.Time) {
 			winners = append(winners, s)
 			continue
 		}
-		cands = append(cands, cand{s, t})
+		cands = append(cands, clusterCand{s, t})
 	}
 	e.now = txAt
 
 	// Post-backoff countdowns that expire with an empty queue simply
 	// end; the station returns to the fully idle state.
-	var entries []*clusterEntry
 	for _, s := range winners {
 		if s.hol() == nil {
 			s.backoff = -1
@@ -123,16 +154,11 @@ func (e *Engine) transmitCluster(txAt sim.Time) {
 	// and transmits if it expires while the receiver is still
 	// vulnerable. Candidates expiring after the vulnerable window have
 	// heard the receiver's CTS/ACK by then and freeze.
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].expiry != cands[j].expiry {
-			return cands[i].expiry < cands[j].expiry
-		}
-		return cands[i].s.id < cands[j].s.id
-	})
+	sortCands(cands)
 	vulnEnd := txAt
-	for _, en := range entries {
-		if en.vulnEnd > vulnEnd {
-			vulnEnd = en.vulnEnd
+	for i := range entries {
+		if entries[i].vulnEnd > vulnEnd {
+			vulnEnd = entries[i].vulnEnd
 		}
 	}
 	const notFrozen = sim.Time(-1)
@@ -143,7 +169,10 @@ func (e *Engine) transmitCluster(txAt sim.Time) {
 	}
 	for _, c := range cands {
 		heard := sim.MaxTime
-		for _, en := range entries {
+		// en points into entries, which a joiner's append below may
+		// reallocate: it must not outlive this inner loop.
+		for i := range entries {
+			en := &entries[i]
 			// A transmission starting in the same slot as c's expiry
 			// cannot be sensed in time: both stations transmit.
 			if en.start < c.expiry && en.start < heard && e.hears(c.s.id, en.s.id) {
@@ -179,12 +208,14 @@ func (e *Engine) transmitCluster(txAt sim.Time) {
 	// other entry's airtime overlaps its vulnerable window. Capture can
 	// rescue a disrupted entry whose power margin over every overlapping
 	// transmission meets the threshold.
-	for i, en := range entries {
+	for i := range entries {
+		en := &entries[i]
 		strongest := math.Inf(-1)
-		for j, other := range entries {
+		for j := range entries {
 			if i == j {
 				continue
 			}
+			other := &entries[j]
 			if other.start < en.vulnEnd && other.airEnd > en.start {
 				en.disrupted = true
 				if other.s.power > strongest {
@@ -199,7 +230,8 @@ func (e *Engine) transmitCluster(txAt sim.Time) {
 
 	// Channel error trials for the frames the receiver decodes, in
 	// entry order.
-	for _, en := range entries {
+	for i := range entries {
+		en := &entries[i]
 		if en.disrupted && !en.captured {
 			continue
 		}
@@ -215,7 +247,8 @@ func (e *Engine) transmitCluster(txAt sim.Time) {
 	// the medium was busy.
 	end := txAt
 	receiverSpoke := false
-	for _, en := range entries {
+	for i := range entries {
+		en := &entries[i]
 		t := en.exchEnd
 		switch {
 		case en.disrupted && !en.captured:
@@ -253,7 +286,8 @@ func (e *Engine) transmitCluster(txAt sim.Time) {
 
 	// Per-entry outcomes, in airtime order (initial entries in station
 	// order, then joiners in expiry order).
-	for _, en := range entries {
+	for i := range entries {
+		en := &entries[i]
 		s, f := en.s, en.f
 		if en.disrupted && !en.captured || en.corrupted {
 			st := &e.res.Stats[s.id]
@@ -290,8 +324,8 @@ func (e *Engine) transmitCluster(txAt sim.Time) {
 	for i := range inCluster {
 		inCluster[i] = false
 	}
-	for _, en := range entries {
-		inCluster[en.s.id] = true
+	for i := range entries {
+		inCluster[entries[i].s.id] = true
 	}
 	for _, o := range e.stations {
 		if inCluster[o.id] {
@@ -299,7 +333,8 @@ func (e *Engine) transmitCluster(txAt sim.Time) {
 			continue
 		}
 		heardCollision, heardCorrupt, heardClean := false, false, false
-		for _, en := range entries {
+		for i := range entries {
+			en := &entries[i]
 			if !e.hears(o.id, en.s.id) {
 				continue
 			}
@@ -324,7 +359,8 @@ func (e *Engine) transmitCluster(txAt sim.Time) {
 			o.eifs = true
 		case heardCorrupt:
 			bad := false
-			for _, en := range entries {
+			for i := range entries {
+				en := &entries[i]
 				if en.corrupted && e.hears(o.id, en.s.id) &&
 					e.chrng.Float64() < en.s.loss.FrameErrorProb(en.f.Size) {
 					bad = true

@@ -172,12 +172,24 @@ func hotScenarioEDCA(seed int64) Config {
 	return cfg
 }
 
+// hiddenHotScenario is hotScenario on a hidden pair with every
+// imperfect-channel knob engaged — RTS/CTS for the 1500-byte frames,
+// capture for the stronger station, and a frame error rate — so the
+// alloc bounds also pin the busy-cluster engine.
+func hiddenHotScenario(seed int64, lazy bool) Config {
+	cfg := hotScenario(seed, lazy)
+	cfg.RTSThreshold = 1000
+	cfg.Stations[0].PowerDB = 6
+	cfg.Channel = Channel{Topology: HiddenPair(), CaptureThresholdDB: 3, Loss: phy.ErrorModel{FER: 0.05}}
+	return cfg
+}
+
 // TestHotPathAllocBound pins the engine's per-frame allocation budget,
-// for plain DCF and for an EDCA configuration alike. The scan-driven
-// engine allocated at least one Frame per arrival plus
-// winner/collision bookkeeping per busy period (thousands of
-// allocations in this scenario); the arena-and-scratch core must stay
-// under a small fraction of a frame's worth each.
+// for plain DCF, EDCA and the hidden-topology busy-cluster engine
+// alike. The scan-driven engine allocated at least one Frame per
+// arrival plus winner/collision bookkeeping per busy period (thousands
+// of allocations in this scenario); the arena-and-scratch core must
+// stay under a small fraction of a frame's worth each.
 func TestHotPathAllocBound(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -191,6 +203,16 @@ func TestHotPathAllocBound(t *testing.T) {
 		{"events", func(seed int64) Config {
 			cfg := scheduledHotScenario(seed)
 			cfg.Stations = hotScenario(seed, true).Stations
+			return cfg
+		}},
+		{"hidden", func(seed int64) Config { return hiddenHotScenario(seed, true) }},
+		// A mid-run hearing-graph cut flips a full-mesh run into the
+		// busy-cluster engine, whose scratch must already be in place.
+		{"topology-events", func(seed int64) Config {
+			cfg := hotScenario(seed, true)
+			cfg.Schedule = []ScheduledEvent{
+				{At: 1500 * sim.Millisecond, SetTopologyEdge: &TopologyEdge{A: 0, B: 1, Hears: false}},
+			}
 			return cfg
 		}},
 	}
@@ -222,13 +244,25 @@ func TestHotPathAllocBound(t *testing.T) {
 }
 
 // BenchmarkEngineHotPath reports the allocation profile of a loaded
-// run; together with TestHotPathAllocBound it pins the zero-alloc hot
-// path (allocs/op stays flat in the frame count).
+// run, on the single-domain engine and on the hidden-topology
+// busy-cluster engine; together with TestHotPathAllocBound it pins the
+// zero-alloc hot path (allocs/op stays flat in the frame count).
 func BenchmarkEngineHotPath(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(hotScenario(int64(i), true)); err != nil {
-			b.Fatal(err)
-		}
+	cases := []struct {
+		name  string
+		build func(seed int64) Config
+	}{
+		{"dcf", func(seed int64) Config { return hotScenario(seed, true) }},
+		{"hidden", func(seed int64) Config { return hiddenHotScenario(seed, true) }},
+	}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(tc.build(int64(i))); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

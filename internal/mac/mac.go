@@ -448,11 +448,15 @@ type Engine struct {
 	winnersScratch []*station
 	txScratch      []*station
 	admitScratch   []*station
-	// Multi-domain (busy-cluster) scratch, allocated only when the
-	// topology hides stations from each other.
+	// Multi-domain (busy-cluster) scratch. The per-station arrays are
+	// sized when the topology hides stations, or a schedule may hide
+	// them; the candidate and entry slices grow on first use. All of it
+	// carries over across Reset.
 	frozenScratch  []sim.Time
 	heardScratch   []bool
 	clusterScratch []bool
+	candScratch    []clusterCand
+	entryScratch   []clusterEntry
 }
 
 // New validates the configuration and prepares an engine.

@@ -107,28 +107,39 @@ func TestResetInvalidConfig(t *testing.T) {
 // heap, queues, result buffers and scratch all come from the previous
 // run. The budget is a small constant (source wrappers and closure
 // boxing), orders of magnitude below the thousands of frames delivered.
+// The hidden variant holds the busy-cluster engine to the same budget:
+// its winners, candidates and entries come from engine scratch too.
 func TestResetRunAllocBound(t *testing.T) {
-	cfg := hotScenario(7, false)
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := e.Run() // warm: grows arena, queues and result slices
-	delivered := 0
-	for _, st := range res.Stats {
-		delivered += st.Delivered
-	}
-	if delivered < 1000 {
-		t.Fatalf("scenario too small to be meaningful: %d delivered", delivered)
-	}
-	allocs := testing.AllocsPerRun(5, func() {
-		if err := e.Reset(cfg); err != nil {
-			t.Fatal(err)
-		}
-		e.Run()
-	})
-	if allocs > 16 {
-		t.Fatalf("%.0f allocations per reused replication of %d frames, want <= 16", allocs, delivered)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"dcf", hotScenario(7, false)},
+		{"hidden", hiddenHotScenario(7, false)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := New(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := e.Run() // warm: grows arena, queues, result slices and scratch
+			delivered := 0
+			for _, st := range res.Stats {
+				delivered += st.Delivered
+			}
+			if delivered < 1000 {
+				t.Fatalf("scenario too small to be meaningful: %d delivered", delivered)
+			}
+			allocs := testing.AllocsPerRun(5, func() {
+				if err := e.Reset(tc.cfg); err != nil {
+					t.Fatal(err)
+				}
+				e.Run()
+			})
+			if allocs > 16 {
+				t.Fatalf("%.0f allocations per reused replication of %d frames, want <= 16", allocs, delivered)
+			}
+		})
 	}
 }
 
@@ -136,8 +147,9 @@ func TestResetRunAllocBound(t *testing.T) {
 // event schedule — channel-wide FER, one station's rate, a power bump —
 // that keeps the run on the single-domain engine, whose hot path the
 // alloc bounds pin. (Topology-edge events flip into the busy-cluster
-// engine, which allocates per busy period by design; the equivalence
-// test covers that family separately.)
+// engine; TestResetScheduledEquivalence adds one, and the
+// topology-events case of TestHotPathAllocBound bounds its
+// allocations.)
 func scheduledHotScenario(seed int64) Config {
 	cfg := hotScenario(seed, false)
 	fer, rate, pow := 0.15, 5.5e6, 6.0
