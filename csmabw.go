@@ -35,21 +35,24 @@
 // The cmd/ tools surface the drivers behind a common CLI harness
 // (internal/clikit) with shared knobs:
 //
-//   - cmd/figures regenerates the whole evaluation (or -only a subset);
-//   - cmd/trains, cmd/transient, cmd/transitory and cmd/mser run the
-//     short-train, access-delay-transient, transient-duration and
-//     MSER-correction studies individually;
+//   - cmd/figures regenerates the whole evaluation, or -only a subset;
+//     with -scenario it runs a figure on a spec-described cell instead
+//     of the paper's (figures -only fig13 -scenario FILE);
 //   - cmd/dcfsim is the general-purpose DCF/EDCA scenario front end,
 //     with -reps for replicated runs, -fer/-ber/-topology/-capture for
 //     the imperfect-channel scenario space, and -ac/-rates for
 //     per-station access categories and data rates;
-//   - cmd/packetpair, cmd/rrc and cmd/bwprobe cover packet-pair
-//     inference, rate-response fitting and live-network probing.
+//   - cmd/rrc and cmd/bwprobe cover rate-response fitting and
+//     live-network probing;
+//   - cmd/abest, cmd/campaign and cmd/pathsel run the closed-loop
+//     estimators, resumable estimation campaigns and multi-upstream
+//     path selection.
 //
 // Every experiment tool accepts -scale tiny|default|paper (with -reps,
-// -points and -seconds fine-tuning), -seed, -workers (0 = all cores)
-// and -format table|csv|json; the root benchmark suite writes its
-// per-figure timings to BENCH_runner.json.
+// -points and -seconds fine-tuning), -seed (cmd/figures: only with
+// -scenario, since its registry figures run their paper seeds),
+// -workers (0 = all cores) and -format table|csv|json; the root
+// benchmark suite writes its per-figure timings to BENCH_runner.json.
 package csmabw
 
 import (
@@ -142,21 +145,11 @@ func (o AchievableOptions) withDefaults() AchievableOptions {
 // B = sup{ri : ro/ri = 1}, by sweeping steady-state probing rates over
 // the link and locating the largest rate still carried losslessly.
 func MeasureAchievableThroughput(l Link, o AchievableOptions) (float64, error) {
-	o = o.withDefaults()
-	if o.MaxBps <= o.MinBps || o.Points < 2 {
-		return 0, fmt.Errorf("csmabw: invalid sweep [%g, %g] x%d", o.MinBps, o.MaxBps, o.Points)
+	c, err := MeasureRateResponseCurve(l, o)
+	if err != nil {
+		return 0, err
 	}
-	var ris, ros []float64
-	for i := 0; i < o.Points; i++ {
-		ri := o.MinBps + (o.MaxBps-o.MinBps)*float64(i)/float64(o.Points-1)
-		ss, err := probe.MeasureSteadyState(l, ri, o.Duration)
-		if err != nil {
-			return 0, err
-		}
-		ris = append(ris, ri)
-		ros = append(ros, ss.ProbeRate)
-	}
-	return core.AchievableFromCurve(ris, ros, o.Tol), nil
+	return core.AchievableFromCurve(c.RI, c.RO, o.withDefaults().Tol), nil
 }
 
 // CorrectedTrainRate measures an n-packet train and returns both the

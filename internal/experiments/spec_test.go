@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"csmabw/internal/probe"
 	"csmabw/internal/scenario"
 )
 
@@ -74,6 +75,97 @@ func TestPaperBaselineGolden(t *testing.T) {
 	}
 	if got := fig.CSV(); got != string(want) {
 		t.Fatalf("spec-derived fig06 differs from the golden snapshot:\n%s", firstDiff(got, string(want)))
+	}
+}
+
+// TestCellFormsMatchRegistry runs every registry cell form on its own
+// paper cell, expressed as a compiled scenario, and asserts the output
+// is byte-identical to the entry's paper-default driver: the cell form
+// is the same figure on another cell, not a second implementation.
+// A reseeded cell must then change the figure.
+func TestCellFormsMatchRegistry(t *testing.T) {
+	train := func(p TransientParams) *scenario.Compiled {
+		return &scenario.Compiled{
+			Link:    p.link(),
+			Probing: scenario.Probing{Plan: scenario.PlanTrain, TrainLen: p.TrainLen, RateBps: p.ProbeRateBps},
+		}
+	}
+	trainLen := func(cell probe.Link, n int) *scenario.Compiled {
+		return &scenario.Compiled{Link: cell, Probing: scenario.Probing{Plan: scenario.PlanTrain, TrainLen: n}}
+	}
+	cells := map[string]*scenario.Compiled{
+		"fig06": train(DefaultFig6()),
+		"fig07": train(DefaultFig6()),
+		"fig08": train(DefaultFig8()),
+		"fig09": train(DefaultFig9()),
+		"fig10": trainLen(DefaultFig10().Cell, DefaultFig10().TrainLen),
+		"fig13": {Link: DefaultFig13().Cell},
+		"fig16": {Link: DefaultFig16().Cell},
+		"fig17": trainLen(DefaultFig17().Cell, DefaultFig17().TrainLen),
+	}
+	for _, entry := range Registry() {
+		if entry.Cell == nil {
+			continue
+		}
+		entry := entry
+		t.Run(entry.ID, func(t *testing.T) {
+			c, ok := cells[entry.ID]
+			if !ok {
+				t.Fatal("cell form has no paper cell in this table")
+			}
+			delete(cells, entry.ID)
+			got, err := entry.Cell(c, Tiny())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := entry.Run(Tiny())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.CSV() != want.CSV() {
+				t.Fatalf("cell form differs from the registry driver:\n%s", firstDiff(got.CSV(), want.CSV()))
+			}
+			// The cell form must measure the spec's cell, not the
+			// paper's: reseeding the cell changes the figure.
+			reseeded := *c
+			reseeded.Link.Seed++
+			other, err := entry.Cell(&reseeded, Tiny())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if other.CSV() == want.CSV() {
+				t.Error("cell form ignores the cell's seed")
+			}
+		})
+	}
+	for id := range cells {
+		t.Errorf("%s has a paper cell but no cell form", id)
+	}
+}
+
+// TestCellFormsTakeSpecTrainLen pins that fig10 and fig17 measure the
+// train length of a spec whose plan names one, not the paper's.
+func TestCellFormsTakeSpecTrainLen(t *testing.T) {
+	run := func(id string, cell probe.Link, n int) *Figure {
+		t.Helper()
+		for _, e := range Registry() {
+			if e.ID == id {
+				fig, err := e.Cell(&scenario.Compiled{Link: cell, Probing: scenario.Probing{Plan: scenario.PlanTrain, TrainLen: n}}, Tiny())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return fig
+			}
+		}
+		t.Fatalf("no registry entry %s", id)
+		return nil
+	}
+	if got := run("fig17", DefaultFig17().Cell, 12).Series[1].Name; got != "train of 12 packets" {
+		t.Errorf("fig17 on a 12-packet plan measured %q", got)
+	}
+	p := DefaultFig10()
+	if run("fig10", p.Cell, 200).CSV() == run("fig10", p.Cell, p.TrainLen).CSV() {
+		t.Error("fig10 ignores the spec's train length")
 	}
 }
 

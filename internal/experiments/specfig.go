@@ -16,24 +16,39 @@ import (
 // figures use — so a spec-described cell renders with byte-identical
 // reduction code.
 
-// cloneLink copies a measured cell so a per-unit mutation (seed,
-// contender rate) cannot race with the other units that share the
-// same Base pointer. The flow and schedule slices are the mutable
-// references a Link carries; Topology is shared deliberately — the
-// drivers never mutate it (the engine clones it when events edit
-// edges).
-func cloneLink(base *probe.Link) probe.Link {
-	l := *base
-	if base.FIFOCross != nil {
-		l.FIFOCross = append([]probe.Flow(nil), base.FIFOCross...)
+// unitLink copies a measured cell for one unit of a sweep: its own
+// seed, and Workers pinned to 1 because the Scenario already
+// parallelizes across units, so the inner replication loop staying
+// serial keeps total concurrency at the configured worker count
+// instead of its square. The flow and schedule slices are copied so a
+// per-unit mutation (contender rate) cannot race with the other units
+// sharing the cell; Topology is shared deliberately — the drivers
+// never mutate it (the engine clones it when events edit edges).
+func unitLink(cell *probe.Link, seed int64) probe.Link {
+	l := *cell
+	l.Seed = seed
+	l.Workers = 1
+	if cell.FIFOCross != nil {
+		l.FIFOCross = append([]probe.Flow(nil), cell.FIFOCross...)
 	}
-	if base.Contenders != nil {
-		l.Contenders = append([]probe.Flow(nil), base.Contenders...)
+	if cell.Contenders != nil {
+		l.Contenders = append([]probe.Flow(nil), cell.Contenders...)
 	}
-	if base.Schedule != nil {
-		l.Schedule = append([]mac.ScheduledEvent(nil), base.Schedule...)
+	if cell.Schedule != nil {
+		l.Schedule = append([]mac.ScheduledEvent(nil), cell.Schedule...)
 	}
 	return l
+}
+
+// sweptContender is the cell's first contender carrying a swept rate,
+// or a probe-sized Poisson contender when the cell has none.
+func sweptContender(cell *probe.Link, rateBps float64) probe.Flow {
+	if len(cell.Contenders) == 0 {
+		return probe.Flow{RateBps: rateBps, Size: cell.WithDefaults().ProbeSize}
+	}
+	f := cell.Contenders[0]
+	f.RateBps = rateBps
+	return f
 }
 
 // TransientParamsFromCompiled converts a train-plan scenario into the
@@ -56,6 +71,15 @@ func TransientParamsFromCompiled(c *scenario.Compiled) (TransientParams, error) 
 		Seed:         l.Seed,
 		Base:         &l,
 	}, nil
+}
+
+// specTrainLen is the spec's train length, or def when the spec names
+// none (a steady plan).
+func specTrainLen(c *scenario.Compiled, def int) int {
+	if c.Probing.TrainLen > 0 {
+		return c.Probing.TrainLen
+	}
+	return def
 }
 
 // ScenarioTransient runs the Figure-6-style mean access-delay
@@ -94,8 +118,7 @@ func ScenarioRRC(c *scenario.Compiled, sc Scale) (*Figure, error) {
 		Seed:  base.Seed,
 		Units: len(rates),
 		RunOne: func(i int, _ sim.Stream) (pt, error) {
-			l := cloneLink(&base)
-			l.Seed = base.Seed + int64(i)*101
+			l := unitLink(&base, base.Seed+int64(i)*101)
 			ss, err := probe.MeasureSteadyState(l, rates[i], dur)
 			if err != nil {
 				return pt{}, err

@@ -13,27 +13,25 @@ import (
 // (Figures 13 and 15): dispersion-based curves L/E[gO] vs ri for trains
 // of a few packets, compared with the steady-state response.
 type TrainRRCParams struct {
-	TrainLens     []int   // paper: 3, 10, 50
-	ContendingBps float64 // contending cross-traffic
-	FIFOCrossBps  float64 // 0 for Figure 13, >0 for Figure 15
-	PacketSize    int
-	MaxProbeBps   float64
-	Seed          int64
-	// Base, when non-nil, is the complete measured cell — channel,
-	// topology, EDCA and all — typically compiled from a scenario spec.
-	// It replaces the cell the scalar fields above would assemble; the
-	// per-unit seed and Workers pin are still applied on top.
-	Base *probe.Link
+	TrainLens   []int // paper: 3, 10, 50
+	MaxProbeBps float64
+	// Cell is the measured link — channel, topology, EDCA, contending
+	// and FIFO cross flows — and Cell.Seed is the figure seed. Every
+	// unit measures a copy with its own seed and Workers pinned to 1.
+	Cell probe.Link
 }
 
-// DefaultFig13 matches the paper's Figure 13: no FIFO cross-traffic.
+// DefaultFig13 matches the paper's Figure 13: one 4 Mb/s contender and
+// no FIFO cross-traffic.
 func DefaultFig13() TrainRRCParams {
 	return TrainRRCParams{
-		TrainLens:     []int{3, 10, 50},
-		ContendingBps: 4e6,
-		PacketSize:    1500,
-		MaxProbeBps:   10e6,
-		Seed:          13,
+		TrainLens:   []int{3, 10, 50},
+		MaxProbeBps: 10e6,
+		Cell: probe.Link{
+			ProbeSize:  1500,
+			Contenders: []probe.Flow{{RateBps: 4e6, Size: 1500}},
+			Seed:       13,
+		},
 	}
 }
 
@@ -41,35 +39,10 @@ func DefaultFig13() TrainRRCParams {
 // cross-traffic present.
 func DefaultFig15() TrainRRCParams {
 	p := DefaultFig13()
-	p.FIFOCrossBps = 1e6
-	p.ContendingBps = 2.5e6
-	p.Seed = 15
+	p.Cell.Contenders = []probe.Flow{{RateBps: 2.5e6, Size: 1500}}
+	p.Cell.FIFOCross = []probe.Flow{{RateBps: 1e6, Size: 1500}}
+	p.Cell.Seed = 15
 	return p
-}
-
-// link builds the measured link for one unit. Workers is pinned to 1:
-// the Scenario already parallelizes across (curve, point) units, so the
-// inner replication loop staying serial keeps total concurrency at the
-// configured worker count instead of its square.
-func (p TrainRRCParams) link(seed int64) probe.Link {
-	if p.Base != nil {
-		l := cloneLink(p.Base)
-		l.Seed = seed
-		l.Workers = 1
-		return l
-	}
-	l := probe.Link{
-		ProbeSize: p.PacketSize,
-		Seed:      seed,
-		Workers:   1,
-	}
-	if p.ContendingBps > 0 {
-		l.Contenders = []probe.Flow{{RateBps: p.ContendingBps, Size: p.PacketSize}}
-	}
-	if p.FIFOCrossBps > 0 {
-		l.FIFOCross = []probe.Flow{{RateBps: p.FIFOCrossBps, Size: p.PacketSize}}
-	}
-	return l
 }
 
 // TrainRRC produces the dispersion-inferred rate response L/E[gO] for
@@ -87,20 +60,20 @@ func TrainRRC(id string, p TrainRRCParams, sc Scale) (*Figure, error) {
 		x, y float64
 	}
 	return Run(Scenario[pt]{
-		Seed:  p.Seed,
+		Seed:  p.Cell.Seed,
 		Units: nPoints * (1 + len(p.TrainLens)),
 		RunOne: func(u int, _ sim.Stream) (pt, error) {
 			curve, i := u/nPoints, u%nPoints
 			ri := rates[i]
 			if curve == 0 {
-				ss, err := probe.MeasureSteadyState(p.link(p.Seed+int64(i)*37), ri, dur)
+				ss, err := probe.MeasureSteadyState(unitLink(&p.Cell, p.Cell.Seed+int64(i)*37), ri, dur)
 				if err != nil {
 					return pt{}, err
 				}
 				return pt{ok: true, x: ri / 1e6, y: ss.ProbeRate / 1e6}, nil
 			}
 			n := p.TrainLens[curve-1]
-			ts, err := probe.MeasureTrain(p.link(p.Seed+int64(n*1000+i)), n, ri, sc.Reps)
+			ts, err := probe.MeasureTrain(unitLink(&p.Cell, p.Cell.Seed+int64(n*1000+i)), n, ri, sc.Reps)
 			if err != nil {
 				return pt{}, err
 			}
@@ -144,14 +117,12 @@ func TrainRRC(id string, p TrainRRCParams, sc Scale) (*Figure, error) {
 // Fig16Params configures the packet-pair experiment of Figure 16.
 type Fig16Params struct {
 	CrossRates  []float64 // swept contending cross-traffic rates, bit/s
-	PacketSize  int
-	SaturateBps float64 // probing rate used to measure the actual response
-	Seed        int64
-	// Base, when non-nil, is the complete measured cell the sweep runs
-	// over (typically spec-compiled): each level overrides its first
-	// contender's rate with the swept cross-traffic rate, adding that
-	// contender if the cell has none and dropping it at the zero level.
-	Base *probe.Link
+	SaturateBps float64   // probing rate used to measure the actual response
+	// Cell is the measured link the sweep runs over, and Cell.Seed is
+	// the figure seed. Each level overrides the first contender's rate
+	// with the swept one, adding a probe-sized contender if the cell
+	// has none and dropping it at the zero level.
+	Cell probe.Link
 }
 
 // DefaultFig16 sweeps cross-traffic 0..10 Mb/s as in the paper.
@@ -160,7 +131,7 @@ func DefaultFig16() Fig16Params {
 	for r := 0.0; r <= 10e6; r += 1e6 {
 		rates = append(rates, r)
 	}
-	return Fig16Params{CrossRates: rates, PacketSize: 1500, SaturateBps: 12e6, Seed: 16}
+	return Fig16Params{CrossRates: rates, SaturateBps: 12e6, Cell: probe.Link{ProbeSize: 1500, Seed: 16}}
 }
 
 // Fig16PacketPair compares, for each cross-traffic level, the actual
@@ -175,25 +146,14 @@ func Fig16PacketPair(p Fig16Params, sc Scale) (*Figure, error) {
 		pairOK         bool
 	}
 	return Run(Scenario[pt]{
-		Seed:  p.Seed,
+		Seed:  p.Cell.Seed,
 		Units: len(p.CrossRates),
 		RunOne: func(i int, _ sim.Stream) (pt, error) {
 			cr := p.CrossRates[i]
-			// Workers pinned to 1: the Scenario parallelizes across cross-traffic levels.
-			l := probe.Link{ProbeSize: p.PacketSize, Seed: p.Seed + int64(i)*61, Workers: 1}
-			if p.Base != nil {
-				l = cloneLink(p.Base)
-				l.Seed = p.Seed + int64(i)*61
-				l.Workers = 1
-				l.Contenders = nil
-			}
+			l := unitLink(&p.Cell, p.Cell.Seed+int64(i)*61)
+			l.Contenders = nil
 			if cr > 0 {
-				if p.Base != nil && len(p.Base.Contenders) > 0 {
-					l.Contenders = []probe.Flow{p.Base.Contenders[0]}
-					l.Contenders[0].RateBps = cr
-				} else {
-					l.Contenders = []probe.Flow{{RateBps: cr, Size: p.PacketSize}}
-				}
+				l.Contenders = []probe.Flow{sweptContender(&p.Cell, cr)}
 			}
 			ss, err := probe.MeasureSteadyState(l, p.SaturateBps, dur)
 			if err != nil {
@@ -237,27 +197,25 @@ func Fig16PacketPair(p Fig16Params, sc Scale) (*Figure, error) {
 
 // Fig17Params configures the MSER-corrected measurement of Figure 17.
 type Fig17Params struct {
-	TrainLen      int // paper: 20
-	MSERBatch     int // paper: MSER-2
-	ContendingBps float64
-	PacketSize    int
-	MaxProbeBps   float64
-	Seed          int64
-	// Base, when non-nil, is the complete measured cell — typically
-	// spec-compiled — replacing the one the scalar fields would build;
-	// the per-point seed and Workers pin are still applied on top.
-	Base *probe.Link
+	TrainLen    int // paper: 20
+	MSERBatch   int // paper: MSER-2
+	MaxProbeBps float64
+	// Cell is the measured link, and Cell.Seed is the figure seed.
+	Cell probe.Link
 }
 
-// DefaultFig17 matches the paper's 20-packet trains with MSER-2.
+// DefaultFig17 matches the paper's 20-packet trains with MSER-2
+// against one 4 Mb/s contender.
 func DefaultFig17() Fig17Params {
 	return Fig17Params{
-		TrainLen:      20,
-		MSERBatch:     2,
-		ContendingBps: 4e6,
-		PacketSize:    1500,
-		MaxProbeBps:   10e6,
-		Seed:          17,
+		TrainLen:    20,
+		MSERBatch:   2,
+		MaxProbeBps: 10e6,
+		Cell: probe.Link{
+			ProbeSize:  1500,
+			Contenders: []probe.Flow{{RateBps: 4e6, Size: 1500}},
+			Seed:       17,
+		},
 	}
 }
 
@@ -269,26 +227,17 @@ func DefaultFig17() Fig17Params {
 func Fig17MSER(p Fig17Params, sc Scale) (*Figure, error) {
 	rates := sweep(1e6, p.MaxProbeBps, sc.SweepPoints)
 	dur := sim.FromSeconds(sc.SteadySeconds)
+	size := p.Cell.WithDefaults().ProbeSize
 	type pt struct {
 		ok                        bool
 		x, steady, raw, corrected float64
 	}
 	return Run(Scenario[pt]{
-		Seed:  p.Seed,
+		Seed:  p.Cell.Seed,
 		Units: len(rates),
 		RunOne: func(i int, _ sim.Stream) (pt, error) {
 			ri := rates[i]
-			l := probe.Link{
-				ProbeSize:  p.PacketSize,
-				Contenders: []probe.Flow{{RateBps: p.ContendingBps, Size: p.PacketSize}},
-				Seed:       p.Seed + int64(i)*41,
-				Workers:    1, // Scenario parallelizes across rate points
-			}
-			if p.Base != nil {
-				l = cloneLink(p.Base)
-				l.Seed = p.Seed + int64(i)*41
-				l.Workers = 1
-			}
+			l := unitLink(&p.Cell, p.Cell.Seed+int64(i)*41)
 			ss, err := probe.MeasureSteadyState(l, ri, dur)
 			if err != nil {
 				return pt{}, err
@@ -314,8 +263,8 @@ func Fig17MSER(p Fig17Params, sc Scale) (*Figure, error) {
 				ok:        true,
 				x:         ri / 1e6,
 				steady:    ss.ProbeRate / 1e6,
-				raw:       core.RateFromGap(p.PacketSize, core.RawGapRows(usable)) / 1e6,
-				corrected: core.RateFromGap(p.PacketSize, core.CorrectedGapByPosition(usable, p.MSERBatch)) / 1e6,
+				raw:       core.RateFromGap(size, core.RawGapRows(usable)) / 1e6,
+				corrected: core.RateFromGap(size, core.CorrectedGapByPosition(usable, p.MSERBatch)) / 1e6,
 			}, nil
 		},
 		Reduce: func(pts []pt) (*Figure, error) {

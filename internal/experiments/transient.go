@@ -274,15 +274,13 @@ func FigKS(id string, p TransientParams, sc Scale, opt KSOptions) (*Figure, erro
 type Fig10Params struct {
 	ProbeLoadErlang float64   // paper: 1 Erlang
 	CrossLoads      []float64 // swept offered cross loads, Erlangs
-	PacketSize      int
 	TrainLen        int
 	Tolerances      []float64 // paper: 0.1 and 0.01
-	Seed            int64
-	// Base, when non-nil, is the complete measured cell the load sweep
-	// runs over (typically spec-compiled): each point overrides its
-	// first contender's rate with the swept cross load, adding that
-	// contender if the cell has none.
-	Base *probe.Link
+	// Cell is the measured link the load sweep runs over, and Cell.Seed
+	// is the figure seed. Each point overrides the first contender's
+	// rate with the swept cross load, adding a probe-sized contender if
+	// the cell has none.
+	Cell probe.Link
 }
 
 // DefaultFig10 mirrors the paper: probe at 1 Erlang, cross loads up to
@@ -292,10 +290,9 @@ func DefaultFig10() Fig10Params {
 	return Fig10Params{
 		ProbeLoadErlang: 1.0,
 		CrossLoads:      loads,
-		PacketSize:      1500,
 		TrainLen:        500,
 		Tolerances:      []float64{0.1, 0.01},
-		Seed:            10,
+		Cell:            probe.Link{ProbeSize: 1500, Seed: 10},
 	}
 }
 
@@ -304,32 +301,18 @@ func DefaultFig10() Fig10Params {
 // each tolerance of the steady-state mean. Each cross load is an
 // independent unit on the worker pool.
 func Fig10TransientDuration(p Fig10Params, sc Scale) (*Figure, error) {
-	phyP := probe.Link{ProbeSize: p.PacketSize, Seed: p.Seed}.WithDefaults().Phy
-	if p.Base != nil {
-		phyP = p.Base.WithDefaults().Phy
-	}
-	probeRate := traffic.RateForLoad(phyP, p.ProbeLoadErlang, p.PacketSize)
+	cell := p.Cell.WithDefaults()
+	probeRate := traffic.RateForLoad(cell.Phy, p.ProbeLoadErlang, cell.ProbeSize)
 	return Run(Scenario[[]int]{
-		Seed:  p.Seed,
+		Seed:  p.Cell.Seed,
 		Units: len(p.CrossLoads),
 		RunOne: func(li int, _ sim.Stream) ([]int, error) {
-			crossRate := traffic.RateForLoad(phyP, p.CrossLoads[li], p.PacketSize)
-			link := probe.Link{
-				ProbeSize:  p.PacketSize,
-				Contenders: []probe.Flow{{RateBps: crossRate, Size: p.PacketSize}},
-				Seed:       p.Seed + int64(li)*977,
-				Workers:    1, // Scenario parallelizes across load points
+			crossRate := traffic.RateForLoad(cell.Phy, p.CrossLoads[li], cell.ProbeSize)
+			link := unitLink(&p.Cell, p.Cell.Seed+int64(li)*977)
+			if len(link.Contenders) == 0 {
+				link.Contenders = make([]probe.Flow, 1)
 			}
-			if p.Base != nil {
-				link = cloneLink(p.Base)
-				link.Seed = p.Seed + int64(li)*977
-				link.Workers = 1
-				if len(link.Contenders) > 0 {
-					link.Contenders[0].RateBps = crossRate
-				} else {
-					link.Contenders = []probe.Flow{{RateBps: crossRate, Size: p.PacketSize}}
-				}
-			}
+			link.Contenders[0] = sweptContender(&p.Cell, crossRate)
 			ts, err := probe.MeasureTrain(link, p.TrainLen, probeRate, sc.Reps)
 			if err != nil {
 				return nil, err

@@ -73,8 +73,7 @@ type Compiled struct {
 	// Estimator is the optional estimator campaign (nil when the spec
 	// has none).
 	Estimator *Estimator
-	// Notes are the spec's free-text annotations (including any legacy
-	// "phases" strings).
+	// Notes are the spec's free-text annotations.
 	Notes []string
 }
 

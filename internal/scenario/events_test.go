@@ -101,22 +101,16 @@ func TestEventsTXOPConflict(t *testing.T) {
 	}`, "stations[0].ac")
 }
 
-// TestLegacyPhasesStillParse pins the migration contract: the old
-// free-text "phases" key keeps loading, lands in Notes, and is flagged
-// for scenlint.
-func TestLegacyPhasesStillParse(t *testing.T) {
-	s, err := Parse([]byte(`{
+// TestPhasesKeyRejected pins the end of the free-text "phases" key:
+// it fails as an unknown key with a positional error, while "notes"
+// carries the same annotations.
+func TestPhasesKeyRejected(t *testing.T) {
+	wantErr(t, `{
 		"name": "t",
 		"probing": {"plan": "train", "packets": 10},
 		"phases": ["0-1s warm-up", "1-3s measured"]
-	}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Notes) != 2 || !s.LegacyPhases {
-		t.Fatalf("notes %v legacy %v", s.Notes, s.LegacyPhases)
-	}
-	s2, err := Parse([]byte(`{
+	}`, "phases: unknown key")
+	s, err := Parse([]byte(`{
 		"name": "t",
 		"probing": {"plan": "train", "packets": 10},
 		"notes": ["0-1s warm-up"]
@@ -124,8 +118,8 @@ func TestLegacyPhasesStillParse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s2.Notes) != 1 || s2.LegacyPhases {
-		t.Fatalf("notes %v legacy %v", s2.Notes, s2.LegacyPhases)
+	if len(s.Notes) != 1 {
+		t.Fatalf("notes %v", s.Notes)
 	}
 }
 

@@ -39,6 +39,7 @@ func FuzzScenarioSpec(f *testing.F) {
 		  "notes": ["time-varying seed"]}`,
 		`{"name": "t", "probing": {"plan": "train", "packets": 10},
 		  "events": [{"at": "nonsense", "fer": 2}]}`,
+		// "phases" is not a key: an error input.
 		`{"name": "t", "probing": {"plan": "train", "packets": 10},
 		  "events": [{"at": "1s"}], "phases": ["legacy"]}`,
 	}

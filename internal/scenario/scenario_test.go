@@ -77,7 +77,7 @@ func TestFullSpec(t *testing.T) {
 		"probing": {"plan": "steady", "rate_mbps": 8, "duration_seconds": 2},
 		"estimator": {"kind": "adaptive", "target_rel": 0.1,
 		              "resolution_mbps": 0.5, "max_probe_seconds": 3, "max_packets": 4000},
-		"phases": ["0-1s warm-up", "1-3s measured"]
+		"notes": ["0-1s warm-up", "1-3s measured"]
 	}`)
 	l := c.Link
 	if l.Phy.Name != phy.G54().Name || l.Seed != 42 || l.RTSThreshold != 512 {

@@ -58,13 +58,8 @@ type Spec struct {
 	// engine's event schedule.
 	Events []EventSpec
 	// Notes are free-text annotations ("0-10s: warmup", …) carried
-	// through to the compiled scenario untouched. The legacy "phases"
-	// key parses into this field too, so old specs keep loading.
+	// through to the compiled scenario untouched.
 	Notes []string
-	// LegacyPhases records that the spec used the deprecated "phases"
-	// key; scenlint flags it so the checked-in library stays on the
-	// structured schema.
-	LegacyPhases bool
 }
 
 // EventSpec is one structured mid-run change, mirroring the JSON:
@@ -217,12 +212,6 @@ func Parse(data []byte) (*Spec, error) {
 		Seed:              int64(root.Int("seed")),
 		RTSThresholdBytes: root.Int("rts_threshold_bytes"),
 		Notes:             root.Strs("notes"),
-	}
-	if root.Has("phases") {
-		// The pre-events free-text form; kept loading so old specs
-		// survive, flagged so scenlint can push the library forward.
-		s.Notes = append(s.Notes, root.Strs("phases")...)
-		s.LegacyPhases = true
 	}
 	for _, ev := range root.Children("events") {
 		s.Events = append(s.Events, parseEvent(ev))

@@ -101,10 +101,9 @@ func lintCampaign(path string) []string {
 // lintFile compiles one spec file and checks its housekeeping
 // invariants, returning one finding line per problem. Beyond what the
 // compiler already rejects (malformed events, ghost stations,
-// out-of-order instants), the linter flags the deprecated free-text
-// "phases" key and scheduled events a steady measurement can never
-// reach — both legal, both almost certainly mistakes in a checked-in
-// library spec.
+// out-of-order instants), the linter flags scheduled events a steady
+// measurement can never reach — legal, but almost certainly a mistake
+// in a checked-in library spec.
 func lintFile(path string) []string {
 	s, err := scenario.Load(path)
 	if err != nil {
@@ -121,9 +120,6 @@ func lintFile(path string) []string {
 	}
 	if strings.TrimSpace(c.Description) == "" {
 		findings = append(findings, fmt.Sprintf("%s: spec has no description", path))
-	}
-	if s.LegacyPhases {
-		findings = append(findings, fmt.Sprintf("%s: deprecated \"phases\" key; rename to \"notes\", or describe the timeline as structured \"events\"", path))
 	}
 	if c.Probing.Plan == scenario.PlanSteady && c.Probing.DurationSeconds > 0 {
 		// The steady horizon is warm-up plus the spec's own measurement

@@ -115,7 +115,7 @@ func TestLintFileFindings(t *testing.T) {
 		{name: "legacy", body: `{"name": "legacy", "description": "d",
 			"probing": {"plan": "train", "packets": 10, "rate_mbps": 5},
 			"phases": ["0-1s warm-up"]}`,
-			frag: `deprecated "phases"`},
+			frag: "phases: unknown key"},
 		{name: "bad-event", body: `{"name": "bad-event", "description": "d",
 			"probing": {"plan": "train", "packets": 10, "rate_mbps": 5},
 			"events": [{"at": "1s", "station": "ghost", "fer": 0.2}]}`,
