@@ -496,16 +496,3 @@ func ParseFloats(s string) ([]float64, error) {
 	}
 	return out, nil
 }
-
-// ParseInts parses a comma-separated integer list ("3, 10,50").
-func ParseInts(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("bad list entry %q", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}

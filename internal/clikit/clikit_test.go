@@ -147,13 +147,6 @@ func TestParseLists(t *testing.T) {
 	if _, err := ParseFloats("1,x"); err == nil {
 		t.Error("bad float accepted")
 	}
-	is, err := ParseInts("3, 10,50")
-	if err != nil || len(is) != 3 || is[2] != 50 {
-		t.Errorf("ints: %v %v", is, err)
-	}
-	if _, err := ParseInts("3,1.5"); err == nil {
-		t.Error("bad int accepted")
-	}
 }
 
 func TestScaleRejectsBadFormatEarly(t *testing.T) {

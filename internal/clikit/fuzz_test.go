@@ -37,22 +37,6 @@ func FuzzParseFloats(f *testing.F) {
 	})
 }
 
-// FuzzParseInts mirrors FuzzParseFloats for the integer list parser.
-func FuzzParseInts(f *testing.F) {
-	for _, seed := range []string{"3, 10,50", "", "-1", "007", "1,2,3,4", "9223372036854775807"} {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, s string) {
-		vals, err := ParseInts(s)
-		if err != nil {
-			return
-		}
-		if want := strings.Count(s, ",") + 1; len(vals) != want {
-			t.Fatalf("parsed %d values from %d fields in %q", len(vals), want, s)
-		}
-	})
-}
-
 // FuzzBudgetCaps drives raw command-line values through the budget
 // flag parser. Invariants: no panic, and a Budget that parses
 // successfully carries only finite, non-negative caps — NaN, ±Inf and

@@ -6,22 +6,22 @@ import (
 	"csmabw/internal/sim"
 )
 
-// This file holds the multi-domain busy-cluster engine: the engine used
-// when Config.Channel.Topology hides some stations from each other. The
-// single-domain fast path in mac.go resolves one transmission (or one
-// same-slot collision) per busy period; here a busy period is a
-// *cluster* of possibly overlapping transmissions, because a station
-// that hears none of the ongoing transmitters keeps counting down and
-// can start mid-air — the hidden-terminal effect.
+// This file holds the busy-period resolver, the one engine path that
+// turns expiring countdowns into transmissions on every topology. A
+// busy period is a *cluster* of possibly overlapping transmissions: a
+// station that hears none of the ongoing transmitters keeps counting
+// down and can start mid-air — the hidden-terminal effect. A full mesh
+// is the cluster no one can join: everyone who does not transmit at the
+// first instant hears that transmission and freezes.
 //
 // The cluster is resolved at the common receiver, which hears every
 // station. Per the package-comment simplifications, control frames are
 // never corrupted, and stations outside the cluster resume contention
 // no earlier than the cluster's end.
 //
-// Like the single-domain path, the resolver allocates nothing once
-// warm: winners, candidates and entries live in engine-owned scratch
-// (entries as a value arena) that Reset carries over.
+// The resolver allocates nothing: candidates and entries (a value
+// arena) live in engine-owned scratch, sized by init for one of each
+// per station, that Reset carries over.
 
 // clusterEntry is one transmission inside a busy cluster.
 type clusterEntry struct {
@@ -40,16 +40,23 @@ type clusterEntry struct {
 	// collision-window shortening RTS/CTS exists for).
 	vulnEnd sim.Time
 
-	disrupted bool // overlapped at the receiver by another entry
+	collided  bool // overlapped at the receiver by another entry and lost
 	captured  bool // overlapped, but decoded through the capture rule
-	corrupted bool // no (effective) overlap, but failed the channel error trial
+	corrupted bool // decodable, but failed the channel error trial
 }
 
-// clusterCand is a contending station outside the cluster's initial
-// winners, with its effective countdown expiry.
+// clusterCand is a contending station that did not transmit at the
+// cluster's first instant and may not hear everyone, with its effective
+// countdown expiry and, once the cluster has grown, the instant its
+// countdown froze: the start of the first transmission it heard (heard
+// set), the end of the receiver's vulnerable window, or sim.MaxTime when
+// the countdown expired inside the cluster instead (the station joined
+// it, or its post-backoff ended).
 type clusterCand struct {
 	s      *station
 	expiry sim.Time
+	freeze sim.Time
+	heard  bool
 }
 
 // candLess orders candidates by (expiry, station id). Station ids are
@@ -75,75 +82,78 @@ func sortCands(cands []clusterCand) {
 	}
 }
 
-// newClusterEntry computes the exchange timeline of a transmission
-// starting at start.
-func (e *Engine) newClusterEntry(s *station, start sim.Time) clusterEntry {
-	p := e.phy
+// appendEntry appends s's transmission starting at start, with its
+// exchange timeline, to entries. The entry is built in place: entries
+// has room for one per station (init sizes the scratch), and the slot's
+// previous contents are overwritten field by field.
+func (e *Engine) appendEntry(entries []clusterEntry, s *station, start sim.Time) []clusterEntry {
+	entries = entries[:len(entries)+1]
+	en := &entries[len(entries)-1]
+	sifs := e.phy.SIFS
 	f := s.hol()
-	en := clusterEntry{s: s, f: f, start: start, rts: e.usesRTS(f)}
+	en.s, en.f, en.start, en.rts = s, f, start, e.usesRTS(f)
+	en.collided, en.captured, en.corrupted = false, false, false
 	if en.rts {
-		rtsEnd := start + p.RTSTxTime()
-		ctsEnd := rtsEnd + p.SIFS + p.CTSTxTime()
-		en.airEnd = rtsEnd
-		en.vulnEnd = ctsEnd
-		en.dataEnd = ctsEnd + p.SIFS + e.dataTxTime(s, f.Size)
+		en.airEnd = start + e.rtsT
+		en.vulnEnd = en.airEnd + sifs + e.ctsT // CTS end
+		en.dataEnd = en.vulnEnd + sifs + e.dataTxTime(s, f.Size)
 	} else {
 		en.airEnd = start + e.dataTxTime(s, f.Size)
 		en.dataEnd = en.airEnd
 		en.vulnEnd = en.airEnd
 	}
-	en.exchEnd = en.dataEnd + p.SIFS + p.ACKTxTime()
-	return en
+	en.exchEnd = en.dataEnd + sifs + e.ackT
+	return entries
 }
 
-// transmitCluster is the multi-domain counterpart of transmitAt: it
-// forms the busy cluster seeded by the countdowns expiring at txAt,
-// grows it with hidden stations whose countdowns keep running, resolves
-// every transmission at the common receiver, and advances the clock to
-// the cluster's end. All iteration is in (time, station id) order and
-// all randomness comes from the engine's own generators, so runs are
-// deterministic for a given config and seed.
+// endPostBackoff ends a post-backoff countdown that expired with an
+// empty queue: the station returns to the fully idle state.
+func (e *Engine) endPostBackoff(s *station) {
+	s.backoff = -1
+	s.postBO = false
+	e.nActive--
+}
+
+// transmitCluster resolves the busy period starting at txAt: it forms
+// the cluster seeded by the countdowns expiring at txAt, grows it with
+// hidden stations whose countdowns keep running, resolves every
+// transmission at the common receiver, and advances the clock to the
+// cluster's end (a TXOP burst's end, when the lone exchange bursts).
+// Arrivals during the busy period are left for Run to admit. All
+// iteration is in (time, station id) order and all randomness comes
+// from the engine's own generators, so runs are deterministic for a
+// given config and seed.
 func (e *Engine) transmitCluster(txAt sim.Time) {
-	p := e.phy
+	slot := e.phy.Slot
+	mesh := e.topo == nil
+	cands, entries := e.candScratch[:0], e.entryScratch[:0]
 
-	winners, cands, entries := e.winnersScratch[:0], e.candScratch[:0], e.entryScratch[:0]
-	defer func() {
-		e.winnersScratch, e.candScratch, e.entryScratch = winners[:0], cands[:0], entries[:0]
-	}()
-
-	// Effective countdown expiries, clamped to now exactly as contend()
-	// computed them when it chose txAt.
+	// One scan over the countdowns. Those expiring by txAt transmit
+	// there. On a full mesh every other station hears that transmission,
+	// whoever makes it, and freezes at txAt; with a hearing graph the
+	// others become candidates, settled once the cluster is known.
 	for _, s := range e.stations {
 		if s.backoff < 0 {
 			continue
 		}
-		t := e.senseStart(s) + sim.Time(s.backoff)*p.Slot
-		if t < e.now {
-			t = e.now
+		start := e.senseStart(s)
+		t := start + sim.Time(s.backoff)*slot
+		switch {
+		case t <= txAt && s.hol() == nil:
+			e.endPostBackoff(s)
+		case t <= txAt:
+			entries = e.appendEntry(entries, s, txAt)
+		case mesh:
+			decrementTo(s, start, txAt, slot)
+		default:
+			cands = append(cands, clusterCand{s: s, expiry: t})
 		}
-		if t <= txAt {
-			winners = append(winners, s)
-			continue
-		}
-		cands = append(cands, clusterCand{s, t})
 	}
 	e.now = txAt
-
-	// Post-backoff countdowns that expire with an empty queue simply
-	// end; the station returns to the fully idle state.
-	for _, s := range winners {
-		if s.hol() == nil {
-			s.backoff = -1
-			s.postBO = false
-			e.nActive--
-			continue
-		}
-		entries = append(entries, e.newClusterEntry(s, txAt))
-	}
 	if len(entries) == 0 {
-		// No transmission happened; the others counted down to txAt.
+		// No transmission happened; the candidates counted down to txAt.
 		for _, c := range cands {
-			decrementTo(c.s, e.senseStart(c.s), txAt, p.Slot)
+			decrementTo(c.s, e.senseStart(c.s), txAt, slot)
 		}
 		return
 	}
@@ -153,115 +163,73 @@ func (e *Engine) transmitCluster(txAt sim.Time) {
 	// that transmission's start; one that hears nothing keeps counting,
 	// and transmits if it expires while the receiver is still
 	// vulnerable. Candidates expiring after the vulnerable window have
-	// heard the receiver's CTS/ACK by then and freeze.
-	sortCands(cands)
-	vulnEnd := txAt
-	for i := range entries {
-		if entries[i].vulnEnd > vulnEnd {
-			vulnEnd = entries[i].vulnEnd
-		}
-	}
-	const notFrozen = sim.Time(-1)
-	frozen, heardTx := e.frozenScratch, e.heardScratch
-	for i := range frozen {
-		frozen[i] = notFrozen
-		heardTx[i] = false
-	}
-	for _, c := range cands {
-		heard := sim.MaxTime
-		// en points into entries, which a joiner's append below may
-		// reallocate: it must not outlive this inner loop.
+	// heard the receiver's CTS/ACK by then and freeze — if the receiver
+	// sent one at all, which is settled below.
+	if len(cands) > 0 {
+		sortCands(cands)
+		vulnEnd := txAt
 		for i := range entries {
-			en := &entries[i]
-			// A transmission starting in the same slot as c's expiry
-			// cannot be sensed in time: both stations transmit.
-			if en.start < c.expiry && en.start < heard && e.hears(c.s.id, en.s.id) {
-				heard = en.start
-			}
+			vulnEnd = max(vulnEnd, entries[i].vulnEnd)
 		}
-		switch {
-		case heard != sim.MaxTime:
-			frozen[c.s.id] = heard
-			heardTx[c.s.id] = true
-		case c.expiry < vulnEnd:
-			if c.s.hol() == nil {
-				c.s.backoff = -1
-				c.s.postBO = false
-				e.nActive--
-				continue
-			}
-			en := e.newClusterEntry(c.s, c.expiry)
-			entries = append(entries, en)
-			if en.vulnEnd > vulnEnd {
-				vulnEnd = en.vulnEnd
-			}
-		default:
-			// Expired past the vulnerable window: by then the station
-			// has heard the receiver's CTS/ACK — if the receiver sent
-			// one at all; otherwise its countdown continues untouched
-			// (resolved below once the outcomes are known).
-			frozen[c.s.id] = vulnEnd
-		}
-	}
-
-	// Resolve at the common receiver: an entry is disrupted when any
-	// other entry's airtime overlaps its vulnerable window. Capture can
-	// rescue a disrupted entry whose power margin over every overlapping
-	// transmission meets the threshold.
-	for i := range entries {
-		en := &entries[i]
-		strongest := math.Inf(-1)
-		for j := range entries {
-			if i == j {
-				continue
-			}
-			other := &entries[j]
-			if other.start < en.vulnEnd && other.airEnd > en.start {
-				en.disrupted = true
-				if other.s.power > strongest {
-					strongest = other.s.power
+		for i := range cands {
+			c := &cands[i]
+			c.freeze = sim.MaxTime
+			for j := range entries {
+				// A transmission starting in the same slot as c's expiry
+				// cannot be sensed in time: both stations transmit.
+				if st := entries[j].start; st < c.expiry && st < c.freeze && e.hears(c.s.id, entries[j].s.id) {
+					c.freeze = st
 				}
 			}
-		}
-		if en.disrupted && e.captureOn && en.s.power-strongest >= e.cfg.Channel.CaptureThresholdDB {
-			en.captured = true
-		}
-	}
-
-	// Channel error trials for the frames the receiver decodes, in
-	// entry order.
-	for i := range entries {
-		en := &entries[i]
-		if en.disrupted && !en.captured {
-			continue
-		}
-		if e.lossy && e.chrng.Float64() < en.s.loss.FrameErrorProb(en.f.Size) {
-			en.corrupted = true
+			switch {
+			case c.freeze != sim.MaxTime:
+				c.heard = true
+			case c.expiry >= vulnEnd:
+				c.freeze = vulnEnd
+			case c.s.hol() == nil:
+				e.endPostBackoff(c.s)
+			default:
+				entries = e.appendEntry(entries, c.s, c.expiry)
+				vulnEnd = max(vulnEnd, entries[len(entries)-1].vulnEnd)
+			}
 		}
 	}
 
-	// The cluster ends when its last exchange (or doomed airtime) ends.
-	// receiverSpoke records whether the common receiver transmitted at
-	// all (a CTS for a clean RTS handshake, or an ACK for a delivered
-	// frame): only then do stations hidden from every transmitter learn
-	// the medium was busy.
-	end := txAt
-	receiverSpoke := false
+	// Resolve at the common receiver, one pass in entry order: an entry
+	// is disrupted when another entry's airtime overlaps its vulnerable
+	// window, and capture rescues it when its power margin over every
+	// overlapping transmission meets the threshold. A frame the receiver
+	// decodes then takes its channel error trial. The cluster ends when
+	// its last exchange (or doomed airtime) ends; receiverSpoke records
+	// whether the receiver transmitted at all (a CTS for a clean RTS
+	// handshake, or an ACK for a delivered frame): only then do stations
+	// hidden from every transmitter learn the medium was busy. collision
+	// and corrupt record whether any entry collided or was corrupted.
+	end, receiverSpoke, collision, corrupt := txAt, false, false, false
 	for i := range entries {
 		en := &entries[i]
+		disrupted, strongest := false, math.Inf(-1)
+		for j := range entries {
+			if o := &entries[j]; j != i && o.start < en.vulnEnd && o.airEnd > en.start {
+				disrupted = true
+				strongest = max(strongest, o.s.power)
+			}
+		}
+		en.captured = disrupted && e.captureOn && en.s.power-strongest >= e.cfg.Channel.CaptureThresholdDB
+		en.collided = disrupted && !en.captured
 		t := en.exchEnd
 		switch {
-		case en.disrupted && !en.captured:
+		case en.collided:
 			t = en.airEnd
-		case en.corrupted:
+			collision = true
+		case e.lossy && e.chrng.Float64() < en.s.loss.FrameErrorProb(en.f.Size):
+			en.corrupted, corrupt = true, true
 			t = en.dataEnd
 			receiverSpoke = receiverSpoke || en.rts
 		default:
 			receiverSpoke = true
 		}
-		if t > end {
-			end = t
-		}
+		end = max(end, t)
 	}
 	e.now = end
 
@@ -273,15 +241,9 @@ func (e *Engine) transmitCluster(txAt sim.Time) {
 	// it may start the next busy period immediately. That re-collision
 	// pressure is the hidden-terminal pathology RTS/CTS exists to fix.
 	for _, c := range cands {
-		fa := frozen[c.s.id]
-		if fa == notFrozen {
-			continue
+		if c.freeze != sim.MaxTime && (c.heard || receiverSpoke) {
+			decrementTo(c.s, e.senseStart(c.s), c.freeze, slot)
 		}
-		if !heardTx[c.s.id] && !receiverSpoke {
-			frozen[c.s.id] = notFrozen
-			continue
-		}
-		decrementTo(c.s, e.senseStart(c.s), fa, p.Slot)
 	}
 
 	// Per-entry outcomes, in airtime order (initial entries in station
@@ -289,7 +251,8 @@ func (e *Engine) transmitCluster(txAt sim.Time) {
 	for i := range entries {
 		en := &entries[i]
 		s, f := en.s, en.f
-		if en.disrupted && !en.captured || en.corrupted {
+		s.inTx = true
+		if en.collided || en.corrupted {
 			st := &e.res.Stats[s.id]
 			st.Attempts++
 			if e.cfg.OnEvent != nil {
@@ -316,38 +279,32 @@ func (e *Engine) transmitCluster(txAt sim.Time) {
 	}
 
 	// Bystander bookkeeping: what a station defers with next depends on
-	// what it could hear. A heard collision forces EIFS; a heard
-	// corrupted frame triggers the bystander's own decode trial (its
-	// copy crossed an independent channel); a heard clean exchange
-	// clears any pending EIFS; hearing nothing leaves it untouched.
-	inCluster := e.clusterScratch
-	for i := range inCluster {
-		inCluster[i] = false
-	}
-	for i := range entries {
-		inCluster[entries[i].s.id] = true
-	}
+	// what it could hear. A heard collision forces EIFS — even when the
+	// receiver captured another frame of the overlap; a heard corrupted
+	// frame triggers the bystander's own decode trial (its copy crossed
+	// an independent channel); a heard clean exchange clears any pending
+	// EIFS; hearing nothing leaves it untouched.
 	for _, o := range e.stations {
-		if inCluster[o.id] {
+		switch {
+		case o.inTx:
+			o.inTx = false
 			o.idleAt = end
 			continue
+		case mesh && !corrupt:
+			// On a full mesh every bystander heard every entry; with no
+			// corrupted frame to decode, all of them defer alike.
+			o.idleAt, o.eifs = end, collision
+			continue
 		}
-		heardCollision, heardCorrupt, heardClean := false, false, false
+		heard, heardCollision, heardCorrupt := false, false, false
 		for i := range entries {
-			en := &entries[i]
-			if !e.hears(o.id, en.s.id) {
-				continue
-			}
-			switch {
-			case en.disrupted && !en.captured:
-				heardCollision = true
-			case en.corrupted:
-				heardCorrupt = true
-			default:
-				heardClean = true
+			if en := &entries[i]; e.hears(o.id, en.s.id) {
+				heard = true
+				heardCollision = heardCollision || en.collided
+				heardCorrupt = heardCorrupt || en.corrupted
 			}
 		}
-		if !heardCollision && !heardCorrupt && !heardClean && !receiverSpoke {
+		if !heard && !receiverSpoke {
 			// The station heard neither a transmitter nor the receiver:
 			// from its perspective the medium stayed idle and nothing
 			// about its state changes.
@@ -374,7 +331,11 @@ func (e *Engine) transmitCluster(txAt sim.Time) {
 		}
 	}
 
-	e.pumpArrivals(end)
+	// A lone clean exchange may continue as a TXOP burst; only a full
+	// mesh admits TXOP limits (resolveEDCA), so everyone defers to it.
+	if en := &entries[0]; len(entries) == 1 && !en.corrupted && en.s.txop > 0 {
+		e.txopBurst(en.s, txAt)
+	}
 }
 
 // decrementTo decrements s's frozen countdown by the whole slots that

@@ -1,6 +1,7 @@
 package mac
 
 import (
+	"fmt"
 	"testing"
 
 	"csmabw/internal/phy"
@@ -36,28 +37,42 @@ func aggregate(res *Result, n int, end sim.Time) float64 {
 	return sum
 }
 
+// TestExplicitFullMeshMatchesNilTopology: a Topology that happens to be
+// a full mesh must produce the exact run — same RNG draw sequence, same
+// event stream — as the nil (default) topology. The resolver reaches
+// the two by different routes: a nil topology settles every countdown
+// that does not expire in its station scan, while an explicit mesh
+// sends those countdowns through the candidate list. The table is every
+// randomConfig draw without a topology or topology-edge events.
 func TestExplicitFullMeshMatchesNilTopology(t *testing.T) {
-	// A Topology that happens to be a full mesh must produce the exact
-	// run — same RNG draw sequence — as the nil (default) topology.
-	end := sim.FromSeconds(2)
-	base := runOne(t, twoStationConfig(3e6, Channel{}, 0))
-	mesh := runOne(t, twoStationConfig(3e6, Channel{Topology: FullMesh(2)}, 0))
-	for i := range base.Frames {
-		if len(base.Frames[i]) != len(mesh.Frames[i]) {
-			t.Fatalf("station %d: %d vs %d frames", i, len(base.Frames[i]), len(mesh.Frames[i]))
+	trials := 1000
+	if testing.Short() {
+		trials = 100
+	}
+	r := sim.NewRand(0x3e54)
+	horizon := sim.FromSeconds(0.1)
+	for trial := 0; trial < trials; {
+		cfg := randomConfig(r, horizon)
+		if cfg.Channel.Topology != nil || hasTopologyEvents(cfg.Schedule) {
+			continue
 		}
-		for j := range base.Frames[i] {
-			if *base.Frames[i][j] != *mesh.Frames[i][j] {
-				t.Fatalf("station %d frame %d differs: %+v vs %+v",
-					i, j, base.Frames[i][j], mesh.Frames[i][j])
+		trial++
+		var nilEvents, meshEvents []Event
+		cfg.OnEvent = func(ev Event) { nilEvents = append(nilEvents, ev) }
+		base := runOne(t, cfg)
+		cfg.Channel.Topology = FullMesh(len(cfg.Stations))
+		cfg.OnEvent = func(ev Event) { meshEvents = append(meshEvents, ev) }
+		mesh := runOne(t, cfg)
+		ctx := fmt.Sprintf("config %d", trial)
+		compareResults(t, ctx, base, mesh)
+		if len(nilEvents) != len(meshEvents) {
+			t.Fatalf("%s: %d vs %d events", ctx, len(nilEvents), len(meshEvents))
+		}
+		for i := range nilEvents {
+			if nilEvents[i] != meshEvents[i] {
+				t.Fatalf("%s event %d: %+v vs %+v", ctx, i, nilEvents[i], meshEvents[i])
 			}
 		}
-		if base.Stats[i] != mesh.Stats[i] {
-			t.Errorf("station %d stats differ: %+v vs %+v", i, base.Stats[i], mesh.Stats[i])
-		}
-	}
-	if aggregate(base, 2, end) != aggregate(mesh, 2, end) {
-		t.Error("throughput differs between nil and explicit full-mesh topology")
 	}
 }
 
@@ -158,6 +173,43 @@ func TestCaptureDeliversStrongestFrame(t *testing.T) {
 	}
 }
 
+// TestCaptureBystanderDefersEIFS pins the capture-bystander rule on a
+// full mesh: a station that overhears a same-slot collision defers EIFS
+// afterwards even when the receiver captured one of the colliding
+// frames, because the losers' frames were undecodable on the air. The
+// run stops after the first busy period, the clean captured collision.
+func TestCaptureBystanderDefersEIFS(t *testing.T) {
+	frame := func(at sim.Time) []traffic.Arrival {
+		return []traffic.Arrival{{At: at, Size: 1500, Index: -1}}
+	}
+	cfg := Config{
+		Phy:     phy.B11(),
+		Seed:    3,
+		Channel: Channel{CaptureThresholdDB: 6},
+		Stations: []StationConfig{
+			{PowerDB: 10, Arrivals: frame(sim.Millisecond)}, // captured
+			{Arrivals: frame(sim.Millisecond)},              // loses in the same slot
+			{Arrivals: frame(1500 * sim.Microsecond)},       // bystander, queued mid-air
+		},
+		StopWhen: func() bool { return true },
+	}
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := e.Run()
+	if res.Stats[0].Captured != 1 || res.Stats[1].Collisions != 1 || res.Stats[0].ChannelErrors != 0 {
+		t.Fatalf("first busy period is not a clean captured collision: %+v", res.Stats)
+	}
+	by := e.stations[2]
+	if !by.eifs {
+		t.Fatal("bystander cleared EIFS after overhearing a captured collision")
+	}
+	if got, want := e.senseStart(by), res.End+by.eifsT; got != want {
+		t.Errorf("bystander senses from %v, want the busy end plus EIFS %v", got, want)
+	}
+}
+
 func TestCaptureImprovesAggregate(t *testing.T) {
 	end := sim.FromSeconds(2)
 	noCap := twoStationConfig(4e6, Channel{Topology: NewTopology(2)}, 0)
@@ -192,7 +244,7 @@ func TestChainTopologyMiddleStationSuffers(t *testing.T) {
 }
 
 func TestImperfectChannelDeterminism(t *testing.T) {
-	// The cluster engine and the loss model draw from engine-owned
+	// The resolver and the loss model draw from engine-owned
 	// generators only: identical configs and seeds reproduce identical
 	// runs, frame for frame.
 	for _, ch := range []Channel{

@@ -175,7 +175,7 @@ func hotScenarioEDCA(seed int64) Config {
 // hiddenHotScenario is hotScenario on a hidden pair with every
 // imperfect-channel knob engaged — RTS/CTS for the 1500-byte frames,
 // capture for the stronger station, and a frame error rate — so the
-// alloc bounds also pin the busy-cluster engine.
+// alloc bounds also pin the resolver's hidden-station path.
 func hiddenHotScenario(seed int64, lazy bool) Config {
 	cfg := hotScenario(seed, lazy)
 	cfg.RTSThreshold = 1000
@@ -185,8 +185,7 @@ func hiddenHotScenario(seed int64, lazy bool) Config {
 }
 
 // TestHotPathAllocBound pins the engine's per-frame allocation budget,
-// for plain DCF, EDCA and the hidden-topology busy-cluster engine
-// alike. The scan-driven engine allocated at least one Frame per
+// for plain DCF, EDCA and hidden topologies alike. The scan-driven engine allocated at least one Frame per
 // arrival plus winner/collision bookkeeping per busy period (thousands
 // of allocations in this scenario); the arena-and-scratch core must
 // stay under a small fraction of a frame's worth each.
@@ -206,8 +205,8 @@ func TestHotPathAllocBound(t *testing.T) {
 			return cfg
 		}},
 		{"hidden", func(seed int64) Config { return hiddenHotScenario(seed, true) }},
-		// A mid-run hearing-graph cut flips a full-mesh run into the
-		// busy-cluster engine, whose scratch must already be in place.
+		// A mid-run hearing-graph cut hides the stations from each other
+		// halfway through a full-mesh run.
 		{"topology-events", func(seed int64) Config {
 			cfg := hotScenario(seed, true)
 			cfg.Schedule = []ScheduledEvent{
@@ -244,9 +243,9 @@ func TestHotPathAllocBound(t *testing.T) {
 }
 
 // BenchmarkEngineHotPath reports the allocation profile of a loaded
-// run, on the single-domain engine and on the hidden-topology
-// busy-cluster engine; together with TestHotPathAllocBound it pins the
-// zero-alloc hot path (allocs/op stays flat in the frame count).
+// run, on a full mesh and on a hidden pair; together with
+// TestHotPathAllocBound it pins the zero-alloc hot path (allocs/op
+// stays flat in the frame count).
 func BenchmarkEngineHotPath(b *testing.B) {
 	cases := []struct {
 		name  string

@@ -29,7 +29,16 @@
 //     times out and backs off with a doubled window, and stations whose
 //     own copy was undecodable defer EIFS — the 802.11 recovery rule.
 //   - CaptureThresholdDB lets the receiver decode the strongest of
-//     several overlapping frames when its power margin is large enough.
+//     several overlapping frames when its power margin is large enough;
+//     stations that overheard the overlap still defer EIFS, since the
+//     losing frames were undecodable on the air.
+//
+// One resolver (transmitCluster, channel.go) turns every busy period
+// into outcomes, on every topology: a lone exchange, a same-slot
+// collision and a cluster of hidden transmissions overlapping at the
+// receiver follow the same DCF rules. A full mesh is the cluster no one
+// can join — every station that does not transmit first hears the
+// first transmission and freezes.
 //
 // The quantity of interest throughout is the *access delay* of a frame:
 // the time from when it reaches the head of its station's FIFO queue
@@ -54,15 +63,14 @@
 // Model simplifications (documented, deliberate): control frames (RTS,
 // CTS, ACK) are never corrupted by the error model — they are short and
 // sent at the robust basic rate; ACKs from the common receiver always
-// reach their transmitter; and in multi-domain topologies the engine
-// resolves one busy cluster of overlapping transmissions at a time, so
-// a station in a disjoint domain resumes contention no earlier than the
+// reach their transmitter; and the engine resolves one busy cluster of
+// overlapping transmissions at a time, so with hidden stations a
+// station in a disjoint domain resumes contention no earlier than the
 // cluster's end.
 package mac
 
 import (
 	"fmt"
-	"math"
 
 	"csmabw/internal/phy"
 	"csmabw/internal/sim"
@@ -336,6 +344,7 @@ type station struct {
 	backoff int  // slots remaining; -1 when no countdown is active
 	postBO  bool // true while the countdown is a post-backoff with an empty queue
 	eifs    bool // next sensing period must be EIFS (observed an erroneous frame)
+	inTx    bool // scratch flag: transmitting in the busy period being resolved
 	// senseFrom is a personal lower bound on when this station started
 	// sensing the medium for the current countdown: a frame arriving to
 	// a fully idle station starts sensing at its arrival instant, not at
@@ -362,7 +371,11 @@ type station struct {
 	txop  sim.Time // TXOP limit; 0 = one frame per contention win
 	rate  float64  // data-frame modulation rate, bit/s
 
-	inTx bool // scratch flag for collision bookkeeping
+	// Data airtime cache: airT is the airtime of an airSize-byte payload
+	// at airRate, the last frame size and rate dataTxTime saw.
+	airSize int
+	airRate float64
+	airT    sim.Time
 }
 
 func (s *station) queueLen() int { return len(s.queue) - s.head }
@@ -417,9 +430,10 @@ type Engine struct {
 	stations []*station
 	now      sim.Time
 	res      *Result
+	// ackT, rtsT and ctsT are the control-frame airtimes, fixed by the PHY.
+	ackT, rtsT, ctsT sim.Time
 
 	topo      *Topology // nil means full mesh
-	multi     bool      // topology has hidden stations
 	lossy     bool      // some link has a non-zero error model
 	captureOn bool      // capture threshold configured
 	// sched is the engine-owned copy of Config.Schedule (recycled
@@ -445,18 +459,9 @@ type Engine struct {
 	arena   frameArena
 	record  []bool
 
-	winnersScratch []*station
-	txScratch      []*station
-	admitScratch   []*station
-	// Multi-domain (busy-cluster) scratch. The per-station arrays are
-	// sized when the topology hides stations, or a schedule may hide
-	// them; the candidate and entry slices grow on first use. All of it
-	// carries over across Reset.
-	frozenScratch  []sim.Time
-	heardScratch   []bool
-	clusterScratch []bool
-	candScratch    []clusterCand
-	entryScratch   []clusterEntry
+	admitScratch []*station
+	candScratch  []clusterCand
+	entryScratch []clusterEntry
 }
 
 // New validates the configuration and prepares an engine.
@@ -518,10 +523,10 @@ func (e *Engine) init(cfg Config) error {
 	nSt := len(cfg.Stations)
 	e.cfg = cfg
 	e.phy = cfg.Phy
+	e.ackT, e.rtsT, e.ctsT = cfg.Phy.ACKTxTime(), cfg.Phy.RTSTxTime(), cfg.Phy.CTSTxTime()
 	e.topo = cfg.Channel.Topology
 	e.now = 0
 	e.nActive = 0
-	e.multi = e.topo != nil && !e.topo.IsFullMesh()
 	e.captureOn = cfg.Channel.CaptureThresholdDB > 0
 	e.lossy = !cfg.Channel.Loss.IsZero()
 	e.arrHeap.reset()
@@ -603,17 +608,17 @@ func (e *Engine) init(cfg Config) error {
 	for i := range e.record {
 		e.record[i] = cfg.RecordFrames == nil || cfg.RecordFrames(i)
 	}
+	// A busy period holds at most one entry or candidate per station.
+	if cap(e.entryScratch) < nSt {
+		e.entryScratch = make([]clusterEntry, 0, nSt)
+		e.candScratch = make([]clusterCand, 0, nSt)
+	}
 	// Prime each station's pending arrival and index it.
 	for _, s := range e.stations {
 		s.advancePending()
 		if s.hasPending {
 			e.arrHeap.push(s)
 		}
-	}
-	if e.multi && len(e.frozenScratch) != nSt {
-		e.frozenScratch = make([]sim.Time, nSt)
-		e.heardScratch = make([]bool, nSt)
-		e.clusterScratch = make([]bool, nSt)
 	}
 	return nil
 }
@@ -654,12 +659,12 @@ func (e *Engine) resolveEDCA(s *station, sc StationConfig) error {
 	s.cwMax = edca.CWMax
 	s.txop = edca.TXOPLimit
 	s.cw = s.cwMin
-	if s.txop > 0 && e.multi {
-		// The busy-cluster engine resolves one overlapping cluster at a
-		// time; modelling a multi-frame TXOP inside a cluster of hidden
-		// transmitters is out of scope, so reject rather than silently
-		// ignore the limit.
-		return fmt.Errorf("TXOP limit %v unsupported with a hidden-station topology", s.txop)
+	if s.txop > 0 && e.topo != nil && !e.topo.IsFullMesh() {
+		// A TXOP burst holds the medium on the premise that every other
+		// station hears it and defers; a hidden station could start
+		// mid-burst, which the resolver does not model, so reject rather
+		// than silently ignore the limit.
+		return fmt.Errorf("TXOP limit %v unsupported with hidden stations: a burst assumes every station defers to it", s.txop)
 	}
 	if sc.DataRate < 0 {
 		return fmt.Errorf("negative data rate %g", sc.DataRate)
@@ -675,7 +680,10 @@ func (e *Engine) resolveEDCA(s *station, sc StationConfig) error {
 // per-station form of phy.Params.DataTxTime for heterogeneous-rate
 // cells.
 func (e *Engine) dataTxTime(s *station, payload int) sim.Time {
-	return e.phy.DataTxTimeAt(payload, s.rate)
+	if payload != s.airSize || s.rate != s.airRate {
+		s.airSize, s.airRate, s.airT = payload, s.rate, e.phy.DataTxTimeAt(payload, s.rate)
+	}
+	return s.airT
 }
 
 // hears reports whether station a senses station b's transmissions.
@@ -809,7 +817,7 @@ func (e *Engine) Run() *Result {
 // arrivals are admitted, so the idle period costs O(stations + due
 // arrivals) instead of a full rescan per admitted arrival.
 func (e *Engine) contend(horizon sim.Time) bool {
-	p := e.phy
+	slot := e.phy.Slot
 	// Candidate transmission instants for stations with an active
 	// countdown (frame pending or post-backoff). Stations that became
 	// backlogged while the medium was busy draw their backoff here, in
@@ -826,7 +834,7 @@ func (e *Engine) contend(horizon sim.Time) bool {
 			s.drawBackoff()
 			s.postBO = false
 		}
-		t := e.senseStart(s) + sim.Time(s.backoff)*p.Slot
+		t := e.senseStart(s) + sim.Time(s.backoff)*slot
 		if t < e.now {
 			// Immediate-access frames may have arrived after the
 			// DIFS-idle point: they transmit right away, i.e. now.
@@ -890,7 +898,7 @@ func (e *Engine) admitIdleArrivals() sim.Time {
 		}
 	}
 	minCand := sim.MaxTime
-	p := e.phy
+	slot := e.phy.Slot
 	for _, s := range adm {
 		hadFrame := s.queueLen() > 0
 		counting := s.backoff >= 0
@@ -921,7 +929,7 @@ func (e *Engine) admitIdleArrivals() sim.Time {
 			// with no backoff.
 			s.backoff = 0
 		}
-		t := e.senseStart(s) + sim.Time(s.backoff)*p.Slot
+		t := e.senseStart(s) + sim.Time(s.backoff)*slot
 		if t < e.now {
 			t = e.now
 		}
@@ -933,11 +941,8 @@ func (e *Engine) admitIdleArrivals() sim.Time {
 	return minCand
 }
 
-// transmitAt advances the clock to txAt, decrements frozen counters, and
-// executes the transmission (success or collision) of every station
-// whose countdown expires at txAt. In a multi-domain topology the busy
-// period is a cluster of possibly overlapping transmissions, handled by
-// the imperfect-channel engine in channel.go.
+// transmitAt applies the schedule events due by txAt, then resolves
+// the busy period starting there.
 func (e *Engine) transmitAt(txAt sim.Time) {
 	if e.schedPending(txAt) {
 		// Scheduled parameter changes take effect here — before the busy
@@ -945,88 +950,12 @@ func (e *Engine) transmitAt(txAt sim.Time) {
 		// randomness for it is drawn.
 		e.applyEvents(txAt)
 	}
-	if e.multi {
-		e.transmitCluster(txAt)
-		return
-	}
-	p := e.phy
-	winners := e.winnersScratch[:0]
-	for _, s := range e.stations {
-		if s.backoff < 0 {
-			continue
-		}
-		start := e.senseStart(s)
-		if start+sim.Time(s.backoff)*p.Slot <= txAt {
-			winners = append(winners, s)
-			s.backoff = 0
-			continue
-		}
-		// Decrement by the number of whole slots that elapsed before the
-		// medium went busy.
-		decrementTo(s, start, txAt, p.Slot)
-	}
-	e.now = txAt
-
-	// Post-backoff countdowns that expire with an empty queue simply end:
-	// the station returns to the fully idle state.
-	tx := e.txScratch[:0]
-	for _, s := range winners {
-		if s.hol() == nil {
-			s.backoff = -1
-			s.postBO = false
-			e.nActive--
-			continue
-		}
-		tx = append(tx, s)
-	}
-	e.winnersScratch = winners[:0]
-	defer func() { e.txScratch = tx[:0] }()
-	if len(tx) == 0 {
-		return
-	}
-
-	if len(tx) == 1 {
-		e.success(tx[0])
-		return
-	}
-	e.collision(tx)
+	e.transmitCluster(txAt)
 }
 
 // usesRTS reports whether frame f is sent with the four-way handshake.
 func (e *Engine) usesRTS(f *Frame) bool {
 	return e.cfg.RTSThreshold > 0 && f.Size >= e.cfg.RTSThreshold
-}
-
-// success completes a frame exchange for station s that won contention
-// uncontested: either DATA + SIFS + ACK, or the RTS/CTS four-way
-// handshake when the frame crosses the RTS threshold. On a lossy
-// channel the data frame may still be corrupted in flight, in which
-// case the attempt degrades to a channel-error failure.
-func (e *Engine) success(s *station) {
-	p := e.phy
-	f := s.hol()
-	txStart := e.now
-	dataStart := e.now
-	if e.usesRTS(f) {
-		dataStart += p.RTSTxTime() + p.SIFS + p.CTSTxTime() + p.SIFS
-	}
-	dataEnd := dataStart + e.dataTxTime(s, f.Size)
-	if e.lossy && e.chrng.Float64() < s.loss.FrameErrorProb(f.Size) {
-		e.phyFail(s, f, dataEnd)
-		return
-	}
-	exchEnd := dataEnd + p.SIFS + p.ACKTxTime()
-
-	// Medium busy until the ACK completes; everyone resumes after that.
-	e.now = exchEnd
-	for _, o := range e.stations {
-		o.idleAt = exchEnd
-		o.eifs = false
-	}
-	e.deliver(s, f, txStart, dataEnd, exchEnd, false)
-	if s.txop > 0 {
-		e.txopBurst(s, txStart)
-	}
 }
 
 // txopBurst continues station s's transmit opportunity after the frame
@@ -1045,15 +974,15 @@ func (e *Engine) success(s *station) {
 // the overlapping losers' airtime makes the medium state too murky to
 // extend the opportunity over.
 func (e *Engine) txopBurst(s *station, txopStart sim.Time) {
-	p := e.phy
+	sifs := e.phy.SIFS
 	for {
 		f := s.hol()
 		if f == nil {
 			return
 		}
-		txStart := e.now + p.SIFS
+		txStart := e.now + sifs
 		dataEnd := txStart + e.dataTxTime(s, f.Size)
-		exchEnd := dataEnd + p.SIFS + p.ACKTxTime()
+		exchEnd := dataEnd + sifs + e.ackT
 		if exchEnd-txopStart > s.txop {
 			return
 		}
@@ -1075,9 +1004,8 @@ func (e *Engine) txopBurst(s *station, txopStart sim.Time) {
 // counterpart of retryFail: the frame's timestamps and result records,
 // the trace events, the per-station stats, the contention-window reset
 // and the mandatory backoff (regular if more frames wait, post-backoff
-// otherwise). Callers advance the clock and settle the other stations'
-// idleAt/eifs first, so the OnDepart hook observes the post-exchange
-// state.
+// otherwise). Callers advance the clock to the end of the busy period
+// first, so the OnDepart hook observes the post-exchange time.
 func (e *Engine) deliver(s *station, f *Frame, txStart, dataEnd, exchEnd sim.Time, captured bool) {
 	s.popHOL()
 	f.Departed = dataEnd
@@ -1116,12 +1044,13 @@ func (e *Engine) deliver(s *station, f *Frame, txStart, dataEnd, exchEnd sim.Tim
 	}
 }
 
-// phyFail handles a frame whose only impairment was the channel: the
+// phyFail handles a TXOP continuation frame the channel corrupted: the
 // data frame occupied the medium but arrived corrupted, so no ACK
 // follows. The transmitter times out and backs off with a doubled
-// window (the ACK timeout is folded into EIFS sensing, as on the
-// collision path); each bystander draws its own copy's error trial and
-// defers EIFS when it, too, could not decode the frame.
+// window (the ACK timeout is folded into EIFS sensing, as after a
+// collision); each bystander draws its own copy's error trial and
+// defers EIFS when it, too, could not decode the frame — the rule the
+// busy-period resolver applies to the frame that won contention.
 func (e *Engine) phyFail(s *station, f *Frame, dataEnd sim.Time) {
 	st := &e.res.Stats[s.id]
 	st.Attempts++
@@ -1146,9 +1075,8 @@ func (e *Engine) phyFail(s *station, f *Frame, dataEnd sim.Time) {
 // counter, window doubling or the retry-limit drop, the backoff redraw,
 // and the EIFS deferral that stands in for the ACK timeout.
 func (e *Engine) retryFail(s *station, at sim.Time) {
-	p := e.phy
 	s.retries++
-	if s.retries >= p.RetryLimit {
+	if s.retries >= e.phy.RetryLimit {
 		// Long retry limit exhausted: drop the frame.
 		df := s.popHOL()
 		e.res.Stats[s.id].Dropped++
@@ -1176,165 +1104,6 @@ func (e *Engine) retryFail(s *station, at sim.Time) {
 	// into the station's sensing by marking EIFS (ACKTimeout+DIFS ~= EIFS
 	// for our PHY profiles).
 	s.eifs = true
-}
-
-// collision handles two or more stations transmitting in the same slot.
-// With capture enabled and one frame dominant enough in power, the
-// receiver decodes it and only the others fail. Otherwise the medium is
-// busy for the longest colliding transmission (a full data frame, or
-// just an RTS for stations using the handshake — the collision-cost
-// reduction RTS/CTS exists for); colliders wait for their timeout,
-// double their windows and redraw; bystanders defer with EIFS.
-func (e *Engine) collision(tx []*station) {
-	if e.captureOn {
-		if w := e.captureWinner(tx); w != nil {
-			e.capturedCollision(w, tx)
-			return
-		}
-	}
-	p := e.phy
-	var busy sim.Time
-	for _, s := range tx {
-		f := s.hol()
-		d := e.dataTxTime(s, f.Size)
-		if e.usesRTS(f) {
-			d = p.RTSTxTime()
-		}
-		if d > busy {
-			busy = d
-		}
-		e.res.Stats[s.id].Attempts++
-		e.res.Stats[s.id].Collisions++
-		if e.cfg.OnEvent != nil {
-			e.cfg.OnEvent(Event{At: e.now, Kind: EvTxStart, Station: s.id,
-				Size: f.Size, Probe: f.Probe, Index: f.Index, Retries: s.retries, AC: s.ac})
-			e.cfg.OnEvent(Event{At: e.now, Kind: EvCollision, Station: s.id,
-				Size: f.Size, Probe: f.Probe, Index: f.Index, Retries: s.retries, AC: s.ac})
-		}
-	}
-	busyEnd := e.now + busy
-
-	for _, s := range tx {
-		s.inTx = true
-	}
-	for _, o := range e.stations {
-		o.eifs = !o.inTx
-		o.idleAt = busyEnd
-	}
-	for _, s := range tx {
-		s.inTx = false
-	}
-
-	for _, s := range tx {
-		e.retryFail(s, busyEnd)
-	}
-	e.now = busyEnd
-	e.pumpArrivals(busyEnd)
-}
-
-// captureWinner returns the station whose frame the receiver captures
-// out of the simultaneous transmissions tx: the unique strongest one,
-// provided its margin over the runner-up meets the configured
-// threshold. It returns nil when powers tie or the margin is short.
-func (e *Engine) captureWinner(tx []*station) *station {
-	best, second := tx[0], math.Inf(-1)
-	for _, s := range tx[1:] {
-		switch {
-		case s.power > best.power:
-			second = best.power
-			best = s
-		case s.power > second:
-			second = s.power
-		}
-	}
-	if best.power-second >= e.cfg.Channel.CaptureThresholdDB {
-		return best
-	}
-	return nil
-}
-
-// capturedCollision resolves a same-slot overlap whose strongest frame
-// the receiver captures: the winner completes a normal exchange (still
-// subject to the channel error model) while the losers behave exactly
-// like colliders. The medium stays busy until both the winner's
-// exchange and the longest losing transmission are over.
-func (e *Engine) capturedCollision(w *station, tx []*station) {
-	p := e.phy
-	var losersBusy sim.Time
-	for _, s := range tx {
-		if s == w {
-			continue
-		}
-		f := s.hol()
-		d := e.dataTxTime(s, f.Size)
-		if e.usesRTS(f) {
-			d = p.RTSTxTime()
-		}
-		if d > losersBusy {
-			losersBusy = d
-		}
-		e.res.Stats[s.id].Attempts++
-		e.res.Stats[s.id].Collisions++
-		if e.cfg.OnEvent != nil {
-			e.cfg.OnEvent(Event{At: e.now, Kind: EvTxStart, Station: s.id,
-				Size: f.Size, Probe: f.Probe, Index: f.Index, Retries: s.retries, AC: s.ac})
-			e.cfg.OnEvent(Event{At: e.now, Kind: EvCollision, Station: s.id,
-				Size: f.Size, Probe: f.Probe, Index: f.Index, Retries: s.retries, AC: s.ac})
-		}
-	}
-
-	wf := w.hol()
-	dataStart := e.now
-	if e.usesRTS(wf) {
-		dataStart += p.RTSTxTime() + p.SIFS + p.CTSTxTime() + p.SIFS
-	}
-	dataEnd := dataStart + e.dataTxTime(w, wf.Size)
-	corrupted := e.lossy && e.chrng.Float64() < w.loss.FrameErrorProb(wf.Size)
-	start := e.now
-
-	if corrupted {
-		// The captured frame still failed the channel: everyone loses.
-		busyEnd := dataEnd
-		if be := start + losersBusy; be > busyEnd {
-			busyEnd = be
-		}
-		e.res.Stats[w.id].Attempts++
-		e.res.Stats[w.id].ChannelErrors++
-		if e.cfg.OnEvent != nil {
-			e.cfg.OnEvent(Event{At: start, Kind: EvTxStart, Station: w.id,
-				Size: wf.Size, Probe: wf.Probe, Index: wf.Index, Retries: w.retries, AC: w.ac})
-			e.cfg.OnEvent(Event{At: dataEnd, Kind: EvPhyError, Station: w.id,
-				Size: wf.Size, Probe: wf.Probe, Index: wf.Index, Retries: w.retries, AC: w.ac})
-		}
-		for _, o := range e.stations {
-			o.eifs = true
-			o.idleAt = busyEnd
-		}
-		for _, s := range tx {
-			e.retryFail(s, busyEnd)
-		}
-		e.now = busyEnd
-		e.pumpArrivals(busyEnd)
-		return
-	}
-
-	exchEnd := dataEnd + p.SIFS + p.ACKTxTime()
-	busyEnd := exchEnd
-	if be := start + losersBusy; be > busyEnd {
-		busyEnd = be
-	}
-	for _, o := range e.stations {
-		o.eifs = false
-		o.idleAt = busyEnd
-	}
-	e.now = busyEnd
-	e.deliver(w, wf, start, dataEnd, exchEnd, true)
-	for _, s := range tx {
-		if s != w {
-			e.retryFail(s, busyEnd)
-		}
-	}
-	e.pumpArrivals(busyEnd)
 }
 
 // Run is a convenience wrapper: build an engine and execute it.

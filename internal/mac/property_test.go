@@ -11,7 +11,7 @@ import (
 // randomConfig draws a complete randomized scenario — station count,
 // traffic, PHY profile, RTS threshold, loss model, topology, capture —
 // from r. The space deliberately includes the imperfect-channel knobs
-// so the invariants hold on the cluster engine too.
+// so the invariants hold with hidden stations too.
 func randomConfig(r *sim.Rand, horizon sim.Time) Config {
 	profiles := []func() phy.Params{phy.B11, phy.B11Short, phy.G54}
 	n := 1 + r.Intn(4)
@@ -55,8 +55,8 @@ func randomConfig(r *sim.Rand, horizon sim.Time) Config {
 			sc.Loss = &override
 		}
 		// EDCA knobs: any category without a TXOP limit is always legal;
-		// the TXOP-bearing ones (AC_VI/AC_VO) only on a full mesh, where
-		// the single-domain engine handles bursting.
+		// the TXOP-bearing ones (AC_VI/AC_VO) only on a full mesh, the
+		// one topology where the engine models bursting.
 		switch r.Intn(3) {
 		case 0:
 			sc.AC = []phy.AccessCategory{phy.ACBackground, phy.ACBestEffort}[r.Intn(2)]

@@ -107,8 +107,9 @@ func TestResetInvalidConfig(t *testing.T) {
 // heap, queues, result buffers and scratch all come from the previous
 // run. The budget is a small constant (source wrappers and closure
 // boxing), orders of magnitude below the thousands of frames delivered.
-// The hidden variant holds the busy-cluster engine to the same budget:
-// its winners, candidates and entries come from engine scratch too.
+// The hidden variant holds the resolver's hidden-station path (the
+// candidate list and joiners) to the same budget: its candidates and
+// entries come from engine scratch too.
 func TestResetRunAllocBound(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -145,9 +146,9 @@ func TestResetRunAllocBound(t *testing.T) {
 
 // scheduledHotScenario is hotScenario carrying a station-parameter
 // event schedule — channel-wide FER, one station's rate, a power bump —
-// that keeps the run on the single-domain engine, whose hot path the
-// alloc bounds pin. (Topology-edge events flip into the busy-cluster
-// engine; TestResetScheduledEquivalence adds one, and the
+// that keeps the run on a nil (full-mesh) topology, whose hot path the
+// alloc bounds pin. (Topology-edge events give the engine a hearing
+// graph of its own; TestResetScheduledEquivalence adds one, and the
 // topology-events case of TestHotPathAllocBound bounds its
 // allocations.)
 func scheduledHotScenario(seed int64) Config {

@@ -140,8 +140,8 @@ func (e *Engine) initSchedule(cfg Config) error {
 	for _, s := range e.stations {
 		if s.txop > 0 {
 			// Mirrors resolveEDCA's static rejection: an edge event can
-			// hide stations from each other mid-run, and the busy-cluster
-			// engine does not model TXOP bursts.
+			// hide stations from each other mid-run, and a TXOP burst
+			// assumes every station defers to it.
 			return fmt.Errorf("mac: station %d (%s): TXOP limit %v unsupported with scheduled topology events", s.id, s.name, s.txop)
 		}
 	}
@@ -159,14 +159,6 @@ func (e *Engine) initSchedule(cfg Config) error {
 		e.topoOwned = FullMesh(nSt)
 	}
 	e.topo = e.topoOwned
-	e.multi = !e.topoOwned.IsFullMesh()
-	// The edits may hide stations later even if the graph starts as a
-	// full mesh; the busy-cluster scratch must exist before that flip.
-	if len(e.frozenScratch) != nSt {
-		e.frozenScratch = make([]sim.Time, nSt)
-		e.heardScratch = make([]bool, nSt)
-		e.clusterScratch = make([]bool, nSt)
-	}
 	return nil
 }
 
@@ -203,13 +195,12 @@ func (e *Engine) schedPending(t sim.Time) bool {
 // model changes may switch a perfect channel lossy (enabling the
 // channel RNG from this busy period on — a perfect-channel run with no
 // such event never draws from it, preserving the pre-extension draw
-// sequence); topology edits go to the engine-owned clone and re-derive
-// the single/multi-domain dispatch.
+// sequence); topology edits go to the engine-owned clone, which the
+// busy-period resolver reads from the next busy period on.
 func (e *Engine) applyEvent(ev *ScheduledEvent) {
 	if te := ev.SetTopologyEdge; te != nil {
 		e.topoOwned.hear[te.A][te.B] = te.Hears
 		e.topoOwned.hear[te.B][te.A] = te.Hears
-		e.multi = !e.topoOwned.IsFullMesh()
 	}
 	if ev.SetFER == nil && ev.SetBER == nil && ev.SetDataRate == nil && ev.SetPowerDB == nil {
 		return
