@@ -4,7 +4,8 @@ package csmabw
 // evaluation (there are no numbered tables), each regenerating the
 // figure's series at a reduced but statistically meaningful scale and
 // reporting the headline quantities as custom metrics; plus ablation
-// benchmarks for the design choices DESIGN.md calls out.
+// benchmarks for modelling choices the paper leaves open (ACK rate,
+// footnote 2's KS interpolation, MSER batch size, post-backoff).
 //
 // Run everything with:
 //
@@ -447,7 +448,7 @@ func BenchmarkRunnerScaling(b *testing.B) {
 	sweep(b, "fig09", fig09)
 }
 
-// --- Ablation benches (DESIGN.md §5) ---
+// --- Ablation benches: modelling choices the paper leaves open ---
 
 // BenchmarkAblationAckRate compares link capacity with ACKs at the
 // basic rate (standard) vs at the data rate.

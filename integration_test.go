@@ -1,9 +1,10 @@
 package csmabw
 
-// Integration tests: the shape criteria of DESIGN.md, asserted at a
-// replication count high enough to be statistically stable. These are
-// the executable form of "the paper's qualitative results hold":
-// each test corresponds to one figure's headline claim.
+// Integration tests: the qualitative shape of the paper's figures (the
+// README figure table), asserted at a replication count high enough to
+// be statistically stable. These are the executable form of "the
+// paper's qualitative results hold": each test corresponds to one
+// figure's headline claim.
 //
 // They are skipped under -short.
 

@@ -8,10 +8,10 @@ import (
 	"csmabw/internal/traffic"
 )
 
-// AblationParams configures the immediate-access ablation (DESIGN.md
-// §5): the same probing scenario run with standard DCF and with
-// immediate access disabled, showing that the first-packet acceleration
-// is the mechanism behind the access-delay transient.
+// AblationParams configures the immediate-access ablation of the
+// paper's Fig. 6 transient: the same probing scenario run with standard
+// DCF and with immediate access disabled, showing that the first-packet
+// acceleration is the mechanism behind the access-delay transient.
 type AblationParams struct {
 	ProbeRateBps float64
 	CrossRateBps float64

@@ -92,7 +92,7 @@ func (f *Figure) JSON() (string, error) {
 }
 
 // Table renders a fixed-width text table, the harness's stand-in for a
-// plot: good enough to eyeball every shape criterion in DESIGN.md.
+// plot: good enough to eyeball the shape of every figure of the paper.
 func (f *Figure) Table() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s — %s\n", f.ID, f.Title)

@@ -194,9 +194,10 @@ type Config struct {
 	// DisableImmediateAccess forces every frame — even one arriving to a
 	// fully idle station on an idle medium — to draw a backoff before
 	// transmitting. Real DCF grants immediate access after DIFS idle;
-	// this switch exists for the ablation study of the transient's
-	// mechanism (DESIGN.md §5): without the first-packet acceleration
-	// the access-delay transient shrinks markedly.
+	// this switch exists for the ablation study of the mechanism behind
+	// the paper's Fig. 6 transient (experiments.AblationImmediateAccess):
+	// without the first-packet acceleration the access-delay transient
+	// shrinks markedly.
 	DisableImmediateAccess bool
 
 	// OnDepart, if set, is invoked at the instant each frame finishes

@@ -51,11 +51,16 @@ func KSTwoSample(a, b []float64, alpha float64) KSResult {
 // reference pool (the per-packet-index sweeps of Figs. 8 and 9): the
 // pool is sorted once instead of once per test. The result is
 // identical to KSTwoSample on the pool's raw values.
+//
+// One ordered sweep over the merged samples evaluates both ECDFs as
+// running counts, so a test against a pool of m values costs
+// O(n log n + m) for n = len(a): sorting a plus one pass.
 func KSTwoSampleECDF(a []float64, eb *ECDF, alpha float64) KSResult {
 	if len(a) == 0 || eb.Len() == 0 {
 		panic("stats: KS test on empty sample")
 	}
-	ea := NewECDF(a)
+	as, bs := NewECDF(a).sorted, eb.sorted
+	n, m := float64(len(as)), float64(len(bs))
 	d := 0.0
 	// Between two step functions, the supremum distance is attained
 	// either at a jump point of one of the samples or in the open
@@ -63,23 +68,34 @@ func KSTwoSampleECDF(a []float64, eb *ECDF, alpha float64) KSResult {
 	// still flat just below a jump of F_b (and vice versa), so both
 	// sides of every jump in *both* samples must be checked. Checking
 	// below only a's jumps underestimates D whenever a has no jump at a
-	// b jump point.
-	check := func(x float64) {
-		if v := math.Abs(ea.At(x) - eb.At(x)); v > d {
+	// b jump point. The sweep visits every distinct jump point x of
+	// either sample in order and takes both functions at x as counts of
+	// values <= x. Both are flat from one jump point to the next, so the
+	// distance just below x is the one taken at the previous point (0
+	// below the first): every evaluation the check needs is made once.
+	ai, bi := 0, 0
+	for ai < len(as) || bi < len(bs) {
+		x := nextPoint(as, bs, ai, bi)
+		for ai < len(as) && as[ai] <= x {
+			ai++
+		}
+		for bi < len(bs) && bs[bi] <= x {
+			bi++
+		}
+		if v := math.Abs(float64(ai)/n - float64(bi)/m); v > d {
 			d = v
 		}
-		below := math.Nextafter(x, math.Inf(-1))
-		if v := math.Abs(ea.At(below) - eb.At(below)); v > d {
-			d = v
-		}
-	}
-	for _, x := range ea.sorted {
-		check(x)
-	}
-	for _, x := range eb.sorted {
-		check(x)
 	}
 	return KSResult{D: d, Threshold: ksCritical(len(a), eb.Len(), alpha)}
+}
+
+// nextPoint returns the smallest of as[ai] and bs[bi], the next point
+// of the union of two sorted samples; at least one index is in range.
+func nextPoint(as, bs []float64, ai, bi int) float64 {
+	if bi >= len(bs) || (ai < len(as) && as[ai] <= bs[bi]) {
+		return as[ai]
+	}
+	return bs[bi]
 }
 
 // KSTwoSampleInterp runs the two-sample KS test with sample a converted
@@ -96,28 +112,31 @@ func KSTwoSampleInterp(a, b []float64, alpha float64) KSResult {
 }
 
 // KSTwoSampleInterpECDF is KSTwoSampleInterp with the second sample
-// supplied as a pre-built ECDF (see KSTwoSampleECDF). The two sorted
-// jump-point sets are merged linearly instead of re-sorting their
-// concatenation; the evaluated point set — and therefore the supremum —
-// is identical.
+// supplied as a pre-built ECDF (see KSTwoSampleECDF). One ordered sweep
+// over the merged samples visits each distinct jump point x once: bi
+// counts the pool values <= x, so F_b(x) = bi/m, and ai indexes the
+// first value of a that is >= x, which is where the interpolation of
+// F_a(x) starts. A test against a pool of m values costs
+// O(n log n + m) for n = len(a).
 func KSTwoSampleInterpECDF(a []float64, eb *ECDF, alpha float64) KSResult {
 	if len(a) == 0 || eb.Len() == 0 {
 		panic("stats: KS test on empty sample")
 	}
 	ea := NewECDF(a)
+	as, bs := ea.sorted, eb.sorted
+	m := float64(len(bs))
 	d := 0.0
 	ai, bi := 0, 0
-	for ai < len(ea.sorted) || bi < len(eb.sorted) {
-		var x float64
-		if bi >= len(eb.sorted) || (ai < len(ea.sorted) && ea.sorted[ai] <= eb.sorted[bi]) {
-			x = ea.sorted[ai]
-			ai++
-		} else {
-			x = eb.sorted[bi]
+	for ai < len(as) || bi < len(bs) {
+		x := nextPoint(as, bs, ai, bi)
+		for bi < len(bs) && bs[bi] <= x {
 			bi++
 		}
-		if v := math.Abs(ea.AtInterpolated(x) - eb.At(x)); v > d {
+		if v := math.Abs(ea.interpolate(x, ai) - float64(bi)/m); v > d {
 			d = v
+		}
+		for ai < len(as) && as[ai] <= x {
+			ai++
 		}
 	}
 	return KSResult{D: d, Threshold: ksCritical(len(a), eb.Len(), alpha)}

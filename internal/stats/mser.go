@@ -42,7 +42,9 @@ func MSERm(xs []float64, m int) MSERResult {
 		batch[i] = sum / float64(m)
 	}
 
-	// Suffix sums allow O(1) mean/variance of batch[d:].
+	// Each candidate cut d recomputes the mean and variance of batch[d:]
+	// from scratch, so the search is O(k²) in the batch count k. Running
+	// suffix sums would make it O(k) but change the rounding.
 	bestD, bestZ := 0, 0.0
 	first := true
 	maxD := k / 2

@@ -145,7 +145,7 @@ func (e *ECDF) At(x float64) float64 {
 		return 0
 	}
 	// Number of samples <= x.
-	n := sort.SearchFloat64s(e.sorted, math.Nextafter(x, math.Inf(1)))
+	n := sort.Search(len(e.sorted), func(i int) bool { return e.sorted[i] > x })
 	return float64(n) / float64(len(e.sorted))
 }
 
@@ -154,30 +154,33 @@ func (e *ECDF) At(x float64) float64 {
 // adopts when comparing two empirical discrete distributions with the KS
 // test (footnote 2).
 func (e *ECDF) AtInterpolated(x float64) float64 {
-	n := len(e.sorted)
-	if n == 0 {
+	if len(e.sorted) == 0 {
 		return 0
 	}
-	if x <= e.sorted[0] {
-		if x == e.sorted[0] {
+	return e.interpolate(x, sort.SearchFloat64s(e.sorted, x))
+}
+
+// interpolate is AtInterpolated on a non-empty sample, given i, the
+// index of the first sorted value >= x (len(sorted) if there is none).
+// The KS sweep supplies i from a running pointer instead of a search.
+func (e *ECDF) interpolate(x float64, i int) float64 {
+	s := e.sorted
+	n := len(s)
+	if x <= s[0] {
+		if x == s[0] {
 			return 1 / float64(n)
 		}
 		return 0
 	}
-	if x >= e.sorted[n-1] {
+	if x >= s[n-1] {
 		return 1
 	}
-	// Find i with sorted[i] <= x < sorted[i+1].
-	i := sort.SearchFloat64s(e.sorted, x)
-	if i < n && e.sorted[i] == x {
+	if s[i] == x {
 		return float64(i+1) / float64(n)
 	}
-	i--
-	x0, x1 := e.sorted[i], e.sorted[i+1]
-	f0, f1 := float64(i+1)/float64(n), float64(i+2)/float64(n)
-	if x1 == x0 {
-		return f1
-	}
+	// s[i-1] < x < s[i]: interpolate between their ECDF values.
+	x0, x1 := s[i-1], s[i]
+	f0, f1 := float64(i)/float64(n), float64(i+1)/float64(n)
 	return f0 + (f1-f0)*(x-x0)/(x1-x0)
 }
 

@@ -98,6 +98,13 @@ func TestECDFStep(t *testing.T) {
 	if e.Len() != 4 {
 		t.Errorf("Len = %d", e.Len())
 	}
+	inf := NewECDF([]float64{1, math.Inf(1)})
+	if got := inf.At(math.Inf(1)); got != 1 {
+		t.Errorf("At(+Inf) over {1, +Inf} = %g, want 1", got)
+	}
+	if got := inf.At(math.MaxFloat64); got != 0.5 {
+		t.Errorf("At(MaxFloat64) over {1, +Inf} = %g, want 0.5", got)
+	}
 }
 
 func TestECDFInterpolated(t *testing.T) {
@@ -149,6 +156,14 @@ func TestKSIdenticalSamples(t *testing.T) {
 	}
 	if res.Reject() {
 		t.Error("identical samples rejected")
+	}
+	// ±Inf values count too: both ECDFs reach 1 at +Inf.
+	inf := math.Inf(1)
+	if d := KSTwoSample([]float64{-inf, 1, 1, 2, inf}, []float64{inf, 2, 1, 1, -inf}, 0.05).D; d != 0 {
+		t.Errorf("step KS of a ±Inf sample against itself: D = %g, want 0", d)
+	}
+	if d := KSTwoSampleInterp([]float64{1, inf}, []float64{1, inf}, 0.05).D; d != 0 {
+		t.Errorf("interpolated KS of {1, +Inf} against itself: D = %g, want 0", d)
 	}
 }
 
