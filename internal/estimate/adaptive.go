@@ -6,7 +6,6 @@ import (
 
 	"csmabw/internal/probe"
 	"csmabw/internal/runner"
-	"csmabw/internal/sim"
 	"csmabw/internal/stats"
 )
 
@@ -71,7 +70,9 @@ func (c AdaptiveConfig) withDefaults() AdaptiveConfig {
 //
 // Replication k's randomness is a pure function of (l.Seed, k), so the
 // result is byte-identical at any l.Workers setting and the k-th train
-// is the same train no matter how batches are scheduled.
+// is the same train no matter how batches are scheduled. The train is
+// planned once, and each batch's workers measure on TrainMeters, each
+// reusing one engine across the trains it runs.
 func Adaptive(l probe.Link, cfg AdaptiveConfig) (Estimate, error) {
 	cfg = cfg.withDefaults()
 	if cfg.TrainLen < 2 {
@@ -94,11 +95,12 @@ func Adaptive(l probe.Link, cfg AdaptiveConfig) (Estimate, error) {
 	if err := cfg.Budget.validate(); err != nil {
 		return Estimate{}, err
 	}
-	ld := l.WithDefaults()
-	gI := sim.Time(0)
-	if cfg.RateBps > 0 {
-		gI = sim.FromSeconds(float64(ld.ProbeSize*8) / cfg.RateBps)
+	plan, err := probe.PlanTrain(l, cfg.TrainLen, cfg.RateBps)
+	if err != nil {
+		return Estimate{}, err
 	}
+	ld := l.WithDefaults()
+	gI := plan.GI()
 
 	est := Estimate{}
 	tracker := budgetTracker{budget: cfg.Budget}
@@ -118,9 +120,11 @@ func Adaptive(l probe.Link, cfg AdaptiveConfig) (Estimate, error) {
 			break
 		}
 		start := done
-		fresh, err := runner.Map(batch, l.Workers, func(i int) (probe.TrainSample, error) {
-			return probe.MeasureTrainOne(l, cfg.TrainLen, cfg.RateBps, start+i)
-		})
+		fresh, err := runner.MapBatches(batch, l.Workers, 0,
+			func() *probe.TrainMeter { return &probe.TrainMeter{} },
+			func(m *probe.TrainMeter, i int) (probe.TrainSample, error) {
+				return plan.MeasureOne(m, start+i)
+			})
 		if err != nil {
 			return est, err
 		}

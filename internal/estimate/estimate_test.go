@@ -149,6 +149,29 @@ func TestAdaptiveBudgetExhausted(t *testing.T) {
 	}
 }
 
+// TestAdaptiveAllocBound pins Adaptive's engine reuse: each batch
+// measures on per-worker TrainMeters, so a train pays for its sample
+// and an engine Reset, not for a freshly built engine (about 78
+// allocations per train).
+func TestAdaptiveAllocBound(t *testing.T) {
+	l := testLink(10, 1.5e6)
+	l.Contenders = append(l.Contenders, probe.Flow{RateBps: 1e6, Size: 576})
+	l.Workers = 1
+	// An unreachable target runs the whole replication budget.
+	const trains = 64
+	cfg := AdaptiveConfig{RateBps: 12e6, TrainLen: 50, TargetRel: 1e-6, MaxReps: trains}
+	var est Estimate
+	allocs := testing.AllocsPerRun(1, func() {
+		est, _ = Adaptive(l, cfg)
+	})
+	if est.Cost.Trains != trains {
+		t.Fatalf("ran %d trains, want %d", est.Cost.Trains, trains)
+	}
+	if per := allocs / trains; per > 40 {
+		t.Fatalf("%.1f allocations per train, want <= 40", per)
+	}
+}
+
 // TestEstimatorsWorkerDeterminism: every estimator derives randomness
 // purely from (seed, round, replication), so the result must be
 // byte-identical at any worker count.

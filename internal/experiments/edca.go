@@ -205,18 +205,26 @@ func RateAnomaly(p RateAnomalyParams, sc Scale) (*Figure, error) {
 		rate   float64
 		sample probe.TrainSample
 	}
+	var plans []*probe.TrainPlan
 	return Run(Scenario[unit]{
 		Seed:  p.Seed,
 		Units: len(p.ContenderRates) * perPoint,
 		Build: func() error {
-			for _, r := range p.ContenderRates {
+			plans = make([]*probe.TrainPlan, len(p.ContenderRates))
+			for point, r := range p.ContenderRates {
 				if r <= 0 {
 					return fmt.Errorf("experiments: non-positive contender rate %g", r)
 				}
+				plan, err := probe.PlanTrain(link(point), p.TrainLen, p.SatProbeBps)
+				if err != nil {
+					return err
+				}
+				plans[point] = plan
 			}
 			return nil
 		},
-		RunOne: func(u int, _ sim.Stream) (unit, error) {
+		NewWorker: func() any { return &probe.TrainMeter{} },
+		RunOneOn: func(ws any, u int, _ sim.Stream) (unit, error) {
 			point, k := u/perPoint, u%perPoint
 			if k == sc.Reps {
 				ss, err := probe.MeasureSteadyState(link(point), p.SatProbeBps, dur)
@@ -225,7 +233,7 @@ func RateAnomaly(p RateAnomalyParams, sc Scale) (*Figure, error) {
 				}
 				return unit{point: point, steady: true, rate: ss.ProbeRate}, nil
 			}
-			s, err := probe.MeasureTrainOne(link(point), p.TrainLen, p.SatProbeBps, k)
+			s, err := plans[point].MeasureOne(ws.(*probe.TrainMeter), k)
 			return unit{point: point, sample: s}, err
 		},
 		Reduce: func(units []unit) (*Figure, error) {

@@ -430,7 +430,7 @@ type Engine struct {
 	phy      phy.Params
 	stations []*station
 	now      sim.Time
-	res      *Result
+	res      Result
 	// ackT, rtsT and ctsT are the control-frame airtimes, fixed by the PHY.
 	ackT, rtsT, ctsT sim.Time
 
@@ -477,9 +477,12 @@ func New(cfg Config) (*Engine, error) {
 // Reset reinitialises the engine for a fresh run of cfg, reusing the
 // memory the previous run grew: the frame slab arena, the station
 // structs and their FIFO backing arrays, the arrival heap, the result
-// buffers and the busy-period scratch. After a successful Reset the
-// engine behaves byte-identically — RNG draw order included — to a
-// freshly constructed New(cfg), so a worker that measures a batch of
+// buffers and the busy-period scratch. The reuse survives a change of
+// station count: the per-station state only grows, so a Reset to a
+// smaller cell reslices it and one back to a larger cell finds the
+// stations it held before. After a successful Reset the engine behaves
+// byte-identically — RNG draw order included — to a freshly
+// constructed New(cfg), so a worker that measures a batch of
 // replications on one engine produces exactly the replications it
 // would have produced on a fresh engine each time; the reuse
 // equivalence is pinned by TestResetEquivalence and all golden figure
@@ -500,8 +503,9 @@ func (e *Engine) Reset(cfg Config) error {
 }
 
 // init is the shared construction path of New and Reset: validate cfg,
-// then (re)build every piece of engine state, reusing allocations left
-// from a previous run where shapes allow.
+// then (re)build every piece of engine state, reusing the allocations a
+// previous run left. The per-station state is grow-only (see resize),
+// so every station count takes this one path.
 func (e *Engine) init(cfg Config) error {
 	if err := cfg.Phy.Validate(); err != nil {
 		return err
@@ -532,12 +536,7 @@ func (e *Engine) init(cfg Config) error {
 	e.lossy = !cfg.Channel.Loss.IsZero()
 	e.arrHeap.reset()
 	e.arena.reset()
-	if len(e.stations) != nSt {
-		e.stations = make([]*station, nSt)
-		for i := range e.stations {
-			e.stations[i] = &station{}
-		}
-	}
+	e.stations = resize(e.stations, nSt)
 	for i, sc := range cfg.Stations {
 		src := sc.Source
 		if src == nil {
@@ -560,6 +559,10 @@ func (e *Engine) init(cfg Config) error {
 		// and its generator object; the generator is reseeded below with
 		// exactly the draw Split would have made, in station order.
 		s := e.stations[i]
+		if s == nil {
+			s = &station{}
+			e.stations[i] = s
+		}
 		rng := s.rng
 		if rng == nil {
 			rng = &sim.Rand{}
@@ -589,23 +592,14 @@ func (e *Engine) init(cfg Config) error {
 		e.chrng = &sim.Rand{}
 	}
 	base.SplitInto(0xC11A17, e.chrng)
-	if e.res == nil || len(e.res.Frames) != nSt {
-		e.res = &Result{
-			Frames: make([][]*Frame, nSt),
-			Stats:  make([]StationStats, nSt),
-		}
-	} else {
-		for i := range e.res.Frames {
-			e.res.Frames[i] = e.res.Frames[i][:0]
-		}
-		for i := range e.res.Stats {
-			e.res.Stats[i] = StationStats{}
-		}
-		e.res.End = 0
+	e.res.Frames = resize(e.res.Frames, nSt)
+	for i := range e.res.Frames {
+		e.res.Frames[i] = e.res.Frames[i][:0]
 	}
-	if len(e.record) != nSt {
-		e.record = make([]bool, nSt)
-	}
+	e.res.Stats = resize(e.res.Stats, nSt)
+	clear(e.res.Stats)
+	e.res.End = 0
+	e.record = resize(e.record, nSt)
 	for i := range e.record {
 		e.record[i] = cfg.RecordFrames == nil || cfg.RecordFrames(i)
 	}
@@ -622,6 +616,18 @@ func (e *Engine) init(cfg Config) error {
 		}
 	}
 	return nil
+}
+
+// resize returns s resliced to length n. It keeps every element of the
+// backing array, those past len(s) included, so state sized for an
+// earlier, larger cell is found again; it allocates only when cap(s) < n.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		grown := make([]T, n)
+		copy(grown, s[:cap(s)])
+		return grown
+	}
+	return s[:n]
 }
 
 // resolveEDCA fixes the station's contention parameters and data rate
@@ -804,7 +810,7 @@ func (e *Engine) Run() *Result {
 		}
 	}
 	e.res.End = e.now
-	return e.res
+	return &e.res
 }
 
 // contend resolves one idle period: it determines which station(s)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"csmabw/internal/sim"
+	"csmabw/internal/traffic"
 )
 
 // Engine.Reset promises that a reused engine is indistinguishable from
@@ -41,11 +42,14 @@ func compareResults(t *testing.T, ctx string, a, b *Result) {
 // scenario's fresh-engine result exactly. The first scenario varies per
 // trial, so the reused state (arena fill, station count, queue
 // capacities, scratch sizes) differs from the target shape in every way
-// the generator can produce.
+// the generator can produce. One long-lived engine is also Reset to
+// every trial's second scenario in turn, so it shrinks and grows across
+// station counts while holding the state of every earlier shape.
 func TestResetEquivalence(t *testing.T) {
 	const trials = 30
 	r := sim.NewRand(0x5e7)
 	horizon := sim.FromSeconds(0.15)
+	var long *Engine
 	for trial := 0; trial < trials; trial++ {
 		cfgA := randomConfig(r, horizon)
 		cfgB := randomConfig(r, horizon)
@@ -62,6 +66,15 @@ func TestResetEquivalence(t *testing.T) {
 			t.Fatalf("trial %d: reset: %v", trial, err)
 		}
 		compareResults(t, "reused", fresh, e.Run())
+		if long == nil {
+			long, err = New(cfgB)
+		} else {
+			err = long.Reset(cfgB)
+		}
+		if err != nil {
+			t.Fatalf("trial %d: long-lived engine: %v", trial, err)
+		}
+		compareResults(t, "long-lived", fresh, long.Run())
 	}
 }
 
@@ -102,6 +115,20 @@ func TestResetInvalidConfig(t *testing.T) {
 	}
 }
 
+// resizedHotScenario is hotScenario cut to its first station or
+// extended with extra Poisson stations, so one engine can be cycled
+// between cells of different sizes.
+func resizedHotScenario(seed int64, stations int) Config {
+	cfg := hotScenario(seed, false)
+	for i := len(cfg.Stations); i < stations; i++ {
+		cfg.Stations = append(cfg.Stations, StationConfig{
+			Arrivals: traffic.Poisson(sim.NewRand(seed+int64(i)+1), 2e6, 1000, 0, cfg.Horizon),
+		})
+	}
+	cfg.Stations = cfg.Stations[:stations]
+	return cfg
+}
+
 // TestResetRunAllocBound pins the point of engine reuse: once warmed,
 // a Reset+Run replication must not allocate per frame — the arena,
 // heap, queues, result buffers and scratch all come from the previous
@@ -109,36 +136,49 @@ func TestResetInvalidConfig(t *testing.T) {
 // boxing), orders of magnitude below the thousands of frames delivered.
 // The hidden variant holds the resolver's hidden-station path (the
 // candidate list and joiners) to the same budget: its candidates and
-// entries come from engine scratch too.
+// entries come from engine scratch too. Each row is a cycle of configs
+// one engine runs in turn; the resized row alternates a 1-station and a
+// 3-station cell, so the budget holds across a change of station count.
 func TestResetRunAllocBound(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		cfg  Config
+		cfgs []Config
 	}{
-		{"dcf", hotScenario(7, false)},
-		{"hidden", hiddenHotScenario(7, false)},
+		{"dcf", []Config{hotScenario(7, false)}},
+		{"hidden", []Config{hiddenHotScenario(7, false)}},
+		{"resized", []Config{resizedHotScenario(7, 1), resizedHotScenario(7, 3)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e, err := New(tc.cfg)
+			e, err := New(tc.cfgs[0])
 			if err != nil {
 				t.Fatal(err)
 			}
-			res := e.Run() // warm: grows arena, queues, result slices and scratch
+			// Warm: one pass over the cycle grows the arena, queues,
+			// result slices and scratch to every shape in it.
 			delivered := 0
-			for _, st := range res.Stats {
-				delivered += st.Delivered
+			for i, cfg := range tc.cfgs {
+				if i > 0 {
+					if err := e.Reset(cfg); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, st := range e.Run().Stats {
+					delivered += st.Delivered
+				}
 			}
 			if delivered < 1000 {
 				t.Fatalf("scenario too small to be meaningful: %d delivered", delivered)
 			}
 			allocs := testing.AllocsPerRun(5, func() {
-				if err := e.Reset(tc.cfg); err != nil {
-					t.Fatal(err)
+				for _, cfg := range tc.cfgs {
+					if err := e.Reset(cfg); err != nil {
+						t.Fatal(err)
+					}
+					e.Run()
 				}
-				e.Run()
-			})
+			}) / float64(len(tc.cfgs))
 			if allocs > 16 {
-				t.Fatalf("%.0f allocations per reused replication of %d frames, want <= 16", allocs, delivered)
+				t.Fatalf("%.1f allocations per reused replication (%d frames per cycle), want <= 16", allocs, delivered)
 			}
 		})
 	}

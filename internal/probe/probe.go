@@ -343,7 +343,7 @@ func (l Link) stations(station0 []traffic.Source, r *sim.Rand, end sim.Time) []m
 	}}
 	for ci, f := range l.Contenders {
 		out = append(out, mac.StationConfig{
-			Name:     fmt.Sprintf("contender-%d", ci),
+			Name:     contenderName(ci),
 			Source:   f.Source(r.Split(uint64(ci)+200), end),
 			PowerDB:  f.PowerDB,
 			AC:       f.AC,
@@ -351,6 +351,25 @@ func (l Link) stations(station0 []traffic.Source, r *sim.Rand, end sim.Time) []m
 		})
 	}
 	return out
+}
+
+// contenderNames are the station names of the first contenders,
+// formatted once rather than once per contender per train; 16 covers
+// every cell in the scenario library (dense-stadium has 12).
+var contenderNames = func() []string {
+	names := make([]string, 16)
+	for ci := range names {
+		names[ci] = fmt.Sprintf("contender-%d", ci)
+	}
+	return names
+}()
+
+// contenderName is the station name of contender ci.
+func contenderName(ci int) string {
+	if ci < len(contenderNames) {
+		return contenderNames[ci]
+	}
+	return fmt.Sprintf("contender-%d", ci)
 }
 
 // TrainMeter is a per-worker measurement context: it owns one
@@ -467,10 +486,11 @@ func (l Link) trainSetup(n int, rateBps float64) (Link, sim.Time, error) {
 }
 
 // MeasureTrainOne runs a single replication, rep, of the n-packet train
-// measurement. It is the unit of work experiment drivers hand to the
-// replication engine when they own the worker pool themselves: running
-// MeasureTrainOne for rep = 0..reps-1 (in any order, on any workers)
-// and collecting the samples by index is exactly MeasureTrain.
+// measurement on a fresh engine: running MeasureTrainOne for
+// rep = 0..reps-1 (in any order, on any workers) and collecting the
+// samples by index is exactly MeasureTrain. Drivers that own their
+// worker pool plan once with PlanTrain and measure with MeasureOne on
+// per-worker meters instead, which skips the engine construction.
 func MeasureTrainOne(l Link, n int, rateBps float64, rep int) (TrainSample, error) {
 	l, gI, err := l.trainSetup(n, rateBps)
 	if err != nil {
@@ -530,8 +550,8 @@ func (l Link) measureTrainOnce(m *TrainMeter, n int, gI sim.Time, rep int64) (Tr
 	if err != nil {
 		return TrainSample{}, err
 	}
-	for _, f := range res.ProbeFrames(0) {
-		if f.Index >= 0 && f.Index < n {
+	for _, f := range res.Frames[0] {
+		if f.Probe && f.Index >= 0 && f.Index < n {
 			sample.Departures[f.Index] = f.Departed
 			sample.AccessDelays[f.Index] = f.AccessDelay().Seconds()
 			sample.Delivered++

@@ -3,6 +3,7 @@ package probe
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"csmabw/internal/mac"
@@ -441,48 +442,40 @@ func TestRateEstimateAllTruncated(t *testing.T) {
 }
 
 // TestMeterReuseMatchesFreshEngines is the probe-level half of the
-// engine-reuse equivalence: a batch of replications measured through
-// one TrainMeter (one engine, Reset between trains — the batched
+// engine-reuse equivalence: replications measured through one
+// TrainMeter (one engine, Reset between trains — the batched
 // MeasureTrain path) must be byte-identical to the same replications
-// measured one fresh engine at a time via MeasureTrainOne.
+// measured one fresh engine at a time via MeasureTrainOne. The meter
+// interleaves cells with 0, 1 and 12 contenders, so its engine shrinks
+// and grows between trains as a path-selection meter's does.
 func TestMeterReuseMatchesFreshEngines(t *testing.T) {
-	l := Link{
-		Seed:       44,
-		Contenders: []Flow{{RateBps: 3e6, Size: 1500}},
-	}
-	const n, reps = 40, 8
+	const n, reps = 40, 4
 	const rate = 5e6
-	plan, err := PlanTrain(l, n, rate)
-	if err != nil {
-		t.Fatal(err)
+	var links []Link
+	for i, contenders := range []int{0, 1, 12} {
+		l := Link{Seed: 44 + int64(i)}
+		for c := 0; c < contenders; c++ {
+			l.Contenders = append(l.Contenders, Flow{RateBps: 3e6 / float64(contenders), Size: 1500})
+		}
+		links = append(links, l)
 	}
 	m := &TrainMeter{}
 	for rep := 0; rep < reps; rep++ {
-		reused, err := plan.MeasureOne(m, rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh, err := MeasureTrainOne(l, n, rate, rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if reused.GO != fresh.GO || reused.Truncated != fresh.Truncated {
-			t.Fatalf("rep %d: summary differs: reused %+v vs fresh %+v", rep, reused, fresh)
-		}
-		for i := range fresh.Departures {
-			if reused.Departures[i] != fresh.Departures[i] {
-				t.Fatalf("rep %d departure %d: %v vs %v", rep, i, reused.Departures[i], fresh.Departures[i])
+		for i, l := range links {
+			plan, err := PlanTrain(l, n, rate)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if reused.AccessDelays[i] != fresh.AccessDelays[i] {
-				t.Fatalf("rep %d delay %d: %v vs %v", rep, i, reused.AccessDelays[i], fresh.AccessDelays[i])
+			reused, err := plan.MeasureOne(m, rep)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if len(reused.QueueAtDepart) != len(fresh.QueueAtDepart) {
-			t.Fatalf("rep %d: queue samples %d vs %d", rep, len(reused.QueueAtDepart), len(fresh.QueueAtDepart))
-		}
-		for i := range fresh.QueueAtDepart {
-			if reused.QueueAtDepart[i] != fresh.QueueAtDepart[i] {
-				t.Fatalf("rep %d queue sample %d: %v vs %v", rep, i, reused.QueueAtDepart[i], fresh.QueueAtDepart[i])
+			fresh, err := MeasureTrainOne(l, n, rate, rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(reused, fresh) {
+				t.Fatalf("cell %d rep %d: reused %+v\nfresh %+v", i, rep, reused, fresh)
 			}
 		}
 	}
