@@ -51,8 +51,8 @@
 // Every experiment tool accepts -scale tiny|default|paper (with -reps,
 // -points and -seconds fine-tuning), -seed (cmd/figures: only with
 // -scenario, since its registry figures run their paper seeds),
-// -workers (0 = all cores) and -format table|csv|json; the root
-// benchmark suite writes its per-figure timings to BENCH_runner.json.
+// -workers (0 = all cores) and -format table|csv|json. The benchmark
+// is the bench/ module, run with bash bench/run.sh.
 package csmabw
 
 import (

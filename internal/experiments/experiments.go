@@ -1,8 +1,8 @@
 // Package experiments contains one driver per figure of the paper's
 // evaluation. Each driver builds the scenario described in the paper,
 // runs it on the simulated CSMA/CA link with independent replications,
-// and returns the same series the paper plots, so the benchmark harness
-// and the cmd/ tools can regenerate every figure.
+// and returns the same series the paper plots, so the cmd/ tools and
+// the golden tests can regenerate every figure.
 //
 // Every driver takes a Scale, which multiplies replication counts and
 // train lengths so the same code serves quick tests (Scale{Tiny}),

@@ -1,6 +1,7 @@
 package mac
 
 import (
+	"fmt"
 	"testing"
 
 	"csmabw/internal/phy"
@@ -81,6 +82,59 @@ func TestScheduleAfterEndIsInert(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareResults(t, "inert schedule", plain, withSched)
+}
+
+// TestNoOpEventChangesNothing is the metamorphic half of "an armed
+// schedule only adds timer events at the instants it names": a
+// mid-run event that sets a parameter to the value it already has —
+// FER, BER, the data rate (as the PHY's rate and as 0), received power
+// or a hearing edge — must leave every frame and every station
+// statistic as they are without it, on a full mesh and on a lossy
+// hidden pair with capture and RTS/CTS.
+func TestNoOpEventChangesNothing(t *testing.T) {
+	dataRate := phy.B11().DataRate
+	cases := []struct {
+		name   string
+		hidden bool
+		ev     ScheduledEvent
+	}{
+		{"mesh FER", false, ScheduledEvent{Target: -1, SetFER: fptr(0)}},
+		{"mesh BER", false, ScheduledEvent{Target: -1, SetBER: fptr(0)}},
+		{"mesh PHY rate", false, ScheduledEvent{Target: -1, SetDataRate: fptr(dataRate)}},
+		{"mesh rate 0", false, ScheduledEvent{Target: -1, SetDataRate: fptr(0)}},
+		{"mesh power", false, ScheduledEvent{Target: -1, SetPowerDB: fptr(0)}},
+		{"mesh edge", false, ScheduledEvent{SetTopologyEdge: &TopologyEdge{A: 0, B: 1, Hears: true}}},
+		{"hidden FER", true, ScheduledEvent{Target: -1, SetFER: fptr(0.05)}},
+		{"hidden power", true, ScheduledEvent{Target: 0, SetPowerDB: fptr(6)}},
+		{"hidden edge", true, ScheduledEvent{SetTopologyEdge: &TopologyEdge{A: 0, B: 1, Hears: false}}},
+	}
+	build := func(seed int64, hidden bool) Config {
+		if hidden {
+			return hiddenHotScenario(seed, true)
+		}
+		return hotScenario(seed, true)
+	}
+	for seed := int64(1); seed <= 40; seed++ {
+		plain := map[bool]*Result{}
+		for _, hidden := range []bool{false, true} {
+			res, err := Run(build(seed, hidden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain[hidden] = res
+		}
+		for _, tc := range cases {
+			cfg := build(seed, tc.hidden)
+			ev := tc.ev
+			ev.At = 1500 * sim.Millisecond
+			cfg.Schedule = []ScheduledEvent{ev}
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareResults(t, fmt.Sprintf("%s, seed %d", tc.name, seed), plain[tc.hidden], res)
+		}
+	}
 }
 
 // TestScheduledFERPrefixIdentical asserts the core semantics of a

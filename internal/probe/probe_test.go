@@ -525,3 +525,22 @@ func TestMeterRecoversFromBadConfig(t *testing.T) {
 		t.Fatalf("post-failure measurement differs: %v vs %v", after.GO, fresh.GO)
 	}
 }
+
+// BenchmarkTrainReplication times the replication unit itself: one
+// 200-packet train measured end to end on a fresh engine, the body the
+// dense figures execute tens of thousands of times. Compare allocs/op
+// with the packet count (the train plus the consumed cross-traffic):
+// the ratio must stay far below one allocation per packet.
+func BenchmarkTrainReplication(b *testing.B) {
+	l := Link{
+		Contenders: []Flow{{RateBps: 4e6, Size: 1500}},
+		Seed:       11,
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := MeasureTrainOne(l, 200, 5e6, i); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

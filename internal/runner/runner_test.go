@@ -1,11 +1,13 @@
 package runner
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestMapOrdered(t *testing.T) {
@@ -222,6 +224,38 @@ func TestMapBatchesWorkerState(t *testing.T) {
 		if id < 1 || id > built.Load() {
 			t.Fatalf("unit %d saw worker id %d outside [1, %d]", i, id, built.Load())
 		}
+	}
+}
+
+// TestMapBatchesRunsWorkersAtOnce asserts that the pool holds W units
+// at the same time. Units 0..W-1 each wait until all W have arrived;
+// with chunks of one, a worker holding a waiting unit cannot claim
+// another, so only W workers running at once let any of them finish. A
+// pool that ran fewer goroutines, or ran them one after another, waits
+// out the shared deadline and fails. Unlike a wall-clock speedup this
+// holds at GOMAXPROCS=1 and under the race detector.
+func TestMapBatchesRunsWorkersAtOnce(t *testing.T) {
+	const workers = 4
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	var arrived atomic.Int32
+	all := make(chan struct{})
+	_, err := MapBatches(4*workers, workers, 1, nil, func(_ struct{}, i int) (int, error) {
+		if i >= workers {
+			return i, nil
+		}
+		if arrived.Add(1) == workers {
+			close(all)
+		}
+		select {
+		case <-all:
+			return i, nil
+		case <-ctx.Done():
+			return 0, fmt.Errorf("%d of %d workers arrived before the deadline", arrived.Load(), workers)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
