@@ -21,11 +21,17 @@
 // -report-only renders the fleet report from an existing log without
 // running anything.
 //
+// The estimators on one cell are a one-sweep campaign:
+// scenarios/campaigns/one-cell.json runs TOPP, SLoPS and adaptive
+// trains on one spec under one target and budget; copy it and point its
+// scenario at another spec to score the estimators there.
+//
 // Host-side orchestrator telemetry (jobs/sec, p50/p99 job latency,
 // worker utilization) goes to stderr, never into the log or the
 // report: wall-clock numbers vary run to run, and the log's contract
 // is byte-identity.
 //
+//	campaign -campaign scenarios/campaigns/one-cell.json -out results.jsonl
 //	campaign -campaign scenarios/campaigns/library.json -out results.jsonl
 //	campaign -campaign scenarios/campaigns/library.json -out results.jsonl -resume
 //	campaign -campaign scenarios/campaigns/library.json -out results.jsonl -report-only -format csv

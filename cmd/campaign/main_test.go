@@ -103,3 +103,33 @@ func TestRunAndReportOnly(t *testing.T) {
 		t.Errorf("-report-only report differs from the live run's:\n%s\nvs\n%s", replay.String(), live.String())
 	}
 }
+
+// TestOneCellCampaign pins the checked-in single-cell estimator run:
+// TOPP, SLoPS and adaptive trains on the rate-anomaly mesh at a 5%
+// target under a 30 s / 20,000-packet budget, seed 53.
+func TestOneCellCampaign(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "results.jsonl")
+	c, err := parseArgs([]string{"-campaign", "../../scenarios/campaigns/one-cell.json", "-out", out, "-format", "csv"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.plan.Spec.Seed != 53 || len(c.plan.Jobs) != 3 {
+		t.Fatalf("seed %d, %d jobs; want seed 53, 3 jobs", c.plan.Spec.Seed, len(c.plan.Jobs))
+	}
+	for _, j := range c.plan.Jobs {
+		s := j.Spec
+		if j.Scenario.Name != "mixed-rate-anomaly-mesh" || s.TargetRel != 0.05 ||
+			s.Budget.MaxProbeSeconds != 30 || s.Budget.MaxPackets != 20000 {
+			t.Errorf("job %s: scenario %s, target %g, budget %+v", s.ID, j.Scenario.Name, s.TargetRel, s.Budget)
+		}
+	}
+	var report strings.Builder
+	if err := run(c, &report); err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []string{"topp", "slops", "adaptive"} {
+		if !strings.Contains(report.String(), "mixed-rate-anomaly-mesh,"+kind+",1,") {
+			t.Errorf("report has no %s row:\n%s", kind, report.String())
+		}
+	}
+}

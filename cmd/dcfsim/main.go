@@ -1,120 +1,97 @@
-// Command dcfsim runs an arbitrary single-BSS IEEE 802.11 DCF scenario
-// on the discrete-event MAC engine and prints per-station statistics:
-// carried throughput, delays, collision and drop counts. It is the
-// general-purpose front end to the simulator the figure experiments are
-// built on.
+// Command dcfsim runs the cell of a declarative scenario spec on the
+// discrete-event IEEE 802.11 DCF/EDCA MAC engine and prints
+// per-station statistics: carried throughput, delays, collision and
+// drop counts. It is the general-purpose front end to the simulator
+// the figure experiments are built on.
 //
-// Stations are described with -station flags (repeatable):
+// Usage:
 //
-//	dcfsim -duration 5 \
-//	       -station poisson:4:1500 \
-//	       -station cbr:2:576 \
-//	       -station poisson:0.5:40
+//	dcfsim -scenario FILE.json [-duration S] [-reps N] [-workers N]
+//	       [-seed N] [-rts BYTES] [-trace FILE]
 //
-// Each spec is kind:rateMbps:sizeBytes[:powerDB] with kind "poisson"
-// or "cbr"; the optional fourth field is the station's received power
-// at the common receiver in relative dB, consumed by the -capture rule
-// (default 0 — equal powers, so no frame can capture).
-//
-// Alternatively the whole cell — stations, traffic, channel, EDCA,
-// probing plan — comes from a declarative spec file:
+// The spec describes the whole cell — stations, traffic, channel,
+// EDCA, probing plan (docs/SCENARIOS.md). Station 0 runs the spec's
+// probing plan merged with the FIFO cross flows and stations 1.. the
+// spec's contenders, each named as in the spec. Explicit -seed and
+// -rts flags override the spec's values:
 //
 //	dcfsim -scenario scenarios/dense-stadium.json -duration 5 -reps 8
 //
-// Station 0 then runs the spec's probing plan merged with the FIFO
-// cross flows and stations 1.. the spec's contenders. Explicit
-// -seed/-rts flags override the spec; the structured flags (-station,
-// -phy, -fer, -ber, -topology, -capture, -ac, -rates) describe the
-// same things the spec does and are rejected alongside it.
-//
-// Flags -phy (b11|b11short|g54|a54), -rts (RTS/CTS threshold in bytes)
-// and -seed complete the scenario. The channel is configurable:
-// -fer/-ber apply a frame/bit error model, -topology mesh|hidden|chain
-// selects the station hearing graph (hidden terminals collide at the
-// receiver without ever sensing each other), and -capture sets the
-// receiver capture threshold in dB. The stations are configurable too:
-// -ac assigns 802.11e EDCA access categories (comma-separated per
-// station, or one value for all — "-ac vo,bk" pits a voice queue
-// against background bulk) and -rates assigns per-station data rates
-// in Mb/s ("-rates 11,1" reproduces the 802.11 rate anomaly: the slow
-// sender drags everyone toward its own throughput). With -reps N the
-// scenario is replicated N times on -workers goroutines — each
-// replication drawing its traffic from an independent RNG substream —
-// and the table reports per-station means across replications.
+// With -reps N the cell is replicated N times on -workers goroutines —
+// each replication drawing its traffic from an independent RNG
+// substream, so the table is identical at any -workers — and the table
+// reports per-station means across replications. -trace writes
+// replication 0's channel events to a binary trace file.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strconv"
-	"strings"
 
 	"csmabw/internal/clikit"
 	"csmabw/internal/mac"
-	"csmabw/internal/phy"
 	"csmabw/internal/runner"
+	"csmabw/internal/scenario"
 	"csmabw/internal/sim"
 	"csmabw/internal/stats"
 	"csmabw/internal/trace"
-	"csmabw/internal/traffic"
 )
 
-// stationSpecs collects repeated -station flags.
-type stationSpecs []string
-
-// String renders the collected specs for flag's usage output.
-func (s *stationSpecs) String() string { return strings.Join(*s, " ") }
-
-// Set appends one -station spec (flag.Value).
-func (s *stationSpecs) Set(v string) error {
-	*s = append(*s, v)
-	return nil
+// dcfConfig is the tool configuration resolved from the command line.
+type dcfConfig struct {
+	// scen is the cell, with any -seed/-rts override applied.
+	scen      *scenario.Compiled
+	duration  float64 // simulated seconds per replication
+	reps      int
+	workers   int
+	tracePath string
 }
 
-func parseStation(spec string, r *sim.Rand, end sim.Time) (traffic.Source, float64, error) {
-	parts := strings.Split(spec, ":")
-	if len(parts) != 3 && len(parts) != 4 {
-		return nil, 0, fmt.Errorf("station spec %q: want kind:rateMbps:size[:powerDB]", spec)
+// parseArgs resolves the command line into a validated configuration.
+func parseArgs(args []string) (*dcfConfig, error) {
+	fs := flag.NewFlagSet("dcfsim", flag.ContinueOnError)
+	fs.SetOutput(os.Stderr)
+	c := &dcfConfig{}
+	fs.Float64Var(&c.duration, "duration", 5, "simulated seconds")
+	fs.IntVar(&c.reps, "reps", 1, "independent replications of the cell")
+	fs.IntVar(&c.workers, "workers", 0, "worker goroutines for replications (0 = all cores); results are identical at any count")
+	fs.StringVar(&c.tracePath, "trace", "", "write a binary channel-event trace to this file (replication 0)")
+	seed := fs.Int64("seed", 0, "random seed (default: the spec's)")
+	rts := fs.Int("rts", 0, "RTS/CTS threshold in bytes, 0 = off (default: the spec's)")
+	scenFlag := clikit.RegisterScenario(fs)
+	if err := fs.Parse(args); err != nil {
+		return nil, clikit.ParseError(err)
 	}
-	rate, err := strconv.ParseFloat(parts[1], 64)
-	if err != nil || rate <= 0 {
-		return nil, 0, fmt.Errorf("station spec %q: bad rate", spec)
+	if scenFlag.Path == "" {
+		return nil, errors.New("-scenario is required: a spec file describes the cell")
 	}
-	size, err := strconv.Atoi(parts[2])
-	if err != nil || size <= 0 {
-		return nil, 0, fmt.Errorf("station spec %q: bad size", spec)
+	if err := clikit.CheckFinite("-duration", c.duration); err != nil {
+		return nil, err
 	}
-	var power float64
-	if len(parts) == 4 {
-		power, err = strconv.ParseFloat(parts[3], 64)
-		if err != nil {
-			return nil, 0, fmt.Errorf("station spec %q: bad power", spec)
-		}
+	if c.duration <= 0 {
+		return nil, fmt.Errorf("-duration %g: must be positive", c.duration)
 	}
-	// Lazy sources: the engine pulls arrivals as the clock advances, so
-	// long -duration runs never materialize their schedules up front.
-	switch parts[0] {
-	case "poisson":
-		return traffic.NewPoisson(r, rate*1e6, size, 0, end), power, nil
-	case "cbr":
-		return traffic.NewCBR(rate*1e6, size, 0, end), power, nil
+	if c.reps < 1 {
+		return nil, fmt.Errorf("-reps %d: must be at least 1", c.reps)
 	}
-	return nil, 0, fmt.Errorf("station spec %q: unknown kind %q", spec, parts[0])
-}
-
-func phyFor(name string) (phy.Params, error) {
-	switch name {
-	case "b11":
-		return phy.B11(), nil
-	case "b11short":
-		return phy.B11Short(), nil
-	case "g54":
-		return phy.G54(), nil
-	case "a54":
-		return phy.A54(), nil
+	if *rts < 0 {
+		return nil, fmt.Errorf("-rts %d: must be >= 0 (0 = off)", *rts)
 	}
-	return phy.Params{}, fmt.Errorf("unknown PHY %q (b11|b11short|g54|a54)", name)
+	scen, err := scenFlag.Compiled()
+	if err != nil {
+		return nil, err
+	}
+	if clikit.Passed(fs, "seed") {
+		scen.Link.Seed = *seed
+	}
+	if clikit.Passed(fs, "rts") {
+		scen.Link.RTSThreshold = *rts
+	}
+	c.scen = scen
+	return c, nil
 }
 
 // stationResult is one station's statistics from one replication.
@@ -129,115 +106,29 @@ type stationResult struct {
 	p95AccMs   float64
 }
 
-func main() {
-	var specs stationSpecs
-	flag.Var(&specs, "station", "station spec kind:rateMbps:size (repeatable)")
-	phyName := flag.String("phy", "b11", "PHY profile: b11, b11short or g54")
-	duration := flag.Float64("duration", 5, "simulated seconds")
-	seed := flag.Int64("seed", 1, "random seed")
-	rts := flag.Int("rts", 0, "RTS/CTS threshold in bytes (0 = off)")
-	reps := flag.Int("reps", 1, "independent replications of the scenario")
-	workers := flag.Int("workers", 0, "worker goroutines for replications (0 = all cores)")
-	tracePath := flag.String("trace", "", "write a binary channel-event trace to this file (replication 0)")
-	chFlags := clikit.RegisterChannel(flag.CommandLine)
-	edcaFlags := clikit.RegisterEDCA(flag.CommandLine)
-	scenFlag := clikit.RegisterScenario(flag.CommandLine)
-	flag.Parse()
-
-	scen, err := scenFlag.Compiled()
-	if err != nil {
-		clikit.Exitf(2, "%v", err)
-	}
-	if scen != nil {
-		// The spec describes the whole cell; the structured flags would be
-		// a second source of the same configuration.
-		if len(specs) > 0 {
-			clikit.Exitf(2, "-station conflicts with -scenario: the spec describes the stations")
-		}
-		for _, name := range []string{"phy", "fer", "ber", "topology", "capture", "ac", "rates"} {
-			if clikit.Passed(flag.CommandLine, name) {
-				clikit.Exitf(2, "-%s conflicts with -scenario: the spec describes the cell", name)
-			}
-		}
-		if clikit.Passed(flag.CommandLine, "seed") {
-			scen.Link.Seed = *seed
-		} else {
-			*seed = scen.Link.Seed
-		}
-		if clikit.Passed(flag.CommandLine, "rts") {
-			scen.Link.RTSThreshold = *rts
-		} else {
-			*rts = scen.Link.RTSThreshold
-		}
-	} else if len(specs) == 0 {
-		clikit.Exitf(2, "need at least one -station spec (or -scenario)")
-	}
-	if *reps < 1 {
-		clikit.Exitf(2, "-reps must be at least 1")
-	}
-	var p phy.Params
-	if scen != nil {
-		p = scen.Link.WithDefaults().Phy
-	} else if p, err = phyFor(*phyName); err != nil {
-		clikit.Exitf(2, "%v", err)
-	}
-	channel, err := chFlags.Channel(len(specs))
-	if err != nil {
-		clikit.Exitf(2, "%v", err)
-	}
-	end := sim.FromSeconds(*duration)
+// run replicates the cell and writes the per-station table to w.
+func run(c *dcfConfig, w io.Writer) error {
+	scen := c.scen
+	end := sim.FromSeconds(c.duration)
 
 	var tw *trace.Writer
 	var traceFile *os.File
-	if *tracePath != "" {
-		traceFile, err = os.Create(*tracePath)
-		clikit.Check(err)
+	if c.tracePath != "" {
+		var err error
+		if traceFile, err = os.Create(c.tracePath); err != nil {
+			return err
+		}
 		tw = trace.NewWriter(traceFile)
-	}
-
-	// EDCA/rate heterogeneity resolves once, onto a template the
-	// replications copy station configs from.
-	edca := make([]mac.StationConfig, len(specs))
-	if err := edcaFlags.Apply(edca); err != nil {
-		clikit.Exitf(2, "%v", err)
 	}
 
 	// Each replication derives its traffic and engine seeds from an
 	// independent substream, so results are identical at any -workers.
-	root := sim.NewStream(*seed)
-	names := make([]string, len(specs))
-	for i, spec := range specs {
-		names[i] = fmt.Sprintf("sta%d(%s)", i, spec)
-		if edca[i].AC != phy.ACLegacy {
-			names[i] += "/" + edca[i].AC.String()
-		}
-		if edca[i].DataRate > 0 && edca[i].DataRate != p.DataRate {
-			names[i] += fmt.Sprintf("@%gM", edca[i].DataRate/1e6)
-		}
-	}
-	if scen != nil {
-		names = scen.StationNames
-	}
+	root := sim.NewStream(scen.Link.Seed)
+	names := scen.StationNames
 	runOne := func(rep int) ([]stationResult, error) {
-		stream := root.Child(uint64(rep))
-		var cfg mac.Config
-		if scen != nil {
-			var err error
-			if cfg, err = scen.MACConfig(stream, end); err != nil {
-				return nil, err
-			}
-		} else {
-			cfg = mac.Config{Phy: p, Seed: stream.Child(0).Seed(), Horizon: end, RTSThreshold: *rts, Channel: channel}
-			for i, spec := range specs {
-				src, power, err := parseStation(spec, stream.Child(uint64(i)+1).Rand(), end)
-				if err != nil {
-					return nil, err
-				}
-				cfg.Stations = append(cfg.Stations, mac.StationConfig{
-					Name: names[i], Source: src, PowerDB: power,
-					AC: edca[i].AC, EDCA: edca[i].EDCA, DataRate: edca[i].DataRate,
-				})
-			}
+		cfg, err := scen.MACConfig(root.Child(uint64(rep)), end)
+		if err != nil {
+			return nil, err
 		}
 		if rep == 0 && tw != nil {
 			hook, _ := tw.Hook()
@@ -273,26 +164,30 @@ func main() {
 		return out, nil
 	}
 
-	byRep, err := runner.Map(*reps, *workers, runOne)
-	clikit.Check(err)
+	byRep, err := runner.Map(c.reps, c.workers, runOne)
 	if tw != nil {
-		clikit.Check(tw.Flush())
-		clikit.Check(traceFile.Close())
-		fmt.Printf("wrote %d events to %s\n", tw.Events(), *tracePath)
+		// Close the trace even when a replication failed; the run's
+		// error still wins.
+		err = errors.Join(err, tw.Flush(), traceFile.Close())
+	}
+	if err != nil {
+		return err
+	}
+	if tw != nil {
+		fmt.Fprintf(w, "wrote %d events to %s\n", tw.Events(), c.tracePath)
 	}
 
-	if scen != nil {
-		fmt.Printf("scenario %q: %s\n", scen.Name, scen.Description)
-		for _, note := range scen.Notes {
-			fmt.Printf("  - %s\n", note)
-		}
-		for _, ev := range scen.Link.Schedule {
-			fmt.Printf("  - event at %v\n", ev.At)
-		}
+	p := scen.Link.WithDefaults().Phy
+	fmt.Fprintf(w, "scenario %q: %s\n", scen.Name, scen.Description)
+	for _, note := range scen.Notes {
+		fmt.Fprintf(w, "  - %s\n", note)
 	}
-	fmt.Printf("PHY %s, %d stations, %.1fs simulated, %d replication(s) (RTS threshold %d)\n\n",
-		p.Name, len(names), *duration, *reps, *rts)
-	fmt.Printf("%-26s %10s %9s %9s %7s %7s %7s %10s %10s\n",
+	for _, ev := range scen.Link.Schedule {
+		fmt.Fprintf(w, "  - event at %v\n", ev.At)
+	}
+	fmt.Fprintf(w, "PHY %s, %d stations, %.1fs simulated, %d replication(s) (RTS threshold %d)\n\n",
+		p.Name, len(names), c.duration, c.reps, scen.Link.RTSThreshold)
+	fmt.Fprintf(w, "%-26s %10s %9s %9s %7s %7s %7s %10s %10s\n",
 		"station", "thru(Mb/s)", "delivered", "attempts", "coll", "phyerr", "drops",
 		"mean acc(ms)", "p95 acc(ms)")
 	var agg float64
@@ -310,10 +205,17 @@ func main() {
 			m.p95AccMs += rep[i].p95AccMs
 		}
 		agg += m.thrMbps / n
-		fmt.Printf("%-26s %10.3f %9.1f %9.1f %7.1f %7.1f %7.1f %10.3f %10.3f\n",
+		fmt.Fprintf(w, "%-26s %10.3f %9.1f %9.1f %7.1f %7.1f %7.1f %10.3f %10.3f\n",
 			names[i], m.thrMbps/n, m.delivered/n, m.attempts/n,
 			m.collisions/n, m.phyErrors/n, m.dropped/n, m.meanAccMs/n, m.p95AccMs/n)
 	}
-	fmt.Printf("\naggregate: %.3f Mb/s (single-station envelope %.3f Mb/s)\n",
+	_, err = fmt.Fprintf(w, "\naggregate: %.3f Mb/s (single-station envelope %.3f Mb/s)\n",
 		agg, p.MaxThroughput(1500)/1e6)
+	return err
+}
+
+func main() {
+	cfg, err := parseArgs(os.Args[1:])
+	clikit.ExitArgs(err)
+	clikit.Check(run(cfg, os.Stdout))
 }

@@ -1,90 +1,242 @@
 package main
 
 import (
+	"errors"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"csmabw/internal/clikit"
+	"csmabw/internal/phy"
 	"csmabw/internal/sim"
 	"csmabw/internal/traffic"
 )
 
-func TestParseStation(t *testing.T) {
-	r := sim.NewRand(1)
-	end := sim.Second
+const (
+	meshSpec   = "../../scenarios/mixed-rate-anomaly-mesh.json"
+	hiddenSpec = "../../scenarios/hidden-warehouse.json"
+)
 
-	src, _, err := parseStation("cbr:2:1500", r, end)
+// writeSpec writes a scenario spec into a fresh temporary directory
+// and returns its path.
+func writeSpec(t *testing.T, body string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "cell.json")
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestParseStation pins how dcfsim builds its stations from a spec:
+// the probing station's steady plan is the cell's one CBR flow, a
+// contender's Poisson traffic keeps the spec's packet size, and
+// power_db defaults to 0.
+func TestParseStation(t *testing.T) {
+	path := writeSpec(t, `{
+  "name": "two-contenders",
+  "stations": [
+    {"name": "quiet", "traffic": {"kind": "poisson", "rate_mbps": 4, "size_bytes": 576}},
+    {"name": "loud", "traffic": {"kind": "poisson", "rate_mbps": 4, "size_bytes": 576}, "power_db": 7.5}
+  ],
+  "probing": {"plan": "steady", "rate_mbps": 2}
+}`)
+	c, err := parseArgs([]string{"-scenario", path})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// One second of steady probing past the default 0.5 s warm-up.
+	cfg, err := c.scen.MACConfig(sim.NewStream(1), 1500*sim.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cfg.Stations) != 3 {
+		t.Fatalf("%d stations, want 3", len(cfg.Stations))
 	}
 	// 2e6/(1500*8) ~ 166.7 packets/s over 1s; the CBR generator emits a
-	// packet at t=0, so the count rounds up.
-	if arr := traffic.Collect(src); len(arr) != 167 {
+	// packet at the start of its window, so the count rounds up.
+	if arr := traffic.Collect(cfg.Stations[0].Source); len(arr) != 167 {
 		t.Errorf("cbr packets = %d, want 167", len(arr))
 	}
-
-	src, power, err := parseStation("poisson:4:576", r, end)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arr := traffic.Collect(src)
+	arr := traffic.Collect(cfg.Stations[1].Source)
 	if len(arr) == 0 {
 		t.Error("poisson produced nothing")
-	}
-	if power != 0 {
-		t.Errorf("default power = %g, want 0", power)
-	}
-	_, power, err = parseStation("poisson:4:576:7.5", r, end)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if power != 7.5 {
-		t.Errorf("power = %g, want 7.5", power)
 	}
 	for _, a := range arr {
 		if a.Size != 576 {
 			t.Fatalf("size %d", a.Size)
 		}
 	}
+	if p := cfg.Stations[1].PowerDB; p != 0 {
+		t.Errorf("default power = %g, want 0", p)
+	}
+	if p := cfg.Stations[2].PowerDB; p != 7.5 {
+		t.Errorf("power = %g, want 7.5", p)
+	}
+	if cfg.Stations[1].Name != "quiet" || cfg.Stations[2].Name != "loud" {
+		t.Errorf("station names %q, %q, want the spec's", cfg.Stations[1].Name, cfg.Stations[2].Name)
+	}
 }
 
+// TestParseStationErrors pins that dcfsim rejects a malformed station
+// entry with the spec compiler's positional error, before anything
+// runs. A CBR contender is among them: a spec's one CBR flow is the
+// probing station's steady plan.
 func TestParseStationErrors(t *testing.T) {
-	r := sim.NewRand(1)
 	bad := []struct {
-		spec string
-		frag string
+		station string
+		frag    string
 	}{
-		{"cbr:2", "kind:rateMbps:size"},
-		{"cbr:2:1500:x", "bad power"},
-		{"cbr:2:1500:3:9", "kind:rateMbps:size"},
-		{"cbr:x:1500", "bad rate"},
-		{"cbr:0:1500", "bad rate"},
-		{"cbr:2:zero", "bad size"},
-		{"cbr:2:-5", "bad size"},
-		{"warp:2:1500", "unknown kind"},
+		{`{"traffic": {"kind": "poisson", "size_bytes": 1500}}`, "stations[0].traffic.rate_mbps"},
+		{`{"traffic": {"rate_mbps": 2}, "power_db": "x"}`, "stations[0].power_db"},
+		{`{"traffic": {"rate_mbps": 2}, "power": 3}`, "stations[0].power: unknown key"},
+		{`{"traffic": {"rate_mbps": "x", "size_bytes": 1500}}`, "stations[0].traffic.rate_mbps"},
+		{`{"traffic": {"rate_mbps": 0, "size_bytes": 1500}}`, "positive rate"},
+		{`{"traffic": {"rate_mbps": 2, "size_bytes": "zero"}}`, "stations[0].traffic.size_bytes"},
+		{`{"traffic": {"rate_mbps": 2, "size_bytes": -5}}`, "negative packet size"},
+		{`{"traffic": {"kind": "warp", "rate_mbps": 2}}`, "unknown traffic kind"},
+		{`{"traffic": {"kind": "cbr", "rate_mbps": 2}}`, "unknown traffic kind"},
+		{`{"traffic": {"rate_mbps": 2}, "ac": "xx"}`, "stations[0].ac"},
+		{`{"traffic": {"rate_mbps": 2}, "data_rate_mbps": -1}`, "stations[0].data_rate_mbps"},
 	}
 	for _, tt := range bad {
-		_, _, err := parseStation(tt.spec, r, sim.Second)
+		path := writeSpec(t, fmt.Sprintf(`{"name": "bad-station", "stations": [%s], "probing": {"plan": "steady", "rate_mbps": 2}}`, tt.station))
+		_, err := parseArgs([]string{"-scenario", path})
 		if err == nil {
-			t.Errorf("%q accepted", tt.spec)
+			t.Errorf("%s accepted", tt.station)
 			continue
 		}
 		if !strings.Contains(err.Error(), tt.frag) {
-			t.Errorf("%q: error %q lacks %q", tt.spec, err, tt.frag)
+			t.Errorf("%s: error %q lacks %q", tt.station, err, tt.frag)
 		}
 	}
 }
 
+// TestPhyFor pins the spec's phy names dcfsim accepts, each compiling
+// to a valid profile that reaches the engine configuration, and the
+// rejection of an unknown one.
 func TestPhyFor(t *testing.T) {
-	for _, name := range []string{"b11", "b11short", "g54", "a54"} {
-		p, err := phyFor(name)
+	for name, want := range map[string]phy.Params{
+		"b11": phy.B11(), "b11short": phy.B11Short(), "g54": phy.G54(), "a54": phy.A54(),
+	} {
+		path := writeSpec(t, fmt.Sprintf(`{"name": "phy-cell", "phy": %q, "probing": {"plan": "steady", "rate_mbps": 2}}`, name))
+		c, err := parseArgs([]string{"-scenario", path})
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
+			continue
 		}
+		p := c.scen.Link.Phy
 		if p.Validate() != nil {
 			t.Errorf("%s: invalid params", name)
 		}
+		cfg, err := c.scen.MACConfig(sim.NewStream(1), sim.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Name != want.Name || cfg.Phy.Name != want.Name {
+			t.Errorf("%s: compiled %q, engine %q, want %q", name, p.Name, cfg.Phy.Name, want.Name)
+		}
 	}
-	if _, err := phyFor("n600"); err == nil {
-		t.Error("unknown PHY accepted")
+	path := writeSpec(t, `{"name": "phy-cell", "phy": "n600", "probing": {"plan": "steady", "rate_mbps": 2}}`)
+	if _, err := parseArgs([]string{"-scenario", path}); err == nil || !strings.Contains(err.Error(), "phy") {
+		t.Errorf("unknown PHY: got %v, want a phy error", err)
+	}
+}
+
+func TestParseArgs(t *testing.T) {
+	cases := []struct {
+		name string
+		args []string
+		ok   bool
+		frag string
+		chk  func(*dcfConfig) bool
+	}{
+		{name: "spec defaults", args: []string{"-scenario", hiddenSpec}, ok: true,
+			chk: func(c *dcfConfig) bool {
+				return c.duration == 5 && c.reps == 1 && c.workers == 0 &&
+					c.scen.Link.Seed == 47 && c.scen.Link.RTSThreshold == 512
+			}},
+		{name: "seed override", args: []string{"-scenario", meshSpec, "-seed", "99"}, ok: true,
+			chk: func(c *dcfConfig) bool { return c.scen.Link.Seed == 99 }},
+		{name: "rts override", args: []string{"-scenario", hiddenSpec, "-rts", "0"}, ok: true,
+			chk: func(c *dcfConfig) bool { return c.scen.Link.RTSThreshold == 0 && c.scen.Link.Seed == 47 }},
+		{name: "run knobs", args: []string{"-scenario", meshSpec, "-duration", "0.5", "-reps", "4", "-workers", "2", "-trace", "t.bin"}, ok: true,
+			chk: func(c *dcfConfig) bool {
+				return c.duration == 0.5 && c.reps == 4 && c.workers == 2 && c.tracePath == "t.bin"
+			}},
+		{name: "missing scenario", args: []string{"-duration", "1"}, frag: "-scenario is required"},
+		{name: "missing spec file", args: []string{"-scenario", "no-such.json"}, frag: "no-such.json"},
+		{name: "zero duration", args: []string{"-scenario", meshSpec, "-duration", "0"}, frag: "-duration"},
+		{name: "NaN duration", args: []string{"-scenario", meshSpec, "-duration", "NaN"}, frag: "-duration"},
+		{name: "zero reps", args: []string{"-scenario", meshSpec, "-reps", "0"}, frag: "-reps"},
+		{name: "negative rts", args: []string{"-scenario", meshSpec, "-rts", "-1"}, frag: "-rts"},
+		// The structured cell flags are gone: each is a spec field now.
+		{name: "retired station flag", args: []string{"-scenario", meshSpec, "-station", "poisson:4:1500"}},
+		{name: "retired channel flag", args: []string{"-scenario", meshSpec, "-fer", "0.1"}},
+		{name: "retired phy flag", args: []string{"-scenario", meshSpec, "-phy", "g54"}},
+		{name: "retired EDCA flag", args: []string{"-scenario", meshSpec, "-ac", "vo"}},
+	}
+	for _, tt := range cases {
+		t.Run(tt.name, func(t *testing.T) {
+			cfg, err := parseArgs(tt.args)
+			if tt.ok {
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tt.chk != nil && !tt.chk(cfg) {
+					t.Errorf("config check failed: %+v", cfg)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatal("invalid args accepted")
+			}
+			if tt.frag != "" && !strings.Contains(err.Error(), tt.frag) {
+				t.Errorf("error %q lacks %q", err, tt.frag)
+			}
+			if tt.frag == "" && !errors.Is(err, clikit.ErrUsage) {
+				t.Errorf("retired flag: got %v, want clikit.ErrUsage", err)
+			}
+		})
+	}
+}
+
+// TestParseArgsHelp pins -h to flag.ErrHelp (main exits 0).
+func TestParseArgsHelp(t *testing.T) {
+	if _, err := parseArgs([]string{"-h"}); !errors.Is(err, flag.ErrHelp) {
+		t.Errorf("-h: got %v, want flag.ErrHelp", err)
+	}
+}
+
+// TestRunListsSpecStations runs a short replicated cell and checks the
+// table rows carry the spec's station names, and that the table is the
+// same at one and at two workers.
+func TestRunListsSpecStations(t *testing.T) {
+	render := func(workers string) string {
+		t.Helper()
+		cfg, err := parseArgs([]string{"-scenario", meshSpec, "-duration", "0.2", "-reps", "3", "-workers", workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		if err := run(cfg, &b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	out := render("1")
+	for _, name := range []string{"probe", "fast-11mbps", "mid-5.5mbps", "slow-1mbps"} {
+		if !strings.Contains(out, "\n"+name+" ") {
+			t.Errorf("no row for station %q:\n%s", name, out)
+		}
+	}
+	if !strings.Contains(out, `scenario "mixed-rate-anomaly-mesh"`) || !strings.Contains(out, "4 stations") {
+		t.Errorf("header does not describe the spec's cell:\n%s", out)
+	}
+	if two := render("2"); two != out {
+		t.Errorf("2-worker table differs from 1-worker table:\n%s\nvs\n%s", two, out)
 	}
 }

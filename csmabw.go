@@ -33,24 +33,23 @@
 // and the full suite scales near-linearly with cores.
 //
 // The cmd/ tools surface the drivers behind a common CLI harness
-// (internal/clikit) with shared knobs:
+// (internal/clikit). A cell is described to them only by a scenario
+// spec (internal/scenario, docs/SCENARIOS.md):
 //
 //   - cmd/figures regenerates the whole evaluation, or -only a subset;
 //     with -scenario it runs a figure on a spec-described cell instead
-//     of the paper's (figures -only fig13 -scenario FILE);
-//   - cmd/dcfsim is the general-purpose DCF/EDCA scenario front end,
-//     with -reps for replicated runs, -fer/-ber/-topology/-capture for
-//     the imperfect-channel scenario space, and -ac/-rates for
-//     per-station access categories and data rates;
-//   - cmd/rrc and cmd/bwprobe cover rate-response fitting and
-//     live-network probing;
-//   - cmd/abest, cmd/campaign and cmd/pathsel run the closed-loop
-//     estimators, resumable estimation campaigns and multi-upstream
-//     path selection.
+//     of the paper's (figures -only fig13 -scenario FILE), and without
+//     -only the figure the spec's probing plan selects;
+//   - cmd/dcfsim runs a spec's cell on the raw DCF/EDCA engine, with
+//     -reps for replicated runs;
+//   - cmd/bwprobe probes a live network;
+//   - cmd/campaign and cmd/pathsel run resumable estimation campaigns
+//     (the closed-loop estimators over specs) and multi-upstream path
+//     selection.
 //
-// Every experiment tool accepts -scale tiny|default|paper (with -reps,
-// -points and -seconds fine-tuning), -seed (cmd/figures: only with
-// -scenario, since its registry figures run their paper seeds),
+// cmd/figures and cmd/pathsel accept -scale tiny|default|paper (with
+// -reps, -points and -seconds fine-tuning), -seed (cmd/figures: only
+// with -scenario, since its registry figures run their paper seeds),
 // -workers (0 = all cores) and -format table|csv|json. The benchmark
 // is the bench/ module, run with bash bench/run.sh.
 package csmabw

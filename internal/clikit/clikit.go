@@ -14,14 +14,9 @@ import (
 	"io"
 	"math"
 	"os"
-	"strconv"
-	"strings"
 
 	"csmabw/internal/campaign"
-	"csmabw/internal/estimate"
 	"csmabw/internal/experiments"
-	"csmabw/internal/mac"
-	"csmabw/internal/phy"
 	"csmabw/internal/scenario"
 )
 
@@ -129,9 +124,9 @@ func (f *Flags) ScenarioScale(sc experiments.Scale, c *scenario.Compiled) experi
 }
 
 // ScenarioFlag holds the shared -scenario knob: a declarative spec
-// file (internal/scenario) compiled into the tool's measured cell.
-// Every cmd front end registers it — through Register or standalone —
-// so workloads move between tools as files, not flag soup.
+// file (internal/scenario) compiled into the tool's measured cell. It
+// is the only way to describe a cell to a tool, so workloads move
+// between tools as files, not flag soup.
 type ScenarioFlag struct {
 	// Path is the spec file; empty means no scenario.
 	Path string
@@ -246,164 +241,6 @@ func (f *Flags) Scale() (experiments.Scale, error) {
 	return sc, nil
 }
 
-// ChannelFlags holds the imperfect-channel knobs of the simulator
-// front ends: frame loss, the station hearing topology, and receiver
-// capture. The zero value of every flag reproduces the perfect single
-// collision domain.
-type ChannelFlags struct {
-	FER       float64
-	BER       float64
-	Topology  string
-	CaptureDB float64
-}
-
-// RegisterChannel installs the channel flags on fs and returns the
-// destination struct, populated after fs.Parse.
-func RegisterChannel(fs *flag.FlagSet) *ChannelFlags {
-	c := &ChannelFlags{}
-	fs.Float64Var(&c.FER, "fer", 0, "frame-error rate on every data frame in [0,1)")
-	fs.Float64Var(&c.BER, "ber", 0, "bit-error rate in [0,1); compounds with -fer over the frame length")
-	fs.StringVar(&c.Topology, "topology", "mesh", "station hearing graph: mesh, hidden or chain")
-	fs.Float64Var(&c.CaptureDB, "capture", 0, "receiver capture threshold in dB (0 = no capture)")
-	return c
-}
-
-// Channel resolves the flags into the propagation model for a scenario
-// of n stations. "mesh" is the single collision domain, "hidden" makes
-// every station hidden from every other (all still reach the common
-// receiver), and "chain" is a line where station i hears only its
-// neighbours.
-func (c *ChannelFlags) Channel(n int) (mac.Channel, error) {
-	ch := mac.Channel{
-		Loss:               phy.ErrorModel{FER: c.FER, BER: c.BER},
-		CaptureThresholdDB: c.CaptureDB,
-	}
-	if err := CheckFinite("-fer", c.FER); err != nil {
-		return ch, err
-	}
-	if err := CheckFinite("-ber", c.BER); err != nil {
-		return ch, err
-	}
-	if err := CheckFinite("-capture", c.CaptureDB); err != nil {
-		return ch, err
-	}
-	switch c.Topology {
-	case "", "mesh":
-	case "hidden":
-		ch.Topology = mac.NewTopology(n)
-	case "chain":
-		ch.Topology = mac.Chain(n)
-	default:
-		return ch, fmt.Errorf("unknown topology %q (mesh|hidden|chain)", c.Topology)
-	}
-	if err := ch.Loss.Validate(); err != nil {
-		return ch, err
-	}
-	if ch.CaptureThresholdDB < 0 {
-		return ch, fmt.Errorf("negative capture threshold %g dB", ch.CaptureThresholdDB)
-	}
-	return ch, nil
-}
-
-// EDCAFlags holds the heterogeneity knobs of the simulator front ends:
-// per-station 802.11e access categories and data rates. The zero value
-// of both flags is the homogeneous plain-DCF cell of the paper.
-type EDCAFlags struct {
-	ACs   string
-	Rates string
-}
-
-// RegisterEDCA installs the EDCA/heterogeneous-rate flags on fs and
-// returns the destination struct, populated after fs.Parse.
-func RegisterEDCA(fs *flag.FlagSet) *EDCAFlags {
-	e := &EDCAFlags{}
-	fs.StringVar(&e.ACs, "ac", "", "802.11e access categories, comma-separated per station (legacy|bk|be|vi|vo); a single value applies to every station")
-	fs.StringVar(&e.Rates, "rates", "", "data rates in Mb/s, comma-separated per station (0 = PHY rate); a single value applies to every station")
-	return e
-}
-
-// Apply resolves the comma lists onto the station configurations in
-// place: entry i configures station i, and a single-entry list
-// broadcasts to every station. Stations keep plain DCF and the PHY
-// rate where the flags are empty.
-func (e *EDCAFlags) Apply(stations []mac.StationConfig) error {
-	if e.ACs != "" {
-		parts := strings.Split(e.ACs, ",")
-		if len(parts) != 1 && len(parts) != len(stations) {
-			return fmt.Errorf("-ac lists %d categories for %d stations", len(parts), len(stations))
-		}
-		for i := range stations {
-			part := parts[0]
-			if len(parts) > 1 {
-				part = parts[i]
-			}
-			ac, err := phy.ParseAC(strings.TrimSpace(part))
-			if err != nil {
-				return err
-			}
-			stations[i].AC = ac
-		}
-	}
-	if e.Rates != "" {
-		vals, err := ParseFloats(e.Rates)
-		if err != nil {
-			return fmt.Errorf("-rates: %w", err)
-		}
-		if len(vals) != 1 && len(vals) != len(stations) {
-			return fmt.Errorf("-rates lists %d rates for %d stations", len(vals), len(stations))
-		}
-		for i := range stations {
-			v := vals[0]
-			if len(vals) > 1 {
-				v = vals[i]
-			}
-			if err := CheckFinite("-rates", v); err != nil {
-				return err
-			}
-			if v < 0 {
-				return fmt.Errorf("-rates: negative rate %g", v)
-			}
-			stations[i].DataRate = v * 1e6
-		}
-	}
-	return nil
-}
-
-// BudgetFlags holds the hard probing-budget knobs of the estimator
-// front ends — fbforward-style max-duration/max-packet caps a campaign
-// must not exceed. The zero value of both flags is an uncapped run.
-type BudgetFlags struct {
-	MaxProbeSeconds float64
-	MaxPackets      int
-}
-
-// RegisterBudget installs the budget flags on fs and returns the
-// destination struct, populated after fs.Parse.
-func RegisterBudget(fs *flag.FlagSet) *BudgetFlags {
-	b := &BudgetFlags{}
-	fs.Float64Var(&b.MaxProbeSeconds, "max-probe-seconds", 0,
-		"hard cap on the cumulative wire time a campaign may probe, seconds (0 = uncapped)")
-	fs.IntVar(&b.MaxPackets, "max-packets", 0,
-		"hard cap on the probe packets a campaign may inject (0 = uncapped)")
-	return b
-}
-
-// Budget resolves the flags into an estimate.Budget, rejecting
-// NaN/Inf/negative caps here at parse time — a NaN cap fails every
-// comparison and would otherwise silently behave as uncapped.
-func (b *BudgetFlags) Budget() (estimate.Budget, error) {
-	if err := CheckFinite("-max-probe-seconds", b.MaxProbeSeconds); err != nil {
-		return estimate.Budget{}, err
-	}
-	if b.MaxProbeSeconds < 0 {
-		return estimate.Budget{}, fmt.Errorf("-max-probe-seconds %g: must be >= 0 (0 = uncapped)", b.MaxProbeSeconds)
-	}
-	if b.MaxPackets < 0 {
-		return estimate.Budget{}, fmt.Errorf("-max-packets %d: must be >= 0 (0 = uncapped)", b.MaxPackets)
-	}
-	return estimate.Budget{MaxProbeSeconds: b.MaxProbeSeconds, MaxPackets: b.MaxPackets}, nil
-}
-
 // CheckFinite rejects NaN and ±Inf flag values. strconv.ParseFloat —
 // and therefore every flag.Float64Var — happily accepts "NaN" and
 // "Inf", so each front end's numeric knobs are screened here before
@@ -482,17 +319,4 @@ func Check(err error) {
 	if err != nil {
 		Exitf(1, "%v", err)
 	}
-}
-
-// ParseFloats parses a comma-separated float list ("0.1, 0.5,1").
-func ParseFloats(s string) ([]float64, error) {
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad list entry %q", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }

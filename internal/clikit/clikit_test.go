@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"csmabw/internal/experiments"
-	"csmabw/internal/mac"
 )
 
 func parse(t *testing.T, def Defaults, args ...string) *Flags {
@@ -74,7 +73,7 @@ func TestToolDefaults(t *testing.T) {
 
 func TestExplicitScaleBeatsToolDefaults(t *testing.T) {
 	// An explicit -scale must not be clobbered back to the tool's
-	// defaults: `rrc -scale paper` means paper-scale statistics.
+	// defaults: naming the paper preset means paper-scale statistics.
 	def := Defaults{Seed: 17, Reps: 200, Points: 10, Seconds: 2}
 	f := parse(t, def, "-scale", "paper")
 	sc, err := f.Scale()
@@ -139,16 +138,6 @@ func TestRenderFormats(t *testing.T) {
 	}
 }
 
-func TestParseLists(t *testing.T) {
-	fs, err := ParseFloats("0.1, 0.5,1")
-	if err != nil || len(fs) != 3 || fs[1] != 0.5 {
-		t.Errorf("floats: %v %v", fs, err)
-	}
-	if _, err := ParseFloats("1,x"); err == nil {
-		t.Error("bad float accepted")
-	}
-}
-
 func TestScaleRejectsBadFormatEarly(t *testing.T) {
 	f := parse(t, Defaults{}, "-format", "yaml")
 	if _, err := f.Scale(); err == nil {
@@ -184,48 +173,6 @@ func TestScaleRejectsNonFiniteAndNegative(t *testing.T) {
 	f := parse(t, Defaults{}, "-seconds", "0", "-reps", "0", "-points", "0")
 	if _, err := f.Scale(); err != nil {
 		t.Errorf("zero sentinel rejected: %v", err)
-	}
-}
-
-// TestChannelRejectsNonFinite mirrors the screen for the channel knobs.
-func TestChannelRejectsNonFinite(t *testing.T) {
-	cases := []struct {
-		name string
-		c    ChannelFlags
-	}{
-		{"fer NaN", ChannelFlags{FER: math.NaN()}},
-		{"fer Inf", ChannelFlags{FER: math.Inf(1)}},
-		{"fer negative", ChannelFlags{FER: -0.1}},
-		{"ber NaN", ChannelFlags{BER: math.NaN()}},
-		{"ber 1", ChannelFlags{BER: 1}},
-		{"capture NaN", ChannelFlags{CaptureDB: math.NaN()}},
-		{"capture Inf", ChannelFlags{CaptureDB: math.Inf(1)}},
-		{"capture negative", ChannelFlags{CaptureDB: -3}},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			if _, err := c.c.Channel(2); err == nil {
-				t.Errorf("Channel() accepted %+v", c.c)
-			}
-		})
-	}
-	if _, err := (&ChannelFlags{FER: 0.1, CaptureDB: 6}).Channel(2); err != nil {
-		t.Errorf("valid channel rejected: %v", err)
-	}
-}
-
-// TestEDCARatesRejectNonFinite extends the -rates validation to NaN and
-// Inf, which the negative-rate check alone let through (NaN < 0 is
-// false).
-func TestEDCARatesRejectNonFinite(t *testing.T) {
-	for _, rates := range []string{"NaN", "Inf", "-Inf", "11,NaN", "-1"} {
-		e := &EDCAFlags{Rates: rates}
-		if err := e.Apply(make([]mac.StationConfig, 2)); err == nil {
-			t.Errorf("-rates %q accepted", rates)
-		}
-	}
-	if err := (&EDCAFlags{Rates: "11,5.5"}).Apply(make([]mac.StationConfig, 2)); err != nil {
-		t.Errorf("valid -rates rejected: %v", err)
 	}
 }
 

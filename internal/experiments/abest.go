@@ -80,10 +80,9 @@ func abName(k int) string {
 	panic(fmt.Sprintf("experiments: estimator index %d", k))
 }
 
-// AbestEffort is the estimators' effort knobs as derived from an
-// experiment Scale; cmd/abest shares it so the CLI's -scale presets
-// mean the same thing they mean for the registry figures.
-type AbestEffort struct {
+// abestEffort is the estimators' effort knobs as derived from an
+// experiment Scale.
+type abestEffort struct {
 	// TOPP configures the rate-sweep estimator.
 	TOPP estimate.TOPPConfig
 	// SLoPS configures the self-loading bisection.
@@ -94,10 +93,10 @@ type AbestEffort struct {
 	Truth estimate.TruthConfig
 }
 
-// ScaledAbestEffort maps the experiment Scale onto the estimators'
+// scaledAbestEffort maps the experiment Scale onto the estimators'
 // effort knobs, so tiny test runs stay fast while default and paper
 // scales buy statistical weight.
-func ScaledAbestEffort(sc Scale) AbestEffort {
+func scaledAbestEffort(sc Scale) abestEffort {
 	reps := func(div, floor int) int {
 		r := sc.Reps / div
 		if r < floor {
@@ -105,7 +104,7 @@ func ScaledAbestEffort(sc Scale) AbestEffort {
 		}
 		return r
 	}
-	return AbestEffort{
+	return abestEffort{
 		TOPP:     estimate.TOPPConfig{Points: 10, TrainLen: 50, Reps: reps(20, 3)},
 		SLoPS:    estimate.SLoPSConfig{TrainLen: 60, Reps: reps(25, 3)},
 		Adaptive: estimate.AdaptiveConfig{RateBps: 12e6, TrainLen: 100, BatchReps: reps(25, 4), MaxReps: 4 * reps(1, 64)},
@@ -117,7 +116,7 @@ func ScaledAbestEffort(sc Scale) AbestEffort {
 // when the estimator could not produce a value (estimate.
 // ErrEstimateFailed) — the figure then skips the point instead of
 // plotting a bogus number.
-func abRun(k int, l probe.Link, cfg AbestEffort) (v estimate.Estimate, ok bool, err error) {
+func abRun(k int, l probe.Link, cfg abestEffort) (v estimate.Estimate, ok bool, err error) {
 	var e estimate.Estimate
 	switch k {
 	case abTruth:
@@ -154,7 +153,7 @@ func abRun(k int, l probe.Link, cfg AbestEffort) (v estimate.Estimate, ok bool, 
 // whole closed-loop tools in place of single dispersion measurements.
 // Unit u runs estimator u%abEstimators at cross level u/abEstimators.
 func AbestAccuracy(p AbestParams, sc Scale) (*Figure, error) {
-	cfg := ScaledAbestEffort(sc)
+	cfg := scaledAbestEffort(sc)
 	type pt struct {
 		ok  bool
 		val float64
@@ -207,7 +206,7 @@ func AbestAccuracy(p AbestParams, sc Scale) (*Figure, error) {
 // how long to keep probing. Unit 0 measures ground truth; unit i+1
 // runs the controller at target i.
 func AbestFrontier(p AbestParams, sc Scale) (*Figure, error) {
-	cfg := ScaledAbestEffort(sc)
+	cfg := scaledAbestEffort(sc)
 	type pt struct {
 		ok           bool
 		val, packets float64
@@ -237,7 +236,7 @@ func AbestFrontier(p AbestParams, sc Scale) (*Figure, error) {
 			}
 			ac := cfg.Adaptive
 			ac.TargetRel = p.Targets[u-1]
-			e, ok, err := abRun(abAdaptive, link(stream), AbestEffort{Adaptive: ac, Truth: cfg.Truth})
+			e, ok, err := abRun(abAdaptive, link(stream), abestEffort{Adaptive: ac, Truth: cfg.Truth})
 			return pt{ok: ok, val: e.Value, packets: float64(e.Cost.Packets)}, err
 		},
 		Reduce: func(pts []pt) (*Figure, error) {
@@ -283,7 +282,7 @@ func AbestFrontier(p AbestParams, sc Scale) (*Figure, error) {
 // met. Unit 0 measures ground truth; unit 1 + b*3 + (k-1) runs
 // estimator k under cap b.
 func AbestBudget(p AbestParams, sc Scale) (*Figure, error) {
-	cfg := ScaledAbestEffort(sc)
+	cfg := scaledAbestEffort(sc)
 	const tools = abEstimators - 1 // every estimator except ground truth
 	type pt struct {
 		ok        bool
@@ -400,7 +399,7 @@ func abScenarios() []abScenario {
 // u%abEstimators on scenario u/abEstimators; the x-axis is the
 // scenario index in abScenarios order.
 func AbestRobust(p AbestParams, sc Scale) (*Figure, error) {
-	cfg := ScaledAbestEffort(sc)
+	cfg := scaledAbestEffort(sc)
 	scenarios := abScenarios()
 	type pt struct {
 		ok  bool

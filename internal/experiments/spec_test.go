@@ -169,6 +169,40 @@ func TestCellFormsTakeSpecTrainLen(t *testing.T) {
 	}
 }
 
+// TestFig16CellKeepsContenders renders fig16's cell form on every
+// library spec, hidden-station and scheduled cells included, and pins
+// that a level sweeps only the first contender's rate: on dense-stadium
+// every level keeps all 12 contenders.
+func TestFig16CellKeepsContenders(t *testing.T) {
+	var fig16 Entry
+	for _, e := range Registry() {
+		if e.ID == "fig16" {
+			fig16 = e
+		}
+	}
+	for _, name := range libraryScenarios(t) {
+		if _, err := fig16.Cell(compileScenario(t, name), Tiny()); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	p := DefaultFig16()
+	p.Cell = compileScenario(t, "dense-stadium").Link
+	for i, cr := range p.CrossRates {
+		l := p.levelLink(i)
+		if len(l.Contenders) != 12 {
+			t.Fatalf("level %d: %d contenders, want 12", i, len(l.Contenders))
+		}
+		first := p.Cell.Contenders[0]
+		first.RateBps = cr
+		if l.Contenders[0] != first {
+			t.Errorf("level %d: first contender %+v, want %+v", i, l.Contenders[0], first)
+		}
+		if !reflect.DeepEqual(l.Contenders[1:], p.Cell.Contenders[1:]) {
+			t.Errorf("level %d: the other contenders changed", i)
+		}
+	}
+}
+
 // libraryScenarios lists every checked-in spec file name (no extension).
 func libraryScenarios(t *testing.T) []string {
 	t.Helper()

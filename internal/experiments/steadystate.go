@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"csmabw/internal/mac"
-	"csmabw/internal/phy"
 	"csmabw/internal/probe"
 	"csmabw/internal/sim"
 )
@@ -16,14 +14,6 @@ type Fig1Params struct {
 	PacketSize   int
 	MaxProbeBps  float64 // sweep upper end (paper: 10 Mb/s)
 	Seed         int64
-	// Loss applies a frame-error model on every uplink; the zero value
-	// is the paper's perfect channel.
-	Loss phy.ErrorModel
-	// Topology is the hearing graph over the probing station and the
-	// contender; nil is the paper's single collision domain.
-	Topology *mac.Topology
-	// CaptureDB is the receiver capture threshold in dB (0 = off).
-	CaptureDB float64
 }
 
 // DefaultFig1 mirrors the paper's Figure 1 operating point:
@@ -52,9 +42,6 @@ func Fig1SteadyStateRRC(p Fig1Params, sc Scale) (*Figure, error) {
 				ProbeSize:  p.PacketSize,
 				Contenders: []probe.Flow{{RateBps: p.CrossRateBps, Size: p.PacketSize}},
 				Seed:       p.Seed + int64(i)*101,
-				Loss:       p.Loss,
-				Topology:   p.Topology,
-				CaptureDB:  p.CaptureDB,
 			}
 			ss, err := probe.MeasureSteadyState(l, rates[i], dur)
 			if err != nil {
@@ -91,14 +78,6 @@ type Fig4Params struct {
 	PacketSize    int
 	MaxProbeBps   float64
 	Seed          int64
-	// Loss applies a frame-error model on every uplink; the zero value
-	// is the paper's perfect channel.
-	Loss phy.ErrorModel
-	// Topology is the hearing graph over the probing station and the
-	// contender; nil is the paper's single collision domain.
-	Topology *mac.Topology
-	// CaptureDB is the receiver capture threshold in dB (0 = off).
-	CaptureDB float64
 }
 
 // DefaultFig4 uses moderate loads so all three curves are visible, as
@@ -121,9 +100,6 @@ func Fig4CompleteRRC(p Fig4Params, sc Scale) (*Figure, error) {
 				FIFOCross:  []probe.Flow{{RateBps: p.FIFOCrossBps, Size: p.PacketSize}},
 				Contenders: []probe.Flow{{RateBps: p.ContendingBps, Size: p.PacketSize}},
 				Seed:       p.Seed + int64(i)*101,
-				Loss:       p.Loss,
-				Topology:   p.Topology,
-				CaptureDB:  p.CaptureDB,
 			}
 			ss, err := probe.MeasureSteadyState(l, rates[i], dur)
 			if err != nil {

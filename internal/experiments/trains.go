@@ -119,9 +119,11 @@ type Fig16Params struct {
 	CrossRates  []float64 // swept contending cross-traffic rates, bit/s
 	SaturateBps float64   // probing rate used to measure the actual response
 	// Cell is the measured link the sweep runs over, and Cell.Seed is
-	// the figure seed. Each level overrides the first contender's rate
-	// with the swept one, adding a probe-sized contender if the cell
-	// has none and dropping it at the zero level.
+	// the figure seed. Each level sets the first contender's rate to
+	// the swept one and keeps the other contenders; at the zero level
+	// that station stays in the cell as an idle flow, so a hearing graph
+	// and station-targeted events still fit. A cell without contenders
+	// gets a probe-sized one per nonzero level.
 	Cell probe.Link
 }
 
@@ -132,6 +134,19 @@ func DefaultFig16() Fig16Params {
 		rates = append(rates, r)
 	}
 	return Fig16Params{CrossRates: rates, SaturateBps: 12e6, Cell: probe.Link{ProbeSize: 1500, Seed: 16}}
+}
+
+// levelLink is the cell of sweep level i, on its own seed.
+func (p Fig16Params) levelLink(i int) probe.Link {
+	cr := p.CrossRates[i]
+	l := unitLink(&p.Cell, p.Cell.Seed+int64(i)*61)
+	switch {
+	case len(l.Contenders) > 0:
+		l.Contenders[0].RateBps = cr
+	case cr > 0:
+		l.Contenders = []probe.Flow{sweptContender(&p.Cell, cr)}
+	}
+	return l
 }
 
 // Fig16PacketPair compares, for each cross-traffic level, the actual
@@ -150,11 +165,7 @@ func Fig16PacketPair(p Fig16Params, sc Scale) (*Figure, error) {
 		Units: len(p.CrossRates),
 		RunOne: func(i int, _ sim.Stream) (pt, error) {
 			cr := p.CrossRates[i]
-			l := unitLink(&p.Cell, p.Cell.Seed+int64(i)*61)
-			l.Contenders = nil
-			if cr > 0 {
-				l.Contenders = []probe.Flow{sweptContender(&p.Cell, cr)}
-			}
+			l := p.levelLink(i)
 			ss, err := probe.MeasureSteadyState(l, p.SaturateBps, dur)
 			if err != nil {
 				return pt{}, err

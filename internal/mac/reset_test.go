@@ -1,6 +1,7 @@
 package mac
 
 import (
+	"reflect"
 	"testing"
 
 	"csmabw/internal/sim"
@@ -207,7 +208,7 @@ func scheduledHotScenario(seed int64) Config {
 // pre-event parameters (error model, rates, topology clone), so a
 // reused engine replays the schedule byte-identically to a fresh one.
 // The schedule includes a hearing-graph cut, so the recycled topology
-// clone is exercised too.
+// clone is exercised too, and checked against a fresh engine's.
 func TestResetScheduledEquivalence(t *testing.T) {
 	cfg := scheduledHotScenario(23)
 	cfg.Schedule = append(cfg.Schedule,
@@ -223,11 +224,18 @@ func TestResetScheduledEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The edge event runs a nil-topology config on an owned full-mesh
+	// clone; after New and after every same-size Reset it must equal a
+	// fresh FullMesh, self-hearing diagonal included.
+	mesh := FullMesh(len(cfg.Stations))
 	for round := 0; round < 3; round++ {
 		if round > 0 {
 			if err := e.Reset(cfg); err != nil {
 				t.Fatalf("round %d: %v", round, err)
 			}
+		}
+		if !reflect.DeepEqual(e.topoOwned, mesh) {
+			t.Fatalf("round %d: owned topology %v, want FullMesh %v", round, e.topoOwned.hear, mesh.hear)
 		}
 		compareResults(t, "scheduled round", fresh, e.Run())
 	}

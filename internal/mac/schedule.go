@@ -149,10 +149,11 @@ func (e *Engine) initSchedule(cfg Config) error {
 		e.topoOwned = cloneTopologyInto(e.topoOwned, e.topo)
 	} else if e.topoOwned != nil && e.topoOwned.n == nSt {
 		// Reset-reuse path with a full-mesh base: refill the recycled
-		// clone instead of allocating a fresh mesh per replication.
+		// clone instead of allocating a fresh mesh per replication. Like
+		// FullMesh, every station hears itself too.
 		for i := range e.topoOwned.hear {
 			for j := range e.topoOwned.hear[i] {
-				e.topoOwned.hear[i][j] = i != j
+				e.topoOwned.hear[i][j] = true
 			}
 		}
 	} else {

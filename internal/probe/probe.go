@@ -39,7 +39,9 @@ import (
 // bytes. By default arrivals are Poisson (the paper's cross-traffic
 // model); setting OnMean/OffMean switches to a bursty on/off process
 // with the same average rate, the knob for the Section 6.3 burstiness
-// discussion.
+// discussion. A zero rate is an idle flow: a contender's station stays
+// in the cell — a hearing graph and station-targeted events still
+// index it — but never offers a frame.
 type Flow struct {
 	RateBps float64
 	Size    int
@@ -67,7 +69,12 @@ type Flow struct {
 // generator: arrivals are drawn only as the simulation consumes them,
 // so a replication that stops early never generates the tail. The draw
 // order is identical to the eager schedules the engine used to take.
+// An idle (zero-rate) flow yields an exhausted source and draws nothing
+// from r.
 func (f Flow) Source(r *sim.Rand, end sim.Time) traffic.Source {
+	if f.RateBps == 0 {
+		return traffic.FromSchedule(nil)
+	}
 	if f.OnMean > 0 && f.OffMean > 0 {
 		duty := float64(f.OnMean) / float64(f.OnMean+f.OffMean)
 		return traffic.NewOnOff(r, f.RateBps/duty, f.Size, f.OnMean, f.OffMean, 0, end)
@@ -417,8 +424,9 @@ type TrainPlan struct {
 }
 
 // PlanTrain resolves an n-packet train measurement at probing rate
-// rateBps over link l into a TrainPlan. The returned plan is immutable
-// and safe to share across worker goroutines.
+// rateBps over link l into a TrainPlan. Rate 0 sends the train back to
+// back; a NaN, negative or infinite rate is an error. The returned plan
+// is immutable and safe to share across worker goroutines.
 func PlanTrain(l Link, n int, rateBps float64) (*TrainPlan, error) {
 	l, gI, err := l.trainSetup(n, rateBps)
 	if err != nil {
@@ -468,8 +476,8 @@ func MeasureTrain(l Link, n int, rateBps float64, reps int) (*TrainStats, error)
 }
 
 // trainSetup is the shared preparation of a train measurement: defaults
-// resolved, train length validated, and the input gap derived from the
-// probing rate.
+// resolved, train length and probing rate validated, and the input gap
+// derived from the rate (0 = back to back).
 func (l Link) trainSetup(n int, rateBps float64) (Link, sim.Time, error) {
 	if err := l.Validate(); err != nil {
 		return l, 0, err
@@ -477,6 +485,9 @@ func (l Link) trainSetup(n int, rateBps float64) (Link, sim.Time, error) {
 	l = l.WithDefaults()
 	if n < 1 {
 		return l, 0, fmt.Errorf("probe: train length %d", n)
+	}
+	if math.IsNaN(rateBps) || math.IsInf(rateBps, 0) || rateBps < 0 {
+		return l, 0, fmt.Errorf("probe: probing rate must be finite and >= 0 (0 = back to back), got %g", rateBps)
 	}
 	var gI sim.Time
 	if rateBps > 0 {
@@ -729,8 +740,8 @@ func MeasureSteadyState(l Link, rateBps float64, duration sim.Time) (*SteadyStat
 		return nil, err
 	}
 	l = l.WithDefaults()
-	if rateBps <= 0 {
-		return nil, fmt.Errorf("probe: steady state needs positive rate, got %g", rateBps)
+	if math.IsNaN(rateBps) || math.IsInf(rateBps, 0) || rateBps <= 0 {
+		return nil, fmt.Errorf("probe: steady state needs a finite positive rate, got %g", rateBps)
 	}
 	if duration <= 0 {
 		return nil, fmt.Errorf("probe: non-positive duration %v", duration)

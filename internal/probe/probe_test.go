@@ -262,6 +262,60 @@ func TestMeasureErrors(t *testing.T) {
 	if _, err := MeasureSteadyState(quietLink(1), 1e6, 0); err == nil {
 		t.Error("zero duration accepted")
 	}
+	// A train's rate must yield an input gap: NaN, negative and
+	// infinite rates are typed errors, not a back-to-back train. Rate 0
+	// stays the back-to-back rate (MeasurePair).
+	for _, rate := range []float64{math.NaN(), -1e6, math.Inf(1), math.Inf(-1)} {
+		if _, err := PlanTrain(quietLink(1), 2, rate); err == nil {
+			t.Errorf("PlanTrain accepted rate %g", rate)
+		}
+		if _, err := MeasureTrain(quietLink(1), 2, rate, 1); err == nil {
+			t.Errorf("MeasureTrain accepted rate %g", rate)
+		}
+		if _, err := MeasureTrainOne(quietLink(1), 2, rate, 0); err == nil {
+			t.Errorf("MeasureTrainOne accepted rate %g", rate)
+		}
+	}
+	// A steady state needs a finite positive rate: NaN would reach the
+	// engine as out-of-order arrivals, +Inf as a zero-gap source.
+	for _, rate := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := MeasureSteadyState(quietLink(1), rate, sim.Second); err == nil {
+			t.Errorf("MeasureSteadyState accepted rate %g", rate)
+		}
+	}
+}
+
+// TestIdleFlows pins a zero-rate flow as idle: a link with a zero-rate
+// contender and a zero-rate FIFO flow measures a train and a steady
+// state, and both flows carry 0 b/s while the probe gets through.
+func TestIdleFlows(t *testing.T) {
+	l := quietLink(3)
+	l.Contenders = []Flow{{Size: 1500}}
+	l.FIFOCross = []Flow{{Size: 1500}}
+	ts, err := MeasureTrain(l, 10, 2e6, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rep, s := range ts.Samples {
+		if s.Delivered != 10 || s.Truncated {
+			t.Errorf("rep %d: %d of 10 probes delivered (truncated %v)", rep, s.Delivered, s.Truncated)
+		}
+		for i, q := range s.QueueAtDepart {
+			if q != 0 {
+				t.Errorf("rep %d: idle contender queue %g at probe %d", rep, q, i)
+			}
+		}
+	}
+	ss, err := MeasureSteadyState(l, 2e6, 500*sim.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ss.FIFORate != 0 || len(ss.CrossRates) != 1 || ss.CrossRates[0] != 0 {
+		t.Errorf("idle flows carried traffic: FIFO %g b/s, contenders %v", ss.FIFORate, ss.CrossRates)
+	}
+	if ss.ProbeRate <= 0 {
+		t.Errorf("probe carried %g b/s beside idle flows", ss.ProbeRate)
+	}
 }
 
 func TestReplicationsVary(t *testing.T) {

@@ -16,7 +16,7 @@
 // per-unit claim — one atomic increment, one closure dispatch, one
 // cache-line ping between cores per ~0.15 ms of work — is what turned
 // the worker sweep into a plateau. A chunk amortizes that overhead over
-// ChunkSize units while scheduling stays dynamic (workers still race
+// its units while scheduling stays dynamic (workers still race
 // for the next chunk, so a slow chunk cannot strand the tail on one
 // worker). Chunking is invisible to the results: values land at their
 // unit's index either way.
@@ -52,10 +52,10 @@ func Workers(n int) int {
 // amortizing the per-claim atomic and dispatch overhead.
 const chunksPerWorker = 4
 
-// DefaultChunk returns the chunk size Map uses for n units on w
+// defaultChunk returns the chunk size Map uses for n units on w
 // (resolved) workers: n/(w*chunksPerWorker), at least 1. With one
 // worker there is nothing to balance, so the whole range is one chunk.
-func DefaultChunk(n, w int) int {
+func defaultChunk(n, w int) int {
 	if w <= 1 {
 		return n
 	}
@@ -68,7 +68,7 @@ func DefaultChunk(n, w int) int {
 
 // Map runs fn(0), fn(1), …, fn(n-1) on up to workers goroutines and
 // returns the n results in index order. Chunks of units are claimed
-// from a shared counter (DefaultChunk sizes them), so scheduling is
+// from a shared counter (sized automatically), so scheduling is
 // dynamic but the merge is deterministic.
 //
 // If any unit fails, Map stops claiming new chunks, abandons the
@@ -78,22 +78,17 @@ func DefaultChunk(n, w int) int {
 // schedules that hit the same errors). A nil error guarantees every
 // unit ran exactly once.
 func Map[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
-	return MapChunked(n, workers, 0, fn)
-}
-
-// MapChunked is Map with an explicit chunk size: workers claim
-// contiguous blocks of chunk unit indices at a time. A chunk size
-// below 1 selects DefaultChunk. Results and the error contract are
-// identical to Map at any chunk size; only the claim granularity — and
-// therefore the dispatch overhead — changes.
-func MapChunked[T any](n, workers, chunk int, fn func(i int) (T, error)) ([]T, error) {
-	return MapBatches(n, workers, chunk, nil, func(_ struct{}, i int) (T, error) {
+	return MapBatches(n, workers, 0, nil, func(_ struct{}, i int) (T, error) {
 		return fn(i)
 	})
 }
 
 // MapBatches is the full form of Map: chunked claiming plus per-worker
-// state. newWorker, when non-nil, runs once at the start of each worker
+// state. Workers claim contiguous blocks of chunk unit indices at a
+// time; a chunk size below 1 sizes them automatically. Results and the
+// error contract are identical to Map at any chunk size; only the claim
+// granularity — and therefore the dispatch overhead — changes.
+// newWorker, when non-nil, runs once at the start of each worker
 // goroutine (never concurrently with that worker's units) and its value
 // is passed to every fn call that worker executes — the hook for
 // resources that are expensive to build and safe to reuse serially,
@@ -113,7 +108,7 @@ func MapBatches[T, W any](n, workers, chunk int, newWorker func() W, fn func(w W
 		w = n
 	}
 	if chunk < 1 {
-		chunk = DefaultChunk(n, w)
+		chunk = defaultChunk(n, w)
 	}
 	out := make([]T, n)
 	errs := make([]error, n)

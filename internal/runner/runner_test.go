@@ -122,18 +122,18 @@ func TestDefaultChunk(t *testing.T) {
 		{33, 2, 4}, // remainder truncates, never rounds to 0
 	}
 	for _, tc := range cases {
-		if got := DefaultChunk(tc.n, tc.w); got != tc.want {
-			t.Errorf("DefaultChunk(%d, %d) = %d, want %d", tc.n, tc.w, got, tc.want)
+		if got := defaultChunk(tc.n, tc.w); got != tc.want {
+			t.Errorf("defaultChunk(%d, %d) = %d, want %d", tc.n, tc.w, got, tc.want)
 		}
 	}
 }
 
-// TestMapChunkedEdgeCases drives explicit chunk sizes through the
-// shapes that exercise the claim-loop boundaries: a chunk larger than
-// n, a chunk of one (per-unit claiming, the pre-batching behaviour), n
-// not divisible by the chunk (short final chunk), and chunk == n.
-// Every shape must yield the identical ordered results with each unit
-// run exactly once.
+// TestMapChunkedEdgeCases drives explicit chunk sizes through
+// MapBatches (nil newWorker) in the shapes that exercise the claim-loop
+// boundaries: a chunk larger than n, a chunk of one (per-unit claiming,
+// the pre-batching behaviour), n not divisible by the chunk (short
+// final chunk), and chunk == n. Every shape must yield the identical
+// ordered results with each unit run exactly once.
 func TestMapChunkedEdgeCases(t *testing.T) {
 	cases := []struct {
 		name              string
@@ -149,7 +149,7 @@ func TestMapChunkedEdgeCases(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var counts [64]atomic.Int32
-			got, err := MapChunked(tc.n, tc.workers, tc.chunk, func(i int) (int, error) {
+			got, err := MapBatches(tc.n, tc.workers, tc.chunk, nil, func(_ struct{}, i int) (int, error) {
 				counts[i].Add(1)
 				return i * i, nil
 			})
@@ -179,7 +179,7 @@ func TestMapChunkedEdgeCases(t *testing.T) {
 // the failure must never run.
 func TestMapChunkedErrorStopsClaiming(t *testing.T) {
 	var ran [40]atomic.Int32
-	_, err := MapChunked(40, 1, 4, func(i int) (int, error) {
+	_, err := MapBatches(40, 1, 4, nil, func(_ struct{}, i int) (int, error) {
 		ran[i].Add(1)
 		if i >= 6 {
 			return 0, errors.New("fail")
@@ -260,7 +260,7 @@ func TestMapBatchesRunsWorkersAtOnce(t *testing.T) {
 }
 
 // TestMapBatchesNilNewWorker: the zero value of W is handed to fn when
-// no constructor is given (the MapChunked path).
+// no constructor is given (the Map path).
 func TestMapBatchesNilNewWorker(t *testing.T) {
 	got, err := MapBatches(8, 2, 0, nil, func(w int, i int) (int, error) {
 		return w + i, nil // w is always the zero int

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"csmabw/internal/estimate"
 	"csmabw/internal/mac"
 	"csmabw/internal/phy"
 	"csmabw/internal/probe"
@@ -41,22 +40,10 @@ type Probing struct {
 	DurationSeconds float64
 }
 
-// Estimator is the compiled closed-loop estimator campaign settings.
-type Estimator struct {
-	// Kind is topp, slops, adaptive or all.
-	Kind string
-	// TargetRel is the adaptive CI95 target (0 = tool default).
-	TargetRel float64
-	// ResolutionBps is the SLoPS resolution in bit/s (0 = default).
-	ResolutionBps float64
-	// Budget caps the campaign (zero value = uncapped).
-	Budget estimate.Budget
-}
-
 // Compiled is a scenario compiled into engine configuration: the
-// measured cell as a validated probe.Link, the probing plan, the
-// optional estimator campaign, and presentation metadata. It is
-// immutable by convention — tools that override fields copy it first.
+// measured cell as a validated probe.Link, the probing plan and
+// presentation metadata. It is immutable by convention — tools that
+// override fields copy it first.
 type Compiled struct {
 	// Name is the scenario (and derived figure) identifier.
 	Name string
@@ -70,9 +57,6 @@ type Compiled struct {
 	StationNames []string
 	// Probing is the measurement plan.
 	Probing Probing
-	// Estimator is the optional estimator campaign (nil when the spec
-	// has none).
-	Estimator *Estimator
 	// Notes are the spec's free-text annotations.
 	Notes []string
 }
@@ -314,38 +298,6 @@ func (s *Spec) compileEvents(names []string) ([]mac.ScheduledEvent, error) {
 	return out, nil
 }
 
-// compileEstimator validates the estimator campaign settings.
-func compileEstimator(e *EstimatorSpec) (*Estimator, error) {
-	if e == nil {
-		return nil, nil
-	}
-	out := &Estimator{Kind: e.Kind}
-	if out.Kind == "" {
-		out.Kind = "all"
-	}
-	switch out.Kind {
-	case "all", "topp", "slops", "adaptive":
-	default:
-		return nil, errAt("estimator.kind", "unknown estimator %q (all|topp|slops|adaptive)", e.Kind)
-	}
-	if e.TargetRel < 0 || e.TargetRel >= 1 {
-		return nil, errAt("estimator.target_rel", "relative CI target %g outside [0, 1)", e.TargetRel)
-	}
-	out.TargetRel = e.TargetRel
-	if e.ResolutionMbps < 0 {
-		return nil, errAt("estimator.resolution_mbps", "negative resolution %g", e.ResolutionMbps)
-	}
-	out.ResolutionBps = e.ResolutionMbps * 1e6
-	if e.MaxProbeSeconds < 0 {
-		return nil, errAt("estimator.max_probe_seconds", "negative budget %g", e.MaxProbeSeconds)
-	}
-	if e.MaxPackets < 0 {
-		return nil, errAt("estimator.max_packets", "negative budget %d", e.MaxPackets)
-	}
-	out.Budget = estimate.Budget{MaxProbeSeconds: e.MaxProbeSeconds, MaxPackets: e.MaxPackets}
-	return out, nil
-}
-
 // Compile turns a parsed spec into engine configuration, validating
 // everything statically: value ranges, topology bounds against the
 // station count, plan consistency, and conflicts the engine would
@@ -486,9 +438,6 @@ func (s *Spec) Compile() (*Compiled, error) {
 		size = 1500
 	}
 	if c.Probing, err = compileProbing(s.Probing, size); err != nil {
-		return nil, err
-	}
-	if c.Estimator, err = compileEstimator(s.Estimator); err != nil {
 		return nil, err
 	}
 	return c, nil

@@ -24,8 +24,7 @@ func FuzzScenarioSpec(f *testing.F) {
 		  "stations": [{"traffic": {"kind": "onoff", "rate_mbps": 2, "size_bytes": 1500,
 		                            "on_seconds": 0.2, "off_seconds": 0.3}, "ac": "be"}],
 		  "channel": {"fer": 0.05, "topology": {"kind": "chain"}},
-		  "probing": {"plan": "train", "packets": 50, "gap_ms": 4},
-		  "estimator": {"kind": "all", "max_packets": 100}}`,
+		  "probing": {"plan": "train", "packets": 50, "gap_ms": 4}}`,
 		`{"name": "t", "probing": {"plan": "train", "packets": 10, "rate_mbps": 1e999}}`,
 		`{"name": "t", "channel": {"topology": {"kind": "links", "links": [[0, 1]]}},
 		  "stations": [{"traffic": {"rate_mbps": 1}}],

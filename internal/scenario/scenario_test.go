@@ -75,8 +75,6 @@ func TestFullSpec(t *testing.T) {
 		],
 		"channel": {"fer": 0.01, "ber": 1e-6, "capture_db": 6},
 		"probing": {"plan": "steady", "rate_mbps": 8, "duration_seconds": 2},
-		"estimator": {"kind": "adaptive", "target_rel": 0.1,
-		              "resolution_mbps": 0.5, "max_probe_seconds": 3, "max_packets": 4000},
 		"notes": ["0-1s warm-up", "1-3s measured"]
 	}`)
 	l := c.Link
@@ -107,11 +105,6 @@ func TestFullSpec(t *testing.T) {
 	}
 	if c.Probing.Plan != PlanSteady || c.Probing.RateBps != 8e6 || c.Probing.DurationSeconds != 2 {
 		t.Fatalf("probing %+v", c.Probing)
-	}
-	e := c.Estimator
-	if e == nil || e.Kind != "adaptive" || e.TargetRel != 0.1 || e.ResolutionBps != 0.5e6 ||
-		e.Budget.MaxProbeSeconds != 3 || e.Budget.MaxPackets != 4000 {
-		t.Fatalf("estimator %+v", e)
 	}
 	if len(c.Notes) != 2 {
 		t.Fatalf("notes %v", c.Notes)
@@ -186,16 +179,12 @@ func TestSemanticErrors(t *testing.T) {
 		"channel": {"capture_db": -3},
 		"probing": {"plan": "train", "packets": 10}
 	}`, "channel.capture_db")
+	// Estimator settings belong to campaign files, not to the cell.
 	wantErr(t, `{
 		"name": "t",
-		"estimator": {"kind": "oracle"},
+		"estimator": {"kind": "all"},
 		"probing": {"plan": "train", "packets": 10}
-	}`, "estimator.kind")
-	wantErr(t, `{
-		"name": "t",
-		"estimator": {"target_rel": 1.0},
-		"probing": {"plan": "train", "packets": 10}
-	}`, "estimator.target_rel")
+	}`, "estimator: unknown key")
 }
 
 func TestTopologyCompilation(t *testing.T) {

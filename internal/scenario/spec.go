@@ -1,15 +1,16 @@
 // Package scenario is the declarative front door to the simulator: a
 // small JSON spec — one file per measured cell — describing the
 // stations (access category, data rate, power, traffic source), the
-// hearing topology, the channel error models, the probing plan and the
-// estimator settings, compiled into the existing probe.Link /
-// mac.Config / estimate structures. The compiler validates everything
-// statically — unknown keys, NaN/Inf/negative knobs, topology bounds,
-// TXOP-vs-hidden-topology conflicts — and rejects a bad spec with a
-// positional error ("stations[2].traffic.rate_mbps: …") before
-// anything runs. Every cmd tool accepts a spec through the shared
-// -scenario flag, and the checked-in library under scenarios/ holds
-// the reusable cells the experiment drivers and docs point at.
+// hearing topology, the channel error models and the probing plan,
+// compiled into the existing probe.Link / mac.Config structures. The
+// compiler validates everything statically — unknown keys,
+// NaN/Inf/negative knobs, topology bounds, TXOP-vs-hidden-topology
+// conflicts — and rejects a bad spec with a positional error
+// ("stations[2].traffic.rate_mbps: …") before anything runs. A spec is
+// the only way to describe a cell to the cmd tools: the -scenario
+// flag names one, and campaign and pathsel files list them. The
+// checked-in library under scenarios/ holds the reusable cells the
+// experiment drivers and docs point at.
 //
 // The spec is deliberately declarative and engine-agnostic: it names
 // workloads (what the cell looks like, how it is probed), not Go
@@ -51,8 +52,6 @@ type Spec struct {
 	Channel ChannelSpec
 	// Probing is the measurement plan (required).
 	Probing ProbingSpec
-	// Estimator optionally configures a closed-loop estimator campaign.
-	Estimator *EstimatorSpec
 	// Events are the structured mid-run parameter changes — the
 	// time-varying channel. Compile validates and lowers them into the
 	// engine's event schedule.
@@ -178,22 +177,6 @@ type ProbingSpec struct {
 	DurationSeconds float64
 }
 
-// EstimatorSpec configures a closed-loop estimator campaign over the
-// compiled cell.
-type EstimatorSpec struct {
-	// Kind is topp, slops, adaptive or all.
-	Kind string
-	// TargetRel is the adaptive controller's relative CI95 target
-	// (0 = tool default).
-	TargetRel float64
-	// ResolutionMbps is the SLoPS bisection resolution (0 = default).
-	ResolutionMbps float64
-	// MaxProbeSeconds caps the campaign's cumulative wire time (0 = uncapped).
-	MaxProbeSeconds float64
-	// MaxPackets caps the campaign's probe packets (0 = uncapped).
-	MaxPackets int
-}
-
 // Parse decodes a scenario spec from JSON, strictly: unknown keys,
 // wrong types and non-finite numbers are positional errors (the Obj
 // walker in walker.go). Parse only checks structure; Compile performs
@@ -271,16 +254,6 @@ func Parse(data []byte) (*Spec, error) {
 		pr.Done()
 	} else if root.Err() == nil {
 		root.Fail("probing", "spec needs a probing plan")
-	}
-	if est := root.Child("estimator"); est != nil {
-		s.Estimator = &EstimatorSpec{
-			Kind:            est.Str("kind"),
-			TargetRel:       est.Num("target_rel"),
-			ResolutionMbps:  est.Num("resolution_mbps"),
-			MaxProbeSeconds: est.Num("max_probe_seconds"),
-			MaxPackets:      est.Int("max_packets"),
-		}
-		est.Done()
 	}
 	root.Done()
 	if err := root.Err(); err != nil {
