@@ -74,6 +74,9 @@ func parseArgs(args []string) (*dcfConfig, error) {
 	if c.duration <= 0 {
 		return nil, fmt.Errorf("-duration %g: must be positive", c.duration)
 	}
+	if c.duration > sim.MaxSeconds {
+		return nil, fmt.Errorf("-duration %g: must be at most %.4g s", c.duration, sim.MaxSeconds)
+	}
 	if c.reps < 1 {
 		return nil, fmt.Errorf("-reps %d: must be at least 1", c.reps)
 	}

@@ -171,6 +171,7 @@ func TestParseArgs(t *testing.T) {
 		{name: "missing spec file", args: []string{"-scenario", "no-such.json"}, frag: "no-such.json"},
 		{name: "zero duration", args: []string{"-scenario", meshSpec, "-duration", "0"}, frag: "-duration"},
 		{name: "NaN duration", args: []string{"-scenario", meshSpec, "-duration", "NaN"}, frag: "-duration"},
+		{name: "duration past the clock", args: []string{"-scenario", meshSpec, "-duration", "1e10"}, frag: "-duration"},
 		{name: "zero reps", args: []string{"-scenario", meshSpec, "-reps", "0"}, frag: "-reps"},
 		{name: "negative rts", args: []string{"-scenario", meshSpec, "-rts", "-1"}, frag: "-rts"},
 		// The structured cell flags are gone: each is a spec field now.

@@ -252,35 +252,6 @@ func TestShapeFig16(t *testing.T) {
 	}
 }
 
-// Every registry entry runs end to end at a tiny scale — the smoke test
-// behind cmd/figures.
-func TestRegistryRunnersSmoke(t *testing.T) {
-	skipShort(t)
-	for _, entry := range experiments.Registry() {
-		entry := entry
-		t.Run(entry.ID, func(t *testing.T) {
-			fig, err := entry.Run(experiments.Tiny())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fig.ID != entry.ID {
-				t.Errorf("figure reports id %q", fig.ID)
-			}
-			if len(fig.Series) == 0 {
-				t.Fatal("no series")
-			}
-			for _, s := range fig.Series {
-				if len(s.X) == 0 || len(s.X) != len(s.Y) {
-					t.Errorf("series %q malformed: %d/%d points", s.Name, len(s.X), len(s.Y))
-				}
-			}
-			if fig.CSV() == "" || fig.Table() == "" {
-				t.Error("empty rendering")
-			}
-		})
-	}
-}
-
 // Appendix A cross-validation: the Matlab-substitute queueing
 // simulator, fed with the MAC engine's measured per-index access-delay
 // distributions, reproduces the MAC engine's dispersion for the same

@@ -18,6 +18,7 @@ import (
 	"csmabw/internal/campaign"
 	"csmabw/internal/experiments"
 	"csmabw/internal/scenario"
+	"csmabw/internal/sim"
 )
 
 // Defaults are the per-tool defaults for the common flags.
@@ -203,6 +204,9 @@ func (f *Flags) Scale() (experiments.Scale, error) {
 	}
 	if f.Seconds < 0 {
 		return sc, fmt.Errorf("-seconds %g: must be >= 0 (0 = preset value)", f.Seconds)
+	}
+	if f.Seconds > sim.MaxSeconds {
+		return sc, fmt.Errorf("-seconds %g: must be at most %.4g s", f.Seconds, sim.MaxSeconds)
 	}
 	if f.Reps < 0 {
 		return sc, fmt.Errorf("-reps %d: must be >= 0 (0 = preset value)", f.Reps)

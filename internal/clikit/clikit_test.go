@@ -158,6 +158,7 @@ func TestScaleRejectsNonFiniteAndNegative(t *testing.T) {
 		{"seconds +Inf", []string{"-seconds", "Inf"}},
 		{"seconds -Inf", []string{"-seconds", "-Inf"}},
 		{"seconds negative", []string{"-seconds", "-1"}},
+		{"seconds past the clock", []string{"-seconds", "1e10"}},
 		{"reps negative", []string{"-reps", "-5"}},
 		{"points negative", []string{"-points", "-2"}},
 	}

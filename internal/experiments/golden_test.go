@@ -37,7 +37,7 @@ var goldenAllocs = map[string]uint64{
 	"fig04":            404,
 	"fig06":            238,
 	"fig07":            257,
-	"fig08":            765,
+	"fig08":            557,
 	"fig09":            625,
 	"fig10":            2106,
 	"fig13":            3026,
@@ -67,7 +67,9 @@ var goldenAllocs = map[string]uint64{
 // other worker count's and whose allocation count does not depend on
 // the scheduler, so the same pass checks each run's count against
 // goldenAllocs: above want*1.10+64 is a regression, below want*0.75 a
-// stale row.
+// stale row. It also holds the checks cmd/figures relies on: each
+// figure reports its entry's ID, every series has as many X as Y
+// values, and the table rendering is not empty.
 func TestGoldenFigures(t *testing.T) {
 	for _, entry := range Registry() {
 		entry := entry
@@ -81,10 +83,16 @@ func TestGoldenFigures(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkAllocs(t, entry.ID, allocs)
+			if fig.ID != entry.ID {
+				t.Errorf("figure reports id %q", fig.ID)
+			}
 			for _, s := range fig.Series {
 				if len(s.X) != len(s.Y) {
 					t.Errorf("series %q has %d X values and %d Y values", s.Name, len(s.X), len(s.Y))
 				}
+			}
+			if fig.Table() == "" {
+				t.Error("empty table rendering")
 			}
 			got := fig.CSV()
 			path := goldenPath(entry.ID)

@@ -249,17 +249,6 @@ func (l Link) Validate() error {
 	return nil
 }
 
-// channel assembles the propagation model the link describes. The
-// zero-value knobs yield the zero mac.Channel: the perfect single
-// collision domain, byte-identical to the pre-extension engine.
-func (l Link) channel() mac.Channel {
-	return mac.Channel{
-		Topology:           l.Topology,
-		Loss:               l.Loss,
-		CaptureThresholdDB: l.CaptureDB,
-	}
-}
-
 // TrainSample is the outcome of one probing-train replication.
 type TrainSample struct {
 	// Delivered probe frames' departure times, indexed by train index;
@@ -308,7 +297,7 @@ type TrainStats struct {
 // starts WarmUp plus an exponential offset after time zero — the
 // paper's "Poisson spacing between probing sequences" that guarantees
 // the trains sample the cross-traffic process in random phase.
-func (l Link) scenario(n int, gI sim.Time, rep int64) (mac.Config, sim.Time) {
+func (l Link) scenario(n int, gI sim.Time, rep int64) mac.Config {
 	r := sim.NewRand(l.Seed).Split(uint64(rep) + 0x5eed)
 	start := l.WarmUp + r.ExpTime(50*sim.Millisecond)
 
@@ -318,30 +307,38 @@ func (l Link) scenario(n int, gI sim.Time, rep int64) (mac.Config, sim.Time) {
 	drain := sim.Time(n)*gI + sim.Time(n)*40*sim.Millisecond + 200*sim.Millisecond
 	end := start + drain
 
-	station0 := []traffic.Source{traffic.NewTrain(n, gI, l.ProbeSize, start)}
+	return l.MACConfig(traffic.NewTrain(n, gI, l.ProbeSize, start), r, l.Seed^(rep+1)*0x9e3779b9, end)
+}
+
+// MACConfig assembles the engine configuration of one run of the cell
+// the link describes, with engine seed seed, over [0, end): station 0
+// is the probing station, which sends probe merged with the FIFO cross
+// flows on one transmission queue, and stations 1.. are the
+// contenders. Each cross flow draws from its own split of r, FIFO
+// flows first. The link's channel and its power, access-category and
+// data-rate knobs apply here, so a new Link or Flow knob reaches the
+// train and steady-state measurements and scenario.Compiled.MACConfig
+// alike. The zero-value channel knobs yield the zero mac.Channel: the
+// perfect single collision domain. l must be validated and have its
+// defaults applied.
+func (l Link) MACConfig(probe traffic.Source, r *sim.Rand, seed int64, end sim.Time) mac.Config {
+	station0 := []traffic.Source{probe}
 	for fi, f := range l.FIFOCross {
-		station0 = append(station0,
-			f.Source(r.Split(uint64(fi)+100), end))
+		station0 = append(station0, f.Source(r.Split(uint64(fi)+100), end))
 	}
 	cfg := mac.Config{
-		Phy:          l.Phy,
-		Seed:         l.Seed ^ (rep+1)*0x9e3779b9,
-		Channel:      l.channel(),
+		Phy:     l.Phy,
+		Seed:    seed,
+		Horizon: end,
+		Channel: mac.Channel{
+			Topology:           l.Topology,
+			Loss:               l.Loss,
+			CaptureThresholdDB: l.CaptureDB,
+		},
 		RTSThreshold: l.RTSThreshold,
 		Schedule:     l.Schedule,
 	}
-	cfg.Stations = l.stations(station0, r, end)
-	return cfg, end
-}
-
-// stations assembles the scenario's station list — the probing station
-// (probe and FIFO flows merged onto one FIFO queue) plus one station
-// per contender — applying the link's power, access-category and
-// data-rate knobs. Both the train and the steady-state scenarios build
-// their cells here, so a new Link or Flow knob cannot silently apply
-// to one measurement and not the other.
-func (l Link) stations(station0 []traffic.Source, r *sim.Rand, end sim.Time) []mac.StationConfig {
-	out := []mac.StationConfig{{
+	cfg.Stations = []mac.StationConfig{{
 		Name:     "probe",
 		Source:   traffic.MergeSources(station0...),
 		PowerDB:  l.ProbePowerDB,
@@ -349,7 +346,7 @@ func (l Link) stations(station0 []traffic.Source, r *sim.Rand, end sim.Time) []m
 		DataRate: l.ProbeDataRateBps,
 	}}
 	for ci, f := range l.Contenders {
-		out = append(out, mac.StationConfig{
+		cfg.Stations = append(cfg.Stations, mac.StationConfig{
 			Name:     contenderName(ci),
 			Source:   f.Source(r.Split(uint64(ci)+200), end),
 			PowerDB:  f.PowerDB,
@@ -357,7 +354,7 @@ func (l Link) stations(station0 []traffic.Source, r *sim.Rand, end sim.Time) []m
 			DataRate: f.DataRateBps,
 		})
 	}
-	return out
+	return cfg
 }
 
 // contenderNames are the station names of the first contenders,
@@ -524,7 +521,7 @@ func MeasureTrainOne(l Link, n int, rateBps float64, rep int) (TrainSample, erro
 // never reads them), and a run that hits the horizon with unresolved
 // probes is flagged Truncated.
 func (l Link) measureTrainOnce(m *TrainMeter, n int, gI sim.Time, rep int64) (TrainSample, error) {
-	cfg, end := l.scenario(n, gI, rep)
+	cfg := l.scenario(n, gI, rep)
 	sample := TrainSample{
 		Departures:   make([]sim.Time, n),
 		AccessDelays: make([]float64, n),
@@ -556,7 +553,6 @@ func (l Link) measureTrainOnce(m *TrainMeter, n int, gI sim.Time, rep int64) (Tr
 	}
 	cfg.StopWhen = func() bool { return resolved >= n }
 	cfg.RecordFrames = func(station int) bool { return station == 0 }
-	cfg.Horizon = end
 	res, err := m.run(cfg)
 	if err != nil {
 		return TrainSample{}, err
@@ -653,17 +649,24 @@ func (ts *TrainStats) RateEstimate() (float64, error) {
 // DelaysByIndex returns the replication-by-index access delay matrix in
 // seconds, skipping dropped packets (rows keep their length; dropped
 // entries are removed per row from the tail comparisons by callers via
-// the -1 sentinel filter).
+// the -1 sentinel filter). The rows share one backing array, each
+// capped at its length, so appending to a row never writes into the
+// next.
 func (ts *TrainStats) DelaysByIndex() [][]float64 {
+	total := 0
+	for _, s := range ts.Samples {
+		total += len(s.AccessDelays)
+	}
+	buf := make([]float64, 0, total)
 	out := make([][]float64, 0, len(ts.Samples))
 	for _, s := range ts.Samples {
-		row := make([]float64, 0, len(s.AccessDelays))
+		start := len(buf)
 		for _, d := range s.AccessDelays {
 			if d >= 0 {
-				row = append(row, d)
+				buf = append(buf, d)
 			}
 		}
-		out = append(out, row)
+		out = append(out, buf[start:len(buf):len(buf)])
 	}
 	return out
 }
@@ -681,11 +684,17 @@ func (ts *TrainStats) QueueByIndex() [][]float64 {
 // InterDepartureGaps concatenates, over replications, the successive
 // inter-departure gaps of each train (seconds) — the input for the
 // MSER correction of Section 7.4. Gaps spanning a dropped packet are
-// omitted.
+// omitted. The rows share one backing array, each capped at its
+// length, as in DelaysByIndex.
 func (ts *TrainStats) InterDepartureGaps() [][]float64 {
+	total := 0
+	for _, s := range ts.Samples {
+		total += max(len(s.Departures)-1, 0)
+	}
+	buf := make([]float64, 0, total)
 	out := make([][]float64, 0, len(ts.Samples))
 	for _, s := range ts.Samples {
-		var row []float64
+		start := len(buf)
 		prev := sim.Time(-1)
 		for _, d := range s.Departures {
 			if d < 0 {
@@ -693,11 +702,11 @@ func (ts *TrainStats) InterDepartureGaps() [][]float64 {
 				continue
 			}
 			if prev >= 0 {
-				row = append(row, (d - prev).Seconds())
+				buf = append(buf, (d - prev).Seconds())
 			}
 			prev = d
 		}
-		out = append(out, row)
+		out = append(out, buf[start:len(buf):len(buf)])
 	}
 	return out
 }
@@ -750,21 +759,7 @@ func MeasureSteadyState(l Link, rateBps float64, duration sim.Time) (*SteadyStat
 	start := l.WarmUp
 	end := start + duration
 
-	station0 := []traffic.Source{traffic.Marked(traffic.NewCBR(rateBps, l.ProbeSize, start, end))}
-	for fi, f := range l.FIFOCross {
-		station0 = append(station0,
-			f.Source(r.Split(uint64(fi)+100), end))
-	}
-	cfg := mac.Config{
-		Phy:          l.Phy,
-		Seed:         l.Seed,
-		Horizon:      end,
-		Channel:      l.channel(),
-		RTSThreshold: l.RTSThreshold,
-		Schedule:     l.Schedule,
-	}
-	cfg.Stations = l.stations(station0, r, end)
-	res, err := mac.Run(cfg)
+	res, err := mac.Run(l.MACConfig(traffic.Marked(traffic.NewCBR(rateBps, l.ProbeSize, start, end)), r, l.Seed, end))
 	if err != nil {
 		return nil, err
 	}

@@ -164,6 +164,32 @@ func TestInterDepartureGaps(t *testing.T) {
 	}
 }
 
+// TestMatrixRowsAreCapped: the rows of DelaysByIndex and
+// InterDepartureGaps share one backing array, so each must be capped at
+// its length — appending to row i must leave row i+1 as it was.
+func TestMatrixRowsAreCapped(t *testing.T) {
+	ts := &TrainStats{Samples: []TrainSample{
+		{Departures: []sim.Time{10, -1, 30, 45}, AccessDelays: []float64{1e-3, -1, 2e-3, 3e-3}},
+		{Departures: []sim.Time{12, 20, 31, 50}, AccessDelays: []float64{4e-3, 5e-3, 6e-3, 7e-3}},
+	}}
+	for _, c := range []struct {
+		name string
+		rows [][]float64
+		want [][]float64
+	}{
+		{"DelaysByIndex", ts.DelaysByIndex(), [][]float64{{1e-3, 2e-3, 3e-3}, {4e-3, 5e-3, 6e-3, 7e-3}}},
+		{"InterDepartureGaps", ts.InterDepartureGaps(), [][]float64{{15e-9}, {8e-9, 11e-9, 19e-9}}},
+	} {
+		if !reflect.DeepEqual(c.rows, c.want) {
+			t.Fatalf("%s = %v, want %v", c.name, c.rows, c.want)
+		}
+		_ = append(c.rows[0], 99, 99)
+		if !reflect.DeepEqual(c.rows[1], c.want[1]) {
+			t.Errorf("%s: appending to row 0 changed row 1 to %v", c.name, c.rows[1])
+		}
+	}
+}
+
 func TestMeasurePairNoCrossNearCapacity(t *testing.T) {
 	// Packet pair with an idle channel measures close to the maximum
 	// throughput (no contention: back-to-back service).

@@ -13,13 +13,17 @@
 //
 // Work is claimed in contiguous chunks of unit indices rather than one
 // unit at a time. Paper-style replications are short (~0.1-1 ms), so a
-// per-unit claim — one atomic increment, one closure dispatch, one
+// per-unit claim — one atomic operation, one closure dispatch, one
 // cache-line ping between cores per ~0.15 ms of work — is what turned
-// the worker sweep into a plateau. A chunk amortizes that overhead over
-// its units while scheduling stays dynamic (workers still race
-// for the next chunk, so a slow chunk cannot strand the tail on one
-// worker). Chunking is invisible to the results: values land at their
-// unit's index either way.
+// the worker sweep into a plateau. Claims are guided: each takes a
+// share of the units still unclaimed, max(1, remaining/(2·workers)),
+// so the first claims are long and amortize that overhead, and the
+// last are single units, so no worker is left holding a long chunk
+// while the others have finished. Fixed chunks of a caller's size
+// remain for callers that need them (campaign.Run claims one job at a
+// time); with one worker the whole range is one claim. Chunking is
+// invisible to the results: values land at their unit's index either
+// way.
 //
 // MapBatches additionally gives every worker goroutine a private state
 // value, built once when the worker starts and handed to each unit that
@@ -46,30 +50,10 @@ func Workers(n int) int {
 	return n
 }
 
-// chunksPerWorker tunes automatic chunk sizing: each worker claims
-// about this many chunks over a run, keeping dynamic load balancing
-// (a worker that drew a slow chunk claims fewer later ones) while
-// amortizing the per-claim atomic and dispatch overhead.
-const chunksPerWorker = 4
-
-// defaultChunk returns the chunk size Map uses for n units on w
-// (resolved) workers: n/(w*chunksPerWorker), at least 1. With one
-// worker there is nothing to balance, so the whole range is one chunk.
-func defaultChunk(n, w int) int {
-	if w <= 1 {
-		return n
-	}
-	c := n / (w * chunksPerWorker)
-	if c < 1 {
-		c = 1
-	}
-	return c
-}
-
 // Map runs fn(0), fn(1), …, fn(n-1) on up to workers goroutines and
 // returns the n results in index order. Chunks of units are claimed
-// from a shared counter (sized automatically), so scheduling is
-// dynamic but the merge is deterministic.
+// from a shared counter (guided claims), so scheduling is dynamic but
+// the merge is deterministic.
 //
 // If any unit fails, Map stops claiming new chunks, abandons the
 // unprocessed remainder of every in-flight chunk, waits for in-flight
@@ -85,7 +69,8 @@ func Map[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
 
 // MapBatches is the full form of Map: chunked claiming plus per-worker
 // state. Workers claim contiguous blocks of chunk unit indices at a
-// time; a chunk size below 1 sizes them automatically. Results and the
+// time; a chunk size below 1 selects guided claims of
+// max(1, remaining/(2·workers)) units each. Results and the
 // error contract are identical to Map at any chunk size; only the claim
 // granularity — and therefore the dispatch overhead — changes.
 // newWorker, when non-nil, runs once at the start of each worker
@@ -107,12 +92,27 @@ func MapBatches[T, W any](n, workers, chunk int, newWorker func() W, fn func(w W
 	if w > n {
 		w = n
 	}
-	if chunk < 1 {
-		chunk = defaultChunk(n, w)
+	if chunk < 1 && w == 1 {
+		chunk = n
 	}
 	out := make([]T, n)
 	errs := make([]error, n)
 	var next atomic.Int64
+	// claim returns the next block of unit indices, empty once every
+	// unit is claimed.
+	claim := func() (lo, hi int) {
+		for {
+			lo = int(next.Load())
+			size := chunk
+			if size < 1 {
+				size = guided(n-lo, w)
+			}
+			hi = min(lo+size, n)
+			if lo >= n || next.CompareAndSwap(int64(lo), int64(hi)) {
+				return lo, hi
+			}
+		}
+	}
 	var failed atomic.Bool
 	var wg sync.WaitGroup
 	for k := 0; k < w; k++ {
@@ -124,13 +124,9 @@ func MapBatches[T, W any](n, workers, chunk int, newWorker func() W, fn func(w W
 				ws = newWorker()
 			}
 			for !failed.Load() {
-				hi := int(next.Add(int64(chunk)))
-				lo := hi - chunk
-				if lo >= n {
+				lo, hi := claim()
+				if lo >= hi {
 					return
-				}
-				if hi > n {
-					hi = n
 				}
 				for i := lo; i < hi; i++ {
 					if failed.Load() {
@@ -154,6 +150,13 @@ func MapBatches[T, W any](n, workers, chunk int, newWorker func() W, fn func(w W
 		}
 	}
 	return out, nil
+}
+
+// guided is the size of a guided claim with remaining units unclaimed
+// on w workers: half of an even share, so about 2·w·ln(remaining)
+// claims cover the range and the last ones are single units.
+func guided(remaining, w int) int {
+	return max(1, remaining/(2*w))
 }
 
 // ForEach is Map for work that produces no value.

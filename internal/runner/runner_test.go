@@ -108,22 +108,80 @@ func TestForEach(t *testing.T) {
 	}
 }
 
-func TestDefaultChunk(t *testing.T) {
+// TestGuidedClaimSizes pins the guided rule: a claim takes half an
+// even share of the units left, never less than one, so one worker's
+// claims on a range shrink geometrically down to single units.
+func TestGuidedClaimSizes(t *testing.T) {
 	cases := []struct {
-		n, w, want int
+		remaining, w, want int
 	}{
-		{100, 1, 100}, // one worker: nothing to balance, one chunk
-		{100, 0, 100}, // non-positive resolved counts behave like 1
-		{100, 4, 6},   // n/(w*4)
-		{100, 8, 3},
-		{7, 8, 1},  // fewer units than workers: floor at 1
-		{1, 16, 1}, // single unit
-		{32, 2, 4}, // exact division
-		{33, 2, 4}, // remainder truncates, never rounds to 0
+		{200, 2, 50},
+		{150, 2, 37},
+		{100, 4, 12},
+		{1000, 8, 62},
+		{16, 8, 1}, // fewer than 2·w left: single units
+		{3, 2, 1},
+		{1, 2, 1},
 	}
 	for _, tc := range cases {
-		if got := defaultChunk(tc.n, tc.w); got != tc.want {
-			t.Errorf("defaultChunk(%d, %d) = %d, want %d", tc.n, tc.w, got, tc.want)
+		if got := guided(tc.remaining, tc.w); got != tc.want {
+			t.Errorf("guided(%d, %d) = %d, want %d", tc.remaining, tc.w, got, tc.want)
+		}
+	}
+	var sizes []int
+	for lo := 0; lo < 40; {
+		c := guided(40-lo, 2)
+		sizes = append(sizes, c)
+		lo += c
+	}
+	want := []int{10, 7, 5, 4, 3, 2, 2, 1, 1, 1, 1, 1, 1, 1}
+	if fmt.Sprint(sizes) != fmt.Sprint(want) {
+		t.Errorf("claims over 40 units on 2 workers: %v, want %v", sizes, want)
+	}
+}
+
+// TestMapBatchesGuided drives guided claims (chunk 0) at several
+// worker counts and sizes: every unit runs once and lands at its
+// index, and when the upper half of the units fails, the error names
+// the lowest failing unit among those that ran.
+func TestMapBatchesGuided(t *testing.T) {
+	for _, workers := range []int{2, 4, 8} {
+		for _, n := range []int{1, 2, 7, 37, 1000} {
+			t.Run(fmt.Sprintf("w%d_n%d", workers, n), func(t *testing.T) {
+				counts := make([]atomic.Int32, n)
+				got, err := MapBatches(n, workers, 0, nil, func(_ struct{}, i int) (int, error) {
+					counts[i].Add(1)
+					return i * i, nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, v := range got {
+					if v != i*i {
+						t.Fatalf("result %d = %d, want %d", i, v, i*i)
+					}
+					if c := counts[i].Load(); c != 1 {
+						t.Fatalf("unit %d ran %d times", i, c)
+					}
+				}
+
+				fail := n / 2
+				ran := make([]atomic.Bool, n)
+				_, err = MapBatches(n, workers, 0, nil, func(_ struct{}, i int) (int, error) {
+					ran[i].Store(true)
+					if i >= fail {
+						return 0, errors.New("fail")
+					}
+					return i, nil
+				})
+				lowest := fail
+				for !ran[lowest].Load() {
+					lowest++
+				}
+				if want := fmt.Sprintf("unit %d:", lowest); err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("want failure at unit %d, got %v", lowest, err)
+				}
+			})
 		}
 	}
 }

@@ -66,6 +66,15 @@ func errAt(path, format string, a ...any) error {
 	return fmt.Errorf("scenario: %s: %s", path, fmt.Sprintf(format, a...))
 }
 
+// checkSpan rejects a duration of s seconds at path that is longer
+// than sim.MaxSeconds.
+func checkSpan(path string, s float64) error {
+	if s > sim.MaxSeconds {
+		return errAt(path, "%g s: must be at most %.4g s", s, sim.MaxSeconds)
+	}
+	return nil
+}
+
 // phyFor resolves the spec's PHY profile name. The empty name
 // compiles to the zero phy.Params — the engine default (802.11b long
 // preamble), applied later by Link.WithDefaults — so specs that omit
@@ -108,6 +117,12 @@ func compileFlow(f FlowSpec, path string) (probe.Flow, error) {
 	case "onoff":
 		if f.OnSeconds <= 0 || f.OffSeconds <= 0 {
 			return out, errAt(path+".on_seconds", "on/off process needs positive on_seconds and off_seconds, got %g/%g", f.OnSeconds, f.OffSeconds)
+		}
+		if err := checkSpan(path+".on_seconds", f.OnSeconds); err != nil {
+			return out, err
+		}
+		if err := checkSpan(path+".off_seconds", f.OffSeconds); err != nil {
+			return out, err
 		}
 		out.OnMean = sim.FromSeconds(f.OnSeconds)
 		out.OffMean = sim.FromSeconds(f.OffSeconds)
@@ -182,6 +197,9 @@ func compileProbing(p ProbingSpec, probeSize int) (Probing, error) {
 	}
 	if p.DurationSeconds < 0 {
 		return out, errAt("probing.duration_seconds", "negative duration %g", p.DurationSeconds)
+	}
+	if err := checkSpan("probing.duration_seconds", p.DurationSeconds); err != nil {
+		return out, err
 	}
 	switch out.Plan {
 	case PlanTrain:
@@ -343,6 +361,9 @@ func (s *Spec) Compile() (*Compiled, error) {
 	if s.Probe.WarmupSeconds < 0 {
 		return nil, errAt("probe.warmup_seconds", "negative warm-up %g", s.Probe.WarmupSeconds)
 	}
+	if err := checkSpan("probe.warmup_seconds", s.Probe.WarmupSeconds); err != nil {
+		return nil, err
+	}
 	l.WarmUp = sim.FromSeconds(s.Probe.WarmupSeconds)
 
 	for i, f := range s.FIFOCross {
@@ -474,41 +495,9 @@ func (c *Compiled) MACConfig(stream sim.Stream, horizon sim.Time) (mac.Config, e
 	default:
 		return mac.Config{}, fmt.Errorf("scenario: unknown probing plan %q", c.Probing.Plan)
 	}
-	// Substream discipline mirrors probe.Link.scenario: one generator
-	// per replication, split per flow with the same labels, so the two
-	// paths stay draw-order comparable.
-	r := stream.Rand()
-	station0 := []traffic.Source{probeSrc}
-	for fi, f := range l.FIFOCross {
-		station0 = append(station0, f.Source(r.Split(uint64(fi)+100), horizon))
-	}
-	cfg := mac.Config{
-		Phy:          l.Phy,
-		Seed:         stream.Child(0).Seed(),
-		Horizon:      horizon,
-		RTSThreshold: l.RTSThreshold,
-		Schedule:     l.Schedule,
-		Channel: mac.Channel{
-			Topology:           l.Topology,
-			Loss:               l.Loss,
-			CaptureThresholdDB: l.CaptureDB,
-		},
-	}
-	cfg.Stations = []mac.StationConfig{{
-		Name:     c.StationNames[0],
-		Source:   traffic.MergeSources(station0...),
-		PowerDB:  l.ProbePowerDB,
-		AC:       l.ProbeAC,
-		DataRate: l.ProbeDataRateBps,
-	}}
-	for ci, f := range l.Contenders {
-		cfg.Stations = append(cfg.Stations, mac.StationConfig{
-			Name:     c.StationNames[ci+1],
-			Source:   f.Source(r.Split(uint64(ci)+200), horizon),
-			PowerDB:  f.PowerDB,
-			AC:       f.AC,
-			DataRate: f.DataRateBps,
-		})
+	cfg := l.MACConfig(probeSrc, stream.Rand(), stream.Child(0).Seed(), horizon)
+	for i := range cfg.Stations {
+		cfg.Stations[i].Name = c.StationNames[i]
 	}
 	return cfg, nil
 }

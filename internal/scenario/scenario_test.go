@@ -1,12 +1,15 @@
 package scenario
 
 import (
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"csmabw/internal/mac"
 	"csmabw/internal/phy"
 	"csmabw/internal/sim"
+	"csmabw/internal/traffic"
 )
 
 // minimal is a smallest-possible valid spec body.
@@ -154,6 +157,19 @@ func TestSemanticErrors(t *testing.T) {
 	wantErr(t, `{"name": "t", "rts_threshold_bytes": -1, "probing": {"plan": "train", "packets": 10}}`, "rts_threshold_bytes")
 	wantErr(t, `{"name": "t", "probe": {"ac": "express"}, "probing": {"plan": "train", "packets": 10}}`, "probe.ac")
 	wantErr(t, `{"name": "t", "probe": {"warmup_seconds": -1}, "probing": {"plan": "train", "packets": 10}}`, "probe.warmup_seconds")
+	// Durations past sim.MaxSeconds would wrap the simulated clock.
+	wantErr(t, `{"name": "t", "probe": {"warmup_seconds": 1e10}, "probing": {"plan": "train", "packets": 10}}`, "probe.warmup_seconds")
+	wantErr(t, `{"name": "t", "probing": {"plan": "steady", "rate_mbps": 1, "duration_seconds": 1e10}}`, "probing.duration_seconds")
+	wantErr(t, `{
+		"name": "t",
+		"stations": [{"traffic": {"kind": "onoff", "rate_mbps": 1, "on_seconds": 1e10, "off_seconds": 0.1}}],
+		"probing": {"plan": "train", "packets": 10}
+	}`, "stations[0].traffic.on_seconds")
+	wantErr(t, `{
+		"name": "t",
+		"stations": [{"traffic": {"kind": "onoff", "rate_mbps": 1, "on_seconds": 0.1, "off_seconds": 1e10}}],
+		"probing": {"plan": "train", "packets": 10}
+	}`, "stations[0].traffic.off_seconds")
 	wantErr(t, `{
 		"name": "t",
 		"stations": [{"traffic": {"rate_mbps": -1}}],
@@ -301,5 +317,61 @@ func TestMACConfig(t *testing.T) {
 	}
 	if len(tcfg.Stations) != 1 {
 		t.Fatalf("train stations %+v", tcfg.Stations)
+	}
+}
+
+// TestMACConfigIsProbeCell holds MACConfig to the cell probe.Link
+// builds: on every library spec, the config MACConfig returns and the
+// one probe.Link.MACConfig builds from the same link, probing traffic
+// and stream differ only in the station names, and they run to
+// identical results on the engine.
+func TestMACConfigIsProbeCell(t *testing.T) {
+	paths, err := filepath.Glob("../../scenarios/*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("library specs: %v, %v", paths, err)
+	}
+	for _, path := range paths {
+		t.Run(filepath.Base(path), func(t *testing.T) {
+			c, err := CompileFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l := c.Link.WithDefaults()
+			stream := sim.NewStream(c.Link.Seed).Child(3)
+			horizon := l.WarmUp + 300*sim.Millisecond
+			var src traffic.Source
+			if c.Probing.Plan == PlanTrain {
+				src = traffic.NewTrain(c.Probing.TrainLen, sim.FromSeconds(float64(l.ProbeSize*8)/c.Probing.RateBps), l.ProbeSize, l.WarmUp)
+			} else {
+				src = traffic.Marked(traffic.NewCBR(c.Probing.RateBps, l.ProbeSize, l.WarmUp, horizon))
+			}
+			got, err := c.MACConfig(stream, horizon)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := l.MACConfig(src, stream.Rand(), stream.Child(0).Seed(), horizon)
+			if len(got.Stations) != len(c.StationNames) || len(want.Stations) != len(got.Stations) {
+				t.Fatalf("%d and %d stations for %d names", len(got.Stations), len(want.Stations), len(c.StationNames))
+			}
+			for i, name := range c.StationNames {
+				if got.Stations[i].Name != name {
+					t.Errorf("station %d named %q, want %q", i, got.Stations[i].Name, name)
+				}
+			}
+			gotRes, err := mac.Run(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantRes, err := mac.Run(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(gotRes, wantRes) {
+				t.Fatalf("MACConfig's cell ran to a different result than probe.Link.MACConfig's")
+			}
+			if len(gotRes.Frames[0]) == 0 {
+				t.Fatal("probing station delivered nothing")
+			}
+		})
 	}
 }

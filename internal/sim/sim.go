@@ -31,6 +31,12 @@ const (
 // "infinitely far in the future" sentinel.
 const MaxTime Time = math.MaxInt64
 
+// MaxSeconds is the longest duration, in seconds, that a flag or a
+// spec field may give: a quarter of MaxTime, about 2.3e9 s. FromSeconds
+// wraps negative above MaxTime, and a horizon is a sum of a few such
+// durations (warm-up, duration and drain), which must not wrap either.
+const MaxSeconds = float64(MaxTime/4) / float64(Second)
+
 // Seconds converts t to seconds as a float64.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 

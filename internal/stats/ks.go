@@ -52,9 +52,18 @@ func KSTwoSample(a, b []float64, alpha float64) KSResult {
 // pool is sorted once instead of once per test. The result is
 // identical to KSTwoSample on the pool's raw values.
 //
-// One ordered sweep over the merged samples evaluates both ECDFs as
-// running counts, so a test against a pool of m values costs
-// O(n log n + m) for n = len(a): sorting a plus one pass.
+// Between two step functions, the supremum distance is attained either
+// at a jump point of one of the samples or in the open interval just
+// left of one, where both functions equal their values at the previous
+// jump point. So D is the largest |F_a(x) − F_b(x)| over the distinct
+// values x of both samples, each function taken as the count of values
+// <= x. F_a is flat between consecutive values of a, so there the
+// distance is monotone in F_b: the test evaluates every value of a, and
+// of the pool values in each gap between them (below a's smallest and
+// above its largest included) only the first and the last. Each pool
+// count is a binary search resumed from the previous one, so a test
+// against a pool of m values costs O(n log n + n log m) for n = len(a),
+// whatever m is.
 func KSTwoSampleECDF(a []float64, eb *ECDF, alpha float64) KSResult {
 	if len(a) == 0 || eb.Len() == 0 {
 		panic("stats: KS test on empty sample")
@@ -62,40 +71,64 @@ func KSTwoSampleECDF(a []float64, eb *ECDF, alpha float64) KSResult {
 	as, bs := NewECDF(a).sorted, eb.sorted
 	n, m := float64(len(as)), float64(len(bs))
 	d := 0.0
-	// Between two step functions, the supremum distance is attained
-	// either at a jump point of one of the samples or in the open
-	// interval just left of one: F_a jumps *at* its own points but is
-	// still flat just below a jump of F_b (and vice versa), so both
-	// sides of every jump in *both* samples must be checked. Checking
-	// below only a's jumps underestimates D whenever a has no jump at a
-	// b jump point. The sweep visits every distinct jump point x of
-	// either sample in order and takes both functions at x as counts of
-	// values <= x. Both are flat from one jump point to the next, so the
-	// distance just below x is the one taken at the previous point (0
-	// below the first): every evaluation the check needs is made once.
-	ai, bi := 0, 0
-	for ai < len(as) || bi < len(bs) {
-		x := nextPoint(as, bs, ai, bi)
-		for ai < len(as) && as[ai] <= x {
-			ai++
-		}
-		for bi < len(bs) && bs[bi] <= x {
-			bi++
-		}
+	// at takes the distance where ai values of a and bi of the pool
+	// are <= x.
+	at := func(ai, bi int) {
 		if v := math.Abs(float64(ai)/n - float64(bi)/m); v > d {
 			d = v
 		}
 	}
+	// gap takes the pool values bs[lo:hi], all strictly between the
+	// ai-th and the (ai+1)-th value of a, at their first and last
+	// distinct value.
+	gap := func(ai, lo, hi int) {
+		if lo < hi {
+			at(ai, countLE(bs, lo, bs[lo]))
+			at(ai, hi)
+		}
+	}
+	lo := 0
+	for i := 0; i < len(as); {
+		x := as[i]
+		lt := countLT(bs, lo, x)
+		gap(i, lo, lt)
+		for i++; i < len(as) && as[i] == x; i++ {
+		}
+		lo = countLE(bs, lt, x)
+		at(i, lo)
+	}
+	gap(len(as), lo, len(bs))
 	return KSResult{D: d, Threshold: ksCritical(len(a), eb.Len(), alpha)}
 }
 
-// nextPoint returns the smallest of as[ai] and bs[bi], the next point
-// of the union of two sorted samples; at least one index is in range.
-func nextPoint(as, bs []float64, ai, bi int) float64 {
-	if bi >= len(bs) || (ai < len(as) && as[ai] <= bs[bi]) {
-		return as[ai]
+// countLT returns the number of values of the sorted s below x, given
+// that the first from of them are.
+func countLT(s []float64, from int, x float64) int {
+	lo, hi := from, len(s)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s[mid] < x {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	return bs[bi]
+	return lo
+}
+
+// countLE returns the number of values of the sorted s at or below x,
+// given that the first from of them are.
+func countLE(s []float64, from int, x float64) int {
+	lo, hi := from, len(s)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s[mid] <= x {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // KSTwoSampleInterp runs the two-sample KS test with sample a converted
@@ -112,12 +145,27 @@ func KSTwoSampleInterp(a, b []float64, alpha float64) KSResult {
 }
 
 // KSTwoSampleInterpECDF is KSTwoSampleInterp with the second sample
-// supplied as a pre-built ECDF (see KSTwoSampleECDF). One ordered sweep
-// over the merged samples visits each distinct jump point x once: bi
-// counts the pool values <= x, so F_b(x) = bi/m, and ai indexes the
-// first value of a that is >= x, which is where the interpolation of
-// F_a(x) starts. A test against a pool of m values costs
-// O(n log n + m) for n = len(a).
+// supplied as a pre-built ECDF (see KSTwoSampleECDF). D is the largest
+// |F_a(x) − bi/m| over the distinct values x of both samples, where bi
+// counts the pool values <= x and F_a(x) interpolates from the first
+// value of a that is >= x. The test evaluates every value of a and
+// visits pool values only where they can raise D:
+//   - below a's smallest value F_a is 0, and above its largest it is 1,
+//     so there the distance is monotone and only the pool value nearest
+//     a counts;
+//   - inside a gap between consecutive distinct values of a that holds
+//     the pool values bs[lo:hi], the computed F_a never decreases (each
+//     rounded step of the interpolation is monotone in x) and the pool
+//     count runs from lo+1 to hi, so no pool value there is farther
+//     than max(F_a(bs[hi-1]) − (lo+1)/m, hi/m − F_a(bs[lo])); a gap
+//     whose bound does not exceed the running D is skipped whole, and
+//     any other is scanned value by value. The bound carries a 1e-9
+//     margin on top, so a skip never rests on the last rounding.
+//
+// Every visited point gives the distance the full sweep over both
+// samples takes there, so D is bit-identical to it. A test against a
+// pool of m values costs O(n log n + n log m) for n = len(a), plus the
+// pool values in the gaps it scans.
 func KSTwoSampleInterpECDF(a []float64, eb *ECDF, alpha float64) KSResult {
 	if len(a) == 0 || eb.Len() == 0 {
 		panic("stats: KS test on empty sample")
@@ -126,18 +174,39 @@ func KSTwoSampleInterpECDF(a []float64, eb *ECDF, alpha float64) KSResult {
 	as, bs := ea.sorted, eb.sorted
 	m := float64(len(bs))
 	d := 0.0
-	ai, bi := 0, 0
-	for ai < len(as) || bi < len(bs) {
-		x := nextPoint(as, bs, ai, bi)
-		for bi < len(bs) && bs[bi] <= x {
-			bi++
-		}
+	// at takes the distance at x, where ai indexes the first value of
+	// a that is >= x and bi counts the pool values <= x.
+	at := func(x float64, ai, bi int) {
 		if v := math.Abs(ea.interpolate(x, ai) - float64(bi)/m); v > d {
 			d = v
 		}
-		for ai < len(as) && as[ai] <= x {
-			ai++
+	}
+	lo := countLT(bs, 0, as[0])
+	if lo > 0 {
+		at(bs[lo-1], 0, lo)
+	}
+	for i := 0; i < len(as); {
+		x := as[i]
+		lt := countLT(bs, lo, x)
+		if i > 0 && lo < lt {
+			// The gap (as[i-1], x) holds the pool values bs[lo:lt].
+			first, last := ea.interpolate(bs[lo], i), ea.interpolate(bs[lt-1], i)
+			if max(last-float64(lo+1)/m, float64(lt)/m-first)+1e-9 > d {
+				for k := lo; k < lt; {
+					y := bs[k]
+					for k++; k < lt && bs[k] == y; k++ {
+					}
+					at(y, i, k)
+				}
+			}
 		}
+		lo = countLE(bs, lt, x)
+		at(x, i, lo)
+		for i++; i < len(as) && as[i] == x; i++ {
+		}
+	}
+	if lo < len(bs) {
+		at(bs[lo], len(as), countLE(bs, lo, bs[lo]))
 	}
 	return KSResult{D: d, Threshold: ksCritical(len(a), eb.Len(), alpha)}
 }

@@ -166,6 +166,123 @@ func TestKSSweepMatchesReference(t *testing.T) {
 	}
 }
 
+// TestKSSweepMatchesReferenceOnPools holds both sweeps to the reference
+// against pools the size of the steady-state pools of Figs. 8 and 9
+// (5k to 60k values). A third of each pool ties at one immediate-access
+// value and the rest is an exponential tail, on a 20 µs slot grid or
+// continuous, so most gaps between a sample's values hold many pool
+// values and the interpolated sweep skips them whole. The 200-value
+// samples follow the pool's law, a shifted law, values the pool holds,
+// −0 next to +0 (against a pool holding zeros of both signs), one
+// repeated value, and supports below or above the pool; single-value
+// samples are checked too.
+func TestKSSweepMatchesReferenceOnPools(t *testing.T) {
+	r := sim.NewRand(22)
+	negZero := math.Copysign(0, -1)
+	const immediate = 1.1e-3
+	for pi, m := range []int{5000, 12000, 30000, 60000} {
+		slotted := pi%2 == 0
+		delay := func(shift float64) float64 {
+			if r.Intn(3) == 0 {
+				return immediate + shift
+			}
+			if slotted {
+				return immediate + shift + 20e-6*math.Floor(r.Exp(60))
+			}
+			return immediate + shift + r.Exp(1.5e-3)
+		}
+		pool := make([]float64, m)
+		for i := range pool {
+			pool[i] = delay(0)
+		}
+		if m == 12000 {
+			for i := 0; i < m; i += 5 {
+				pool[i] = []float64{negZero, 0}[i/5%2]
+			}
+		}
+		eb := NewECDF(pool)
+		for kind := 0; kind < 7; kind++ {
+			for trial := 0; trial < 4; trial++ {
+				a := make([]float64, 200)
+				for i := range a {
+					switch kind {
+					case 0:
+						a[i] = delay(0)
+					case 1:
+						a[i] = delay(0.4e-3 * float64(trial))
+					case 2:
+						a[i] = pool[r.Intn(m)]
+					case 3:
+						a[i] = []float64{negZero, 0, immediate, delay(0)}[r.Intn(4)]
+					case 4:
+						a[i] = pool[trial]
+					case 5:
+						a[i] = -delay(0)
+					case 6:
+						a[i] = delay(1)
+					}
+				}
+				checkPoolMatchesReference(t, a, eb)
+				checkPoolMatchesReference(t, a[:1], eb)
+			}
+		}
+	}
+
+	// Two gaps whose bound is tight: against a = 1, 2, …, 200, where
+	// F_a(x) = x/200, each pool puts its supremum at a lone pool value
+	// just past a = 100, at most 1/m above the distance at a = 100, so a
+	// bound short by one pool value skips the gap that holds D.
+	a := make([]float64, 200)
+	for i := range a {
+		a[i] = float64(i + 1)
+	}
+	const m = 5000
+	// The pool runs ahead of a: 4,990 values at 100, one at 100+1e-6.
+	ahead := make([]float64, 0, m)
+	for len(ahead) < 4990 {
+		ahead = append(ahead, 100)
+	}
+	ahead = append(ahead, 100+1e-6)
+	for len(ahead) < m {
+		ahead = append(ahead, 1000)
+	}
+	// a runs ahead of the pool: ten values at each of 1…100, one at
+	// 100.06, then 3,000 at 101.
+	behind := make([]float64, 0, m)
+	for x := 1; x <= 100; x++ {
+		for k := 0; k < 10; k++ {
+			behind = append(behind, float64(x))
+		}
+	}
+	behind = append(behind, 100.06)
+	for k := 0; k < 3000; k++ {
+		behind = append(behind, 101)
+	}
+	for len(behind) < m {
+		behind = append(behind, 1000)
+	}
+	for _, pool := range [][]float64{ahead, behind} {
+		checkPoolMatchesReference(t, a, NewECDF(pool))
+	}
+}
+
+// checkPoolMatchesReference fails t unless both KS variants give the
+// reference's D bit for bit on a against the pool eb.
+func checkPoolMatchesReference(t *testing.T, a []float64, eb *ECDF) {
+	t.Helper()
+	for _, c := range []struct {
+		name      string
+		got, want KSResult
+	}{
+		{"step", KSTwoSampleECDF(a, eb, 0.05), refKSTwoSampleECDF(a, eb, 0.05)},
+		{"interp", KSTwoSampleInterpECDF(a, eb, 0.05), refKSTwoSampleInterpECDF(a, eb, 0.05)},
+	} {
+		if math.Float64bits(c.got.D) != math.Float64bits(c.want.D) {
+			t.Fatalf("%s: D = %v, reference %v (%d values against a pool of %d)", c.name, c.got.D, c.want.D, len(a), eb.Len())
+		}
+	}
+}
+
 // FuzzKSSweep holds both sweeps to the reference on two samples of
 // small integers times a common finite scale, so ties are common. The
 // first byte places the split between a and the pool.

@@ -147,7 +147,16 @@ func RunningMeans(reps [][]float64) []float64 {
 // the per-packet-index sample the KS analysis of Figs. 8 and 9 compares
 // against the steady-state pool.
 func Column(reps [][]float64, i int) []float64 {
-	var out []float64
+	k := 0
+	for _, r := range reps {
+		if i < len(r) {
+			k++
+		}
+	}
+	if k == 0 {
+		return nil
+	}
+	out := make([]float64, 0, k)
 	for _, r := range reps {
 		if i < len(r) {
 			out = append(out, r[i])
@@ -160,7 +169,16 @@ func Column(reps [][]float64, i int) []float64 {
 // across all replications — the steady-state pool ("the access delay
 // distribution of the last packets").
 func Tail(reps [][]float64, from int) []float64 {
-	var out []float64
+	k := 0
+	for _, r := range reps {
+		if from < len(r) {
+			k += len(r) - from
+		}
+	}
+	if k == 0 {
+		return nil
+	}
+	out := make([]float64, 0, k)
 	for _, r := range reps {
 		if from < len(r) {
 			out = append(out, r[from:]...)

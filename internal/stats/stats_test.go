@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -104,6 +105,68 @@ func TestECDFStep(t *testing.T) {
 	}
 	if got := inf.At(math.MaxFloat64); got != 0.5 {
 		t.Errorf("At(MaxFloat64) over {1, +Inf} = %g, want 0.5", got)
+	}
+}
+
+// TestNewECDFRadixMatchesSort holds NewECDF's radix path to
+// sort.Float64s bit for bit on radixMin values and more, with heavy
+// ties, subnormals, zeros and +Inf. A NaN, a −0 or a negative value
+// makes radixSort refuse the input untouched, and NewECDF falls back to
+// sort.Float64s.
+func TestNewECDFRadixMatchesSort(t *testing.T) {
+	r := sim.NewRand(512)
+	draw := func(n int) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			switch r.Intn(6) {
+			case 0:
+				xs[i] = 1.1e-3
+			case 1:
+				xs[i] = math.SmallestNonzeroFloat64 * float64(1+r.Intn(1000))
+			case 2:
+				xs[i] = math.Inf(1)
+			case 3:
+				xs[i] = 0
+			default:
+				xs[i] = r.Exp(1e-3)
+			}
+		}
+		return xs
+	}
+	sameBits := func(got, want []float64) bool {
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				return false
+			}
+		}
+		return len(got) == len(want)
+	}
+	for _, n := range []int{radixMin, radixMin + 1, 5000, 60000} {
+		xs := draw(n)
+		want := append([]float64(nil), xs...)
+		sort.Float64s(want)
+		if !radixSort(append([]float64(nil), xs...)) {
+			t.Fatalf("%d values: radix path refused", n)
+		}
+		if !sameBits(NewECDF(xs).sorted, want) {
+			t.Fatalf("%d values: NewECDF differs from sort.Float64s", n)
+		}
+	}
+	for name, bad := range map[string]float64{"NaN": math.NaN(), "-0": math.Copysign(0, -1), "negative": -1e-3} {
+		xs := draw(1000)
+		xs[500] = bad
+		in := append([]float64(nil), xs...)
+		if radixSort(in) {
+			t.Errorf("%s: radix path taken", name)
+		}
+		if !sameBits(in, xs) {
+			t.Errorf("%s: refused input was modified", name)
+		}
+		want := append([]float64(nil), xs...)
+		sort.Float64s(want)
+		if !sameBits(NewECDF(xs).sorted, want) {
+			t.Errorf("%s: NewECDF differs from sort.Float64s", name)
+		}
 	}
 }
 
