@@ -160,19 +160,10 @@ func CorrectedTrainRate(l Link, n int, rateBps float64, reps, mserBatch int) (ra
 	if err != nil {
 		return 0, 0, err
 	}
-	rows := ts.InterDepartureGaps()
-	usable := rows[:0]
-	for _, gaps := range rows {
-		if len(gaps) >= 2 {
-			usable = append(usable, gaps)
-		}
-	}
-	if len(usable) == 0 {
+	raw, corrected, ok := core.TrainRates(ts.InterDepartureGaps(), ts.L, mserBatch)
+	if !ok {
 		return 0, 0, fmt.Errorf("csmabw: no usable trains (all dropped?)")
 	}
-	l0 := l.WithDefaults()
-	raw = core.RateFromGap(l0.ProbeSize, core.RawGapRows(usable))
-	corrected = core.RateFromGap(l0.ProbeSize, core.CorrectedGapByPosition(usable, mserBatch))
 	return raw, corrected, nil
 }
 

@@ -254,6 +254,21 @@ func TestCorrectedGapByPositionNoTransient(t *testing.T) {
 	}
 }
 
+// TestTrainRates pins that trains with fewer than two gaps are left
+// out of both rates, and that no usable train reports !ok, not a
+// panic.
+func TestTrainRates(t *testing.T) {
+	rows := [][]float64{{0.001, 0.002, 0.002, 0.002}, {0.5}, nil, {0.001, 0.002, 0.002, 0.002}}
+	raw, corr, ok := TrainRates(rows, 1500, 2)
+	usable := [][]float64{rows[0], rows[3]}
+	if !ok || raw != RateFromGap(1500, RawGapRows(usable)) || corr != RateFromGap(1500, CorrectedGapByPosition(usable, 2)) {
+		t.Errorf("TrainRates = %g, %g, %v; want the rates of the two full trains", raw, corr, ok)
+	}
+	if raw, corr, ok := TrainRates([][]float64{{0.5}, nil}, 1500, 2); ok || raw != 0 || corr != 0 {
+		t.Errorf("no usable train: TrainRates = %g, %g, %v", raw, corr, ok)
+	}
+}
+
 func TestRawGapRowsPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -79,6 +79,26 @@ func RawGapRows(rows [][]float64) float64 {
 	return sum / float64(n)
 }
 
+// TrainRates is the Section 7.4 measurement of an ensemble of
+// replicated trains of l-byte probes: rows[r] holds train r's
+// inter-departure gaps in seconds. Trains with fewer than two gaps are
+// left out; raw is the rate of the rest's plain mean gap (RawGapRows)
+// and corrected that of their MSER-m corrected gap
+// (CorrectedGapByPosition). ok is false, and both rates 0, when no
+// train is usable.
+func TrainRates(rows [][]float64, l, m int) (raw, corrected float64, ok bool) {
+	usable := make([][]float64, 0, len(rows))
+	for _, gaps := range rows {
+		if len(gaps) >= 2 {
+			usable = append(usable, gaps)
+		}
+	}
+	if len(usable) == 0 {
+		return 0, 0, false
+	}
+	return RateFromGap(l, RawGapRows(usable)), RateFromGap(l, CorrectedGapByPosition(usable, m)), true
+}
+
 // RawGap is the uncorrected estimator: the plain mean of the gaps,
 // equivalent to Eq. 16's (d_n - d_1)/(n-1) for a single train.
 func RawGap(gaps []float64) float64 {

@@ -7,7 +7,6 @@ import (
 	"csmabw/internal/phy"
 	"csmabw/internal/probe"
 	"csmabw/internal/sim"
-	"csmabw/internal/stats"
 )
 
 // This file holds the heterogeneous-cell experiments: the paper
@@ -20,127 +19,35 @@ import (
 // dispersion measurement returns when a slow sender drags the cell's
 // achievable throughput down.
 
-// EDCATransientParams configures the per-category transient
-// experiment: the Figure-6 access-delay transient with the probing
-// station assigned each 802.11e access category in turn, against fixed
-// best-effort cross-traffic.
-type EDCATransientParams struct {
-	// ACs are the probing station's categories, one curve each.
-	ACs []phy.AccessCategory
-	// CrossAC is the contending station's category.
-	CrossAC      phy.AccessCategory
-	ProbeRateBps float64
-	TrainLen     int
-	CrossRateBps float64
-	PacketSize   int
-	Show         int // packet indices plotted
-	Seed         int64
+// DefaultEDCATransient is the Figure-6 cell with the probe on plain
+// DCF, voice, best-effort and background in turn, against a 4 Mb/s
+// best-effort contender; curve c runs on seed 31+1013c.
+func DefaultEDCATransient() []probe.Link {
+	acs := []phy.AccessCategory{phy.ACLegacy, phy.ACVoice, phy.ACBestEffort, phy.ACBackground}
+	cells := make([]probe.Link, len(acs))
+	for c, ac := range acs {
+		cells[c] = probe.Link{
+			ProbeSize:  1500,
+			ProbeAC:    ac,
+			Contenders: []probe.Flow{{RateBps: 4e6, Size: 1500, AC: phy.ACBestEffort}},
+			Seed:       31 + int64(c)*1013,
+		}
+	}
+	return cells
 }
 
-// DefaultEDCATransient mirrors the Figure-6 scenario with the probe on
-// plain DCF, voice, best-effort and background against a best-effort
-// contender.
-func DefaultEDCATransient() EDCATransientParams {
-	return EDCATransientParams{
-		ACs:          []phy.AccessCategory{phy.ACLegacy, phy.ACVoice, phy.ACBestEffort, phy.ACBackground},
-		CrossAC:      phy.ACBestEffort,
-		ProbeRateBps: 5e6,
-		TrainLen:     1000,
-		CrossRateBps: 4e6,
-		PacketSize:   1500,
-		Show:         150,
-		Seed:         31,
-	}
-}
-
-// curveLink is the measured cell of one access-category curve, exposed
-// as a method so the spec↔hand-wired equivalence tests compare against
-// the exact construction the driver runs.
-func (p EDCATransientParams) curveLink(curve int) probe.Link {
-	return probe.Link{
-		ProbeSize: p.PacketSize,
-		ProbeAC:   p.ACs[curve],
-		Contenders: []probe.Flow{
-			{RateBps: p.CrossRateBps, Size: p.PacketSize, AC: p.CrossAC},
-		},
-		Seed: p.Seed + int64(curve)*1013,
-	}
-}
-
-// EDCATransient reproduces the mean access-delay transient of Figure 6
-// once per probing access category. The transient exists because early
-// probe packets find the medium idle and later ones queue behind
-// saturated contention; a high-priority category (short AIFS, small
-// CWmin) both lowers the steady-state access delay and shortens the
-// transient, while AC_BK's long AIFS deepens it — so the measurement
-// bias the paper corrects is itself a function of the probe's QoS
-// class. Units are the (category, replication) pairs.
-func EDCATransient(p EDCATransientParams, sc Scale) (*Figure, error) {
-	type unit struct {
-		curve  int
-		sample probe.TrainSample
-	}
-	var plans []*probe.TrainPlan
-	return Run(Scenario[unit]{
-		Seed:  p.Seed,
-		Units: len(p.ACs) * sc.Reps,
-		Build: func() error {
-			for _, ac := range p.ACs {
-				if !ac.Valid() {
-					return fmt.Errorf("experiments: invalid access category %v", ac)
-				}
-			}
-			if !p.CrossAC.Valid() {
-				return fmt.Errorf("experiments: invalid cross access category %v", p.CrossAC)
-			}
-			// One plan per probing category: the per-curve link (probe AC
-			// and seed vary) is resolved once here, not once per unit.
-			plans = make([]*probe.TrainPlan, len(p.ACs))
-			for curve := range p.ACs {
-				plan, err := probe.PlanTrain(p.curveLink(curve), p.TrainLen, p.ProbeRateBps)
-				if err != nil {
-					return err
-				}
-				plans[curve] = plan
-			}
-			return nil
-		},
-		NewWorker: func() any { return &probe.TrainMeter{} },
-		RunOneOn: func(ws any, u int, _ sim.Stream) (unit, error) {
-			curve, rep := u/sc.Reps, u%sc.Reps
-			s, err := plans[curve].MeasureOne(ws.(*probe.TrainMeter), rep)
-			return unit{curve: curve, sample: s}, err
-		},
-		Reduce: func(units []unit) (*Figure, error) {
-			fig := &Figure{
-				ID:     "edca-transient",
-				Title:  "Mean access delay vs probe packet number per access category",
-				XLabel: "packet #",
-				YLabel: "access delay (ms)",
-			}
-			for c, ac := range p.ACs {
-				var samples []probe.TrainSample
-				for _, u := range units {
-					if u.curve == c {
-						samples = append(samples, u.sample)
-					}
-				}
-				ts := probe.TrainStats{Samples: samples}
-				means := stats.RunningMeans(ts.DelaysByIndex())
-				n := p.Show
-				if n > len(means) {
-					n = len(means)
-				}
-				s := Series{Name: fmt.Sprintf("probe %s", ac)}
-				for i := 0; i < n; i++ {
-					s.X = append(s.X, float64(i+1))
-					s.Y = append(s.Y, means[i]*1e3)
-				}
-				fig.Series = append(fig.Series, s)
-			}
-			return fig, nil
-		},
-	}, sc)
+// EDCATransient reproduces the mean access-delay transient of Figure 6,
+// on its 1000-packet trains at 5 Mb/s, on each cell, one curve per
+// probing access category. The transient exists because early probe
+// packets find the medium idle and later ones queue behind saturated
+// contention; a high-priority category (short AIFS, small CWmin) both
+// lowers the steady-state access delay and shortens the transient,
+// while AC_BK's long AIFS deepens it — so the measurement bias the
+// paper corrects is itself a function of the probe's QoS class.
+func EDCATransient(cells []probe.Link, sc Scale) (*Figure, error) {
+	p := DefaultFig6()
+	return meanDelays("edca-transient", "Mean access delay vs probe packet number per access category", cells, p.TrainLen, p.ProbeRateBps, 150,
+		func(l probe.Link) string { return fmt.Sprintf("probe %s", l.ProbeAC) }, sc)
 }
 
 // RateAnomalyParams configures the heterogeneous-rate bias experiment:

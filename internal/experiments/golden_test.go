@@ -39,7 +39,7 @@ var goldenAllocs = map[string]uint64{
 	"fig07":            257,
 	"fig08":            557,
 	"fig09":            625,
-	"fig10":            2106,
+	"fig10":            1455,
 	"fig13":            3026,
 	"fig15":            3884,
 	"fig16":            2622,

@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"csmabw/internal/mac"
-	"csmabw/internal/phy"
 	"csmabw/internal/probe"
 	"csmabw/internal/sim"
-	"csmabw/internal/stats"
 )
 
 // This file holds the imperfect-channel experiments: the scenarios the
@@ -18,187 +16,63 @@ import (
 // achievable throughput the rate response flattens at and lengthen the
 // access-delay transient.
 
-// FERRRCParams configures the lossy-channel rate response experiment:
-// the Figure-1 scenario swept at several frame-error rates.
-type FERRRCParams struct {
-	FERs         []float64 // frame-error rates, one curve each (0 = perfect)
-	CrossRateBps float64
-	PacketSize   int
-	MaxProbeBps  float64
-	Seed         int64
-}
-
-// DefaultFERRRC sweeps the paper's Figure-1 operating point at 0%, 1%
-// and 5% FER.
-func DefaultFERRRC() FERRRCParams {
-	return FERRRCParams{
-		FERs:         []float64{0, 0.01, 0.05},
-		CrossRateBps: 4.5e6,
-		PacketSize:   1500,
-		MaxProbeBps:  10e6,
-		Seed:         21,
+// ferCells is base at 0%, 1% and 5% FER, curve c on seed
+// base.Seed+stride·c.
+func ferCells(base probe.Link, stride int64) []probe.Link {
+	cells := make([]probe.Link, 3)
+	for c, fer := range []float64{0, 0.01, 0.05} {
+		cells[c] = base
+		cells[c].Loss.FER = fer
+		cells[c].Seed = base.Seed + int64(c)*stride
 	}
+	return cells
 }
 
-// FERRateResponse sweeps the probing rate and measures the steady-state
-// probe output rate under each configured frame-error rate. Loss eats
-// into both the achievable throughput and the dispersion the estimator
-// reads, so the curves flatten lower as FER grows. Units are the
-// (FER, rate point) pairs.
-func FERRateResponse(p FERRRCParams, sc Scale) (*Figure, error) {
-	rates := sweep(0.25e6, p.MaxProbeBps, sc.SweepPoints)
-	nPoints := len(rates)
-	dur := sim.FromSeconds(sc.SteadySeconds)
-	type pt struct{ x, y float64 }
-	return Run(Scenario[pt]{
-		Seed:  p.Seed,
-		Units: nPoints * len(p.FERs),
-		Build: func() error {
-			for _, fer := range p.FERs {
-				if err := (phy.ErrorModel{FER: fer}).Validate(); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		RunOne: func(u int, _ sim.Stream) (pt, error) {
-			curve, i := u/nPoints, u%nPoints
-			l := probe.Link{
-				ProbeSize:  p.PacketSize,
-				Contenders: []probe.Flow{{RateBps: p.CrossRateBps, Size: p.PacketSize}},
-				Seed:       p.Seed + int64(u)*101,
-				Loss:       phy.ErrorModel{FER: p.FERs[curve]},
-			}
-			ss, err := probe.MeasureSteadyState(l, rates[i], dur)
-			if err != nil {
-				return pt{}, err
-			}
-			return pt{x: rates[i] / 1e6, y: ss.ProbeRate / 1e6}, nil
-		},
-		Reduce: func(pts []pt) (*Figure, error) {
-			fig := &Figure{
-				ID:     "fer-rrc",
-				Title:  "Steady-state rate response under frame loss",
-				XLabel: "ri (Mb/s)",
-				YLabel: "probe ro (Mb/s)",
-			}
-			for c, fer := range p.FERs {
-				s := Series{Name: fmt.Sprintf("FER %g%%", fer*100)}
-				for _, pt := range pts[c*nPoints : (c+1)*nPoints] {
-					s.X = append(s.X, pt.x)
-					s.Y = append(s.Y, pt.y)
-				}
-				fig.Series = append(fig.Series, s)
-			}
-			return fig, nil
-		},
-	}, sc)
+// ferCurve labels a curve by its cell's frame-error rate.
+func ferCurve(l probe.Link) string { return fmt.Sprintf("FER %g%%", l.Loss.FER*100) }
+
+// DefaultFERRRC is the Figure-1 cell at 0%, 1% and 5% FER, all three on
+// seed 21.
+func DefaultFERRRC() []probe.Link {
+	base := DefaultFig1()
+	base.Seed = 21
+	return ferCells(base, 0)
 }
 
-// FERTransientParams configures the lossy-channel transient experiment:
-// the Figure-6 access-delay transient swept at several frame-error
-// rates.
-type FERTransientParams struct {
-	FERs         []float64
-	ProbeRateBps float64
-	TrainLen     int
-	CrossRateBps float64
-	PacketSize   int
-	Show         int // packet indices plotted
-	Seed         int64
+// FERRateResponse measures the steady-state probe output rate on each
+// cell, one curve per cell, as the probing rate sweeps to 10 Mb/s. Loss
+// eats into both the achievable throughput and the dispersion the
+// estimator reads, so the curves flatten lower as FER grows.
+func FERRateResponse(cells []probe.Link, sc Scale) (*Figure, error) {
+	return rateResponse(cells, 10e6, sc, func(x []float64, byCell [][]*probe.SteadyState) (*Figure, error) {
+		fig := &Figure{
+			ID:     "fer-rrc",
+			Title:  "Steady-state rate response under frame loss",
+			XLabel: "ri (Mb/s)",
+			YLabel: "probe ro (Mb/s)",
+		}
+		for c, pts := range byCell {
+			fig.Series = append(fig.Series, curve(ferCurve(cells[c]), x, pts, probeRate))
+		}
+		return fig, nil
+	})
 }
 
-// DefaultFERTransient mirrors the Figure-6 scenario at 0%, 1% and 5%
-// FER.
-func DefaultFERTransient() FERTransientParams {
-	return FERTransientParams{
-		FERs:         []float64{0, 0.01, 0.05},
-		ProbeRateBps: 5e6,
-		TrainLen:     1000,
-		CrossRateBps: 4e6,
-		PacketSize:   1500,
-		Show:         150,
-		Seed:         22,
-	}
+// DefaultFERTransient is the Figure-6 cell at 0%, 1% and 5% FER, curve
+// c on seed 22+977c.
+func DefaultFERTransient() []probe.Link {
+	base := DefaultFig6().link()
+	base.Seed = 22
+	return ferCells(base, 977)
 }
 
-// curveLink is the measured cell of one FER curve, exposed as a method
-// so the spec↔hand-wired equivalence tests compare against the exact
-// construction the driver runs.
-func (p FERTransientParams) curveLink(curve int) probe.Link {
-	return probe.Link{
-		ProbeSize:  p.PacketSize,
-		Contenders: []probe.Flow{{RateBps: p.CrossRateBps, Size: p.PacketSize}},
-		Seed:       p.Seed + int64(curve)*977,
-		Loss:       phy.ErrorModel{FER: p.FERs[curve]},
-	}
-}
-
-// FERTransient reproduces the mean access-delay transient of Figure 6
-// under each configured frame-error rate: retransmissions both raise
-// the steady-state access delay and stretch the transient the paper's
-// probing sequences must outlast. Units are the (FER, replication)
-// pairs.
-func FERTransient(p FERTransientParams, sc Scale) (*Figure, error) {
-	type unit struct {
-		curve  int
-		sample probe.TrainSample
-	}
-	var plans []*probe.TrainPlan
-	return Run(Scenario[unit]{
-		Seed:  p.Seed,
-		Units: len(p.FERs) * sc.Reps,
-		Build: func() error {
-			// One plan per FER curve, resolved once; replications only run.
-			plans = make([]*probe.TrainPlan, len(p.FERs))
-			for curve, fer := range p.FERs {
-				if err := (phy.ErrorModel{FER: fer}).Validate(); err != nil {
-					return err
-				}
-				plan, err := probe.PlanTrain(p.curveLink(curve), p.TrainLen, p.ProbeRateBps)
-				if err != nil {
-					return err
-				}
-				plans[curve] = plan
-			}
-			return nil
-		},
-		NewWorker: func() any { return &probe.TrainMeter{} },
-		RunOneOn: func(ws any, u int, _ sim.Stream) (unit, error) {
-			curve, rep := u/sc.Reps, u%sc.Reps
-			s, err := plans[curve].MeasureOne(ws.(*probe.TrainMeter), rep)
-			return unit{curve: curve, sample: s}, err
-		},
-		Reduce: func(units []unit) (*Figure, error) {
-			fig := &Figure{
-				ID:     "fer-transient",
-				Title:  "Mean access delay vs probe packet number under frame loss",
-				XLabel: "packet #",
-				YLabel: "access delay (ms)",
-			}
-			for c, fer := range p.FERs {
-				var samples []probe.TrainSample
-				for _, u := range units {
-					if u.curve == c {
-						samples = append(samples, u.sample)
-					}
-				}
-				ts := probe.TrainStats{Samples: samples}
-				means := stats.RunningMeans(ts.DelaysByIndex())
-				n := p.Show
-				if n > len(means) {
-					n = len(means)
-				}
-				s := Series{Name: fmt.Sprintf("FER %g%%", fer*100)}
-				for i := 0; i < n; i++ {
-					s.X = append(s.X, float64(i+1))
-					s.Y = append(s.Y, means[i]*1e3)
-				}
-				fig.Series = append(fig.Series, s)
-			}
-			return fig, nil
-		},
-	}, sc)
+// FERTransient reproduces the mean access-delay transient of Figure 6,
+// on its 1000-packet trains at 5 Mb/s, on each cell, one curve per
+// cell: retransmissions both raise the steady-state access delay and
+// stretch the transient the paper's probing sequences must outlast.
+func FERTransient(cells []probe.Link, sc Scale) (*Figure, error) {
+	p := DefaultFig6()
+	return meanDelays("fer-transient", "Mean access delay vs probe packet number under frame loss", cells, p.TrainLen, p.ProbeRateBps, 150, ferCurve, sc)
 }
 
 // HiddenParams configures the classic hidden-terminal experiment: the

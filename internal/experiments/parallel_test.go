@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
+	"csmabw/internal/probe"
 	"csmabw/internal/sim"
 )
 
@@ -47,6 +49,38 @@ func TestWorkersDeterministic(t *testing.T) {
 				t.Errorf("%s: table differs between -workers=1 and -workers=8", entry.ID)
 			}
 		})
+	}
+}
+
+// TestTrainsMatchesMeasureTrain pins the shared train driver's (cell,
+// rep) units: on cells of different seeds and contender counts, at 1
+// and 3 workers, each cell's replications are exactly
+// probe.MeasureTrain's on that cell.
+func TestTrainsMatchesMeasureTrain(t *testing.T) {
+	cells := []probe.Link{
+		{Contenders: []probe.Flow{{RateBps: 4e6, Size: 1500}}, Seed: 3},
+		{Seed: 11},
+		{Contenders: []probe.Flow{{RateBps: 1e6, Size: 576}, {RateBps: 2e6, Size: 1500}}, Seed: 29},
+	}
+	const n, rate = 40, 5e6
+	for _, workers := range []int{1, 3} {
+		sc := Tiny()
+		sc.Workers = workers
+		_, err := trains(cells, n, rate, sc, func(byCell []probe.TrainStats) (*Figure, error) {
+			for c, cell := range cells {
+				want, err := probe.MeasureTrain(cell, n, rate, sc.Reps)
+				if err != nil {
+					return nil, err
+				}
+				if !reflect.DeepEqual(byCell[c], *want) {
+					t.Errorf("workers %d, cell %d: replications differ from probe.MeasureTrain's", workers, c)
+				}
+			}
+			return &Figure{}, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -41,14 +41,14 @@ func TestSpecEquivalence(t *testing.T) {
 	})
 	t.Run("lossy-fer-cell/fer-transient", func(t *testing.T) {
 		c := compileScenario(t, "lossy-fer-cell")
-		want := DefaultFERTransient().curveLink(2) // the 5% FER curve
+		want := DefaultFERTransient()[2] // the 5% FER curve
 		if !reflect.DeepEqual(c.Link, want) {
 			t.Errorf("compiled link differs from fer-transient curve 2:\n got %+v\nwant %+v", c.Link, want)
 		}
 	})
 	t.Run("vo-vs-be-contention/edca-transient", func(t *testing.T) {
 		c := compileScenario(t, "vo-vs-be-contention")
-		want := DefaultEDCATransient().curveLink(1) // the AC_VO curve
+		want := DefaultEDCATransient()[1] // the AC_VO curve
 		if !reflect.DeepEqual(c.Link, want) {
 			t.Errorf("compiled link differs from edca-transient curve 1:\n got %+v\nwant %+v", c.Link, want)
 		}

@@ -6,7 +6,6 @@ import (
 	"csmabw/internal/mac"
 	"csmabw/internal/probe"
 	"csmabw/internal/scenario"
-	"csmabw/internal/sim"
 )
 
 // This file bridges the declarative scenario layer to the figure
@@ -82,75 +81,24 @@ func specTrainLen(c *scenario.Compiled, def int) int {
 	return def
 }
 
-// ScenarioTransient runs the Figure-6-style mean access-delay
-// transient on a compiled train-plan scenario. The figure's ID is the
-// scenario name so its CSV snapshot is self-describing.
-func ScenarioTransient(c *scenario.Compiled, sc Scale) (*Figure, error) {
-	p, err := TransientParamsFromCompiled(c)
-	if err != nil {
-		return nil, err
-	}
-	show := 150
-	if show > p.TrainLen {
-		show = p.TrainLen
-	}
-	scen := p.trainScenario(sc.Reps)
-	scen.Reduce = meanDelayReduce(c.Name, "Mean access delay vs probe packet number — "+c.Name, show)
-	return Run(scen, sc)
-}
-
-// ScenarioRRC runs the Figure-1-style steady-state rate-response sweep
-// on a compiled steady-plan scenario: the probing rate is swept up to
-// the spec's steady rate and every flow's carried rate is reported,
-// contender series named after the spec's stations.
-func ScenarioRRC(c *scenario.Compiled, sc Scale) (*Figure, error) {
-	if c.Probing.Plan != scenario.PlanSteady {
-		return nil, fmt.Errorf("experiments: scenario %q has probing plan %q, want %q", c.Name, c.Probing.Plan, scenario.PlanSteady)
-	}
-	base := c.Link
-	rates := sweep(0.25e6, c.Probing.RateBps, sc.SweepPoints)
-	dur := sim.FromSeconds(sc.SteadySeconds)
-	type pt struct {
-		x, probe, fifo float64
-		cross          []float64
-	}
-	return Run(Scenario[pt]{
-		Seed:  base.Seed,
-		Units: len(rates),
-		RunOne: func(i int, _ sim.Stream) (pt, error) {
-			l := unitLink(&base, base.Seed+int64(i)*101)
-			ss, err := probe.MeasureSteadyState(l, rates[i], dur)
-			if err != nil {
-				return pt{}, err
+// ScenarioFigure renders a compiled scenario with the driver its
+// probing plan selects, under the scenario's name: fig06's access-delay
+// transient for a train plan, and for a steady plan the rate response
+// swept to the spec's rate, with one curve per flow and each contender's
+// named after its station.
+func ScenarioFigure(c *scenario.Compiled, sc Scale) (*Figure, error) {
+	cells := []probe.Link{c.Link}
+	switch c.Probing.Plan {
+	case scenario.PlanTrain:
+		return meanDelays(c.Name, "Mean access delay vs probe packet number — "+c.Name, cells, c.Probing.TrainLen, c.Probing.RateBps, 150, oneCurve, sc)
+	case scenario.PlanSteady:
+		return rateResponse(cells, c.Probing.RateBps, sc, func(x []float64, pts [][]*probe.SteadyState) (*Figure, error) {
+			series := []Series{curve("probe ro (Mb/s)", x, pts[0], probeRate)}
+			if len(c.Link.FIFOCross) > 0 {
+				series = append(series, curve("FIFO cross (Mb/s)", x, pts[0], fifoRate))
 			}
-			return pt{
-				x:     rates[i] / 1e6,
-				probe: ss.ProbeRate / 1e6,
-				fifo:  ss.FIFORate / 1e6,
-				cross: ss.CrossRates,
-			}, nil
-		},
-		Reduce: func(pts []pt) (*Figure, error) {
-			series := []Series{{Name: "probe ro (Mb/s)"}}
-			if len(base.FIFOCross) > 0 {
-				series = append(series, Series{Name: "FIFO cross (Mb/s)"})
-			}
-			for ci := range base.Contenders {
-				series = append(series, Series{Name: c.StationNames[ci+1] + " (Mb/s)"})
-			}
-			for _, pt := range pts {
-				k := 0
-				series[k].X = append(series[k].X, pt.x)
-				series[k].Y = append(series[k].Y, pt.probe)
-				if len(base.FIFOCross) > 0 {
-					k++
-					series[k].X = append(series[k].X, pt.x)
-					series[k].Y = append(series[k].Y, pt.fifo)
-				}
-				for ci := range base.Contenders {
-					series[k+1+ci].X = append(series[k+1+ci].X, pt.x)
-					series[k+1+ci].Y = append(series[k+1+ci].Y, pt.cross[ci]/1e6)
-				}
+			for ci := range c.Link.Contenders {
+				series = append(series, curve(c.StationNames[ci+1]+" (Mb/s)", x, pts[0], crossRate(ci)))
 			}
 			return &Figure{
 				ID:     c.Name,
@@ -159,19 +107,7 @@ func ScenarioRRC(c *scenario.Compiled, sc Scale) (*Figure, error) {
 				YLabel: "throughput (Mb/s)",
 				Series: series,
 			}, nil
-		},
-	}, sc)
-}
-
-// ScenarioFigure renders a compiled scenario with the driver its
-// probing plan selects: the access-delay transient for train plans,
-// the steady-state rate response for steady plans.
-func ScenarioFigure(c *scenario.Compiled, sc Scale) (*Figure, error) {
-	switch c.Probing.Plan {
-	case scenario.PlanTrain:
-		return ScenarioTransient(c, sc)
-	case scenario.PlanSteady:
-		return ScenarioRRC(c, sc)
+		})
 	}
 	return nil, fmt.Errorf("experiments: scenario %q has unknown probing plan %q", c.Name, c.Probing.Plan)
 }

@@ -238,7 +238,6 @@ func DefaultFig17() Fig17Params {
 func Fig17MSER(p Fig17Params, sc Scale) (*Figure, error) {
 	rates := sweep(1e6, p.MaxProbeBps, sc.SweepPoints)
 	dur := sim.FromSeconds(sc.SteadySeconds)
-	size := p.Cell.WithDefaults().ProbeSize
 	type pt struct {
 		ok                        bool
 		x, steady, raw, corrected float64
@@ -260,23 +259,11 @@ func Fig17MSER(p Fig17Params, sc Scale) (*Figure, error) {
 			// MSER correction applied to the ensemble: the per-position mean
 			// gap series locates the transient, every train is truncated
 			// there, and the remainder averaged (Section 7.4).
-			rows := ts.InterDepartureGaps()
-			usable := rows[:0]
-			for _, gaps := range rows {
-				if len(gaps) >= 2 {
-					usable = append(usable, gaps)
-				}
-			}
-			if len(usable) == 0 {
+			raw, corrected, ok := core.TrainRates(ts.InterDepartureGaps(), ts.L, p.MSERBatch)
+			if !ok {
 				return pt{}, nil
 			}
-			return pt{
-				ok:        true,
-				x:         ri / 1e6,
-				steady:    ss.ProbeRate / 1e6,
-				raw:       core.RateFromGap(size, core.RawGapRows(usable)) / 1e6,
-				corrected: core.RateFromGap(size, core.CorrectedGapByPosition(usable, p.MSERBatch)) / 1e6,
-			}, nil
+			return pt{ok: true, x: ri / 1e6, steady: ss.ProbeRate / 1e6, raw: raw / 1e6, corrected: corrected / 1e6}, nil
 		},
 		Reduce: func(pts []pt) (*Figure, error) {
 			steady := Series{Name: "steady state"}

@@ -21,9 +21,8 @@ type TransientParams struct {
 	// Base, when non-nil, is the complete measured cell — channel,
 	// topology, EDCA, FIFO cross flows and all — typically compiled
 	// from a scenario spec. It replaces the cell the scalar fields
-	// above would assemble; ProbeRateBps and TrainLen still shape the
-	// probing plan, and Seed should equal Base.Seed so the substream
-	// tree and the link agree.
+	// above would assemble, Seed included; ProbeRateBps and TrainLen
+	// still shape the probing plan.
 	Base *probe.Link
 }
 
@@ -79,76 +78,76 @@ func (p TransientParams) link() probe.Link {
 	}
 }
 
-// trainScenario is the shared skeleton of the transient drivers: the
-// train plan resolved once in Build, one engine-reusing meter per
-// worker, and a replication unit derived purely from (params, rep) —
-// the meter never changes a measured value. Callers fill in Reduce.
-func (p TransientParams) trainScenario(units int) Scenario[probe.TrainSample] {
-	var plan *probe.TrainPlan
-	return Scenario[probe.TrainSample]{
-		Seed:  p.Seed,
-		Units: units,
-		Build: func() error {
-			var err error
-			plan, err = probe.PlanTrain(p.link(), p.TrainLen, p.ProbeRateBps)
-			return err
+// trains runs sc.Reps replications of an n-packet train at rateBps on
+// each cell and hands reduce each cell's replications, in cell order.
+// Each cell is planned once and each worker measures on one TrainMeter.
+// Unit u = cell·reps + rep is replication rep of its cell, so a cell's
+// TrainStats are exactly probe.MeasureTrain's on that cell at any
+// worker count.
+func trains(cells []probe.Link, n int, rateBps float64, sc Scale, reduce func([]probe.TrainStats) (*Figure, error)) (*Figure, error) {
+	plans := make([]*probe.TrainPlan, len(cells))
+	return Run(Scenario[probe.TrainSample]{
+		Units: len(cells) * sc.Reps,
+		Build: func() (err error) {
+			for c := range cells {
+				if plans[c], err = probe.PlanTrain(cells[c], n, rateBps); err != nil {
+					return err
+				}
+			}
+			return nil
 		},
 		NewWorker: func() any { return &probe.TrainMeter{} },
-		RunOneOn: func(ws any, rep int, _ sim.Stream) (probe.TrainSample, error) {
-			return plan.MeasureOne(ws.(*probe.TrainMeter), rep)
+		RunOneOn: func(ws any, u int, _ sim.Stream) (probe.TrainSample, error) {
+			return plans[u/sc.Reps].MeasureOne(ws.(*probe.TrainMeter), u%sc.Reps)
 		},
-	}
+		Reduce: func(samples []probe.TrainSample) (*Figure, error) {
+			byCell := make([]probe.TrainStats, len(cells))
+			for c, plan := range plans {
+				lo, hi := c*sc.Reps, (c+1)*sc.Reps
+				byCell[c] = probe.TrainStats{
+					N: n, GI: plan.GI(), L: cells[c].WithDefaults().ProbeSize, Reps: sc.Reps,
+					Samples: samples[lo:hi:hi],
+				}
+			}
+			return reduce(byCell)
+		},
+	}, sc)
 }
 
-// rows converts ordered replication samples to the per-replication
-// access-delay (seconds) and queue-length matrices the analyses use.
-func rows(samples []probe.TrainSample) (delays, queues [][]float64) {
-	ts := &probe.TrainStats{Samples: samples}
-	return ts.DelaysByIndex(), ts.QueueByIndex()
+// meanDelays is the Figure-6 transient on a list of cells: for each
+// cell, one curve, labelled name(cell), of the mean access delay of
+// each of its first show probe packets across replications.
+func meanDelays(id, title string, cells []probe.Link, n int, rateBps float64, show int, name func(probe.Link) string, sc Scale) (*Figure, error) {
+	return trains(cells, n, rateBps, sc, func(byCell []probe.TrainStats) (*Figure, error) {
+		fig := &Figure{ID: id, Title: title, XLabel: "packet #", YLabel: "access delay (ms)"}
+		for c := range byCell {
+			means := stats.RunningMeans(byCell[c].DelaysByIndex())
+			s := Series{Name: name(cells[c])}
+			for i := 0; i < show && i < len(means); i++ {
+				s.X = append(s.X, float64(i+1))
+				s.Y = append(s.Y, means[i]*1e3)
+			}
+			fig.Series = append(fig.Series, s)
+		}
+		return fig, nil
+	})
 }
 
-// meanDelayReduce builds the Figure-6-style reduce: the mean access
-// delay of each of the first show probe packets across replications.
-// Fig6MeanAccessDelay and the scenario-spec transient driver share it,
-// so a spec-described cell renders exactly like the hand-wired figure.
-func meanDelayReduce(id, title string, show int) func([]probe.TrainSample) (*Figure, error) {
-	return func(samples []probe.TrainSample) (*Figure, error) {
-		delays, _ := rows(samples)
-		means := stats.RunningMeans(delays)
-		n := show
-		if n > len(means) {
-			n = len(means)
-		}
-		s := Series{Name: "mean access delay (ms)"}
-		for i := 0; i < n; i++ {
-			s.X = append(s.X, float64(i+1))
-			s.Y = append(s.Y, means[i]*1e3)
-		}
-		return &Figure{
-			ID:     id,
-			Title:  title,
-			XLabel: "packet #",
-			YLabel: "access delay (ms)",
-			Series: []Series{s},
-		}, nil
-	}
-}
+// oneCurve labels the curve of a one-cell mean-delay transient.
+func oneCurve(probe.Link) string { return "mean access delay (ms)" }
 
 // Fig6MeanAccessDelay reproduces Figure 6: the mean access delay of
 // each of the first `show` probe packets across replications, exposing
 // the transient acceleration of early packets.
 func Fig6MeanAccessDelay(p TransientParams, sc Scale, show int) (*Figure, error) {
-	scen := p.trainScenario(sc.Reps)
-	scen.Reduce = meanDelayReduce("fig06", "Mean access delay vs probe packet number", show)
-	return Run(scen, sc)
+	return meanDelays("fig06", "Mean access delay vs probe packet number", []probe.Link{p.link()}, p.TrainLen, p.ProbeRateBps, show, oneCurve, sc)
 }
 
 // Fig7Histograms reproduces Figure 7: the access-delay histogram of the
 // first packet against that of a late (steady-state) packet.
 func Fig7Histograms(p TransientParams, sc Scale, latePacket, bins int) (*Figure, error) {
-	scen := p.trainScenario(sc.Reps)
-	scen.Reduce = func(samples []probe.TrainSample) (*Figure, error) {
-		delays, _ := rows(samples)
+	return trains([]probe.Link{p.link()}, p.TrainLen, p.ProbeRateBps, sc, func(ts []probe.TrainStats) (*Figure, error) {
+		delays := ts[0].DelaysByIndex()
 		first := stats.Column(delays, 0)
 		lateIdx := latePacket
 		if lateIdx >= p.TrainLen {
@@ -189,8 +188,7 @@ func Fig7Histograms(p TransientParams, sc Scale, latePacket, bins int) (*Figure,
 			YLabel: "count",
 			Series: []Series{s1, s2},
 		}, nil
-	}
-	return Run(scen, sc)
+	})
 }
 
 // KSOptions configures the per-index KS analysis of Figures 8 and 9.
@@ -217,9 +215,8 @@ func DefaultKSOptions(trainLen int) KSOptions {
 // steady-state pool, the 95% threshold line, and (when queue samples
 // exist) the mean contender queue length per index.
 func FigKS(id string, p TransientParams, sc Scale, opt KSOptions) (*Figure, error) {
-	scen := p.trainScenario(sc.Reps)
-	scen.Reduce = func(samples []probe.TrainSample) (*Figure, error) {
-		delays, queues := rows(samples)
+	return trains([]probe.Link{p.link()}, p.TrainLen, p.ProbeRateBps, sc, func(ts []probe.TrainStats) (*Figure, error) {
+		delays := ts[0].DelaysByIndex()
 		tail := stats.Tail(delays, opt.TailFrom)
 		if len(tail) == 0 {
 			return nil, fmt.Errorf("experiments: empty steady-state pool (TailFrom=%d)", opt.TailFrom)
@@ -256,7 +253,7 @@ func FigKS(id string, p TransientParams, sc Scale, opt KSOptions) (*Figure, erro
 			YLabel: "KS value",
 			Series: []Series{ksS, thrS},
 		}
-		if len(queues) > 0 && len(queues[0]) > 0 {
+		if queues := ts[0].QueueByIndex(); len(queues) > 0 && len(queues[0]) > 0 {
 			qMeans := stats.RunningMeans(queues)
 			qS := Series{Name: "mean contender queue (pkts)"}
 			for i := 0; i < opt.Packets && i < len(qMeans); i++ {
@@ -266,8 +263,7 @@ func FigKS(id string, p TransientParams, sc Scale, opt KSOptions) (*Figure, erro
 			fig.Series = append(fig.Series, qS)
 		}
 		return fig, nil
-	}
-	return Run(scen, sc)
+	})
 }
 
 // Fig10Params configures the transient-duration study of Figure 10.
@@ -298,53 +294,40 @@ func DefaultFig10() Fig10Params {
 
 // Fig10TransientDuration estimates, for each offered cross load, the
 // first probe packet whose mean access delay lies (and stays) within
-// each tolerance of the steady-state mean. Each cross load is an
-// independent unit on the worker pool.
+// each tolerance of the steady-state mean. Load li is a cell of its own
+// on seed Cell.Seed+977·li.
 func Fig10TransientDuration(p Fig10Params, sc Scale) (*Figure, error) {
 	cell := p.Cell.WithDefaults()
+	cells := make([]probe.Link, len(p.CrossLoads))
+	for li, load := range p.CrossLoads {
+		cells[li] = unitLink(&p.Cell, p.Cell.Seed+int64(li)*977)
+		if len(cells[li].Contenders) == 0 {
+			cells[li].Contenders = make([]probe.Flow, 1)
+		}
+		cells[li].Contenders[0] = sweptContender(&p.Cell, traffic.RateForLoad(cell.Phy, load, cell.ProbeSize))
+	}
 	probeRate := traffic.RateForLoad(cell.Phy, p.ProbeLoadErlang, cell.ProbeSize)
-	return Run(Scenario[[]int]{
-		Seed:  p.Cell.Seed,
-		Units: len(p.CrossLoads),
-		RunOne: func(li int, _ sim.Stream) ([]int, error) {
-			crossRate := traffic.RateForLoad(cell.Phy, p.CrossLoads[li], cell.ProbeSize)
-			link := unitLink(&p.Cell, p.Cell.Seed+int64(li)*977)
-			if len(link.Contenders) == 0 {
-				link.Contenders = make([]probe.Flow, 1)
-			}
-			link.Contenders[0] = sweptContender(&p.Cell, crossRate)
-			ts, err := probe.MeasureTrain(link, p.TrainLen, probeRate, sc.Reps)
-			if err != nil {
-				return nil, err
-			}
-			means := stats.RunningMeans(ts.DelaysByIndex())
+	return trains(cells, p.TrainLen, probeRate, sc, func(byLoad []probe.TrainStats) (*Figure, error) {
+		series := make([]Series, len(p.Tolerances))
+		for ti, tol := range p.Tolerances {
+			series[ti] = Series{Name: fmt.Sprintf("tolerance %g", tol)}
+		}
+		for li := range byLoad {
+			means := stats.RunningMeans(byLoad[li].DelaysByIndex())
 			// Steady state: mean over the last quarter of indices.
 			tailFrom := len(means) * 3 / 4
 			steady := stats.Mean(means[tailFrom:])
-			lens := make([]int, len(p.Tolerances))
 			for ti, tol := range p.Tolerances {
-				lens[ti] = stats.TransientLength(means[:tailFrom], steady, tol)
+				series[ti].X = append(series[ti].X, p.CrossLoads[li])
+				series[ti].Y = append(series[ti].Y, float64(stats.TransientLength(means[:tailFrom], steady, tol)))
 			}
-			return lens, nil
-		},
-		Reduce: func(byLoad [][]int) (*Figure, error) {
-			series := make([]Series, len(p.Tolerances))
-			for ti, tol := range p.Tolerances {
-				series[ti] = Series{Name: fmt.Sprintf("tolerance %g", tol)}
-			}
-			for li, lens := range byLoad {
-				for ti := range p.Tolerances {
-					series[ti].X = append(series[ti].X, p.CrossLoads[li])
-					series[ti].Y = append(series[ti].Y, float64(lens[ti]))
-				}
-			}
-			return &Figure{
-				ID:     "fig10",
-				Title:  "Estimated transient duration vs offered cross-traffic load (probe load 1 Erlang)",
-				XLabel: "cross load (Erlang)",
-				YLabel: "transient length (packets)",
-				Series: series,
-			}, nil
-		},
-	}, sc)
+		}
+		return &Figure{
+			ID:     "fig10",
+			Title:  "Estimated transient duration vs offered cross-traffic load (probe load 1 Erlang)",
+			XLabel: "cross load (Erlang)",
+			YLabel: "transient length (packets)",
+			Series: series,
+		}, nil
+	})
 }

@@ -647,11 +647,13 @@ func (ts *TrainStats) RateEstimate() (float64, error) {
 }
 
 // DelaysByIndex returns the replication-by-index access delay matrix in
-// seconds, skipping dropped packets (rows keep their length; dropped
-// entries are removed per row from the tail comparisons by callers via
-// the -1 sentinel filter). The rows share one backing array, each
-// capped at its length, so appending to a row never writes into the
-// next.
+// seconds. A dropped packet is removed from its row, not marked: the
+// row is shorter than the train by its drops, and every delay after a
+// drop sits one column left of its packet index per earlier drop. So
+// after a mid-train drop a column mixes packet indices, and
+// stats.Column, stats.RunningMeans and the per-index KS tests read it
+// as one. The rows share one backing array, each capped at its length,
+// so appending to a row never writes into the next.
 func (ts *TrainStats) DelaysByIndex() [][]float64 {
 	total := 0
 	for _, s := range ts.Samples {
