@@ -25,12 +25,14 @@
 // This package is the stable facade: it re-exports the measurement
 // entry points and adds the high-level achievable-throughput workflow
 // the paper motivates. The experiment drivers that regenerate every
-// figure of the paper live in internal/experiments; each one is a
-// declarative Scenario executed by the shared worker-pool replication
-// engine (internal/runner), which fans independent replications out
-// across GOMAXPROCS workers with per-replication RNG substreams
-// (sim.Stream) — so every figure is byte-identical at any worker count
-// and the full suite scales near-linearly with cores.
+// figure of the paper live in internal/experiments; each one lists its
+// operating points and measures them on the shared worker-pool
+// replication engine (internal/runner), which fans independent
+// replications out across GOMAXPROCS workers. Every unit draws its
+// randomness from a seed derived from the figure's seed and the unit's
+// index, never from the worker that runs it — so every figure is
+// byte-identical at any worker count and the full suite scales
+// near-linearly with cores.
 //
 // The cmd/ tools surface the drivers behind a common CLI harness
 // (internal/clikit). A cell is described to them only by a scenario

@@ -102,34 +102,6 @@ func TestTrainSpanDegenerateTrain(t *testing.T) {
 	}
 }
 
-// TestTOPPSteadyPacketAccounting: the old nominal arithmetic
-// int(rate*secs/bits) truncated toward zero — a short low-rate steady
-// run was billed zero packets. The ledger now counts the probe frames
-// the run actually carried, which is never zero for a run that
-// produced a sweep point.
-func TestTOPPSteadyPacketAccounting(t *testing.T) {
-	cfg := TOPPConfig{
-		UseSteadyState: true,
-		SteadySeconds:  0.04, // 0.25 Mb/s * 0.04 s = 10 kbit < one 1500B frame
-		MinRateBps:     0.25e6,
-		MaxRateBps:     2e6,
-		Points:         3,
-	}
-	// The deliberately starved sweep may not saturate the link — the
-	// regression is about the ledger, which survives either way.
-	est, err := TOPP(testLink(41, 0), cfg)
-	if err != nil && !errors.Is(err, ErrEstimateFailed) {
-		t.Fatal(err)
-	}
-	if est.Cost.Trains != cfg.Points {
-		t.Fatalf("steady sweep ran %d runs, want %d", est.Cost.Trains, cfg.Points)
-	}
-	if est.Cost.Packets < cfg.Points {
-		t.Errorf("steady sweep charged %d packets for %d runs; the old formula's zero-truncation is back",
-			est.Cost.Packets, cfg.Points)
-	}
-}
-
 // --- failure keeps the ledger ------------------------------------------------
 
 // lossyLink is a link whose frame-error rate is high enough that no

@@ -17,19 +17,10 @@ type TOPPConfig struct {
 	MinRateBps, MaxRateBps float64
 	// Points is the number of sweep rates (default 10).
 	Points int
-	// TrainLen is the packets per train when sweeping with trains
-	// (default 50); ignored with UseSteadyState.
+	// TrainLen is the packets per train (default 50).
 	TrainLen int
-	// Reps is the train replications per sweep rate (default 10);
-	// ignored with UseSteadyState.
+	// Reps is the train replications per sweep rate (default 10).
 	Reps int
-	// UseSteadyState replaces trains with one long constant-rate run
-	// per sweep rate — the idealized (very intrusive) variant whose
-	// curve is free of the short-train transient bias.
-	UseSteadyState bool
-	// SteadySeconds is the duration of each steady-state run (default
-	// 1s); only with UseSteadyState.
-	SteadySeconds float64
 	// Tol is the relative deviation |ro-ri|/ri below which a sweep
 	// point counts as unsaturated (default 0.08).
 	Tol float64
@@ -56,18 +47,14 @@ func (c TOPPConfig) withDefaults(l probe.Link) TOPPConfig {
 	if c.Reps == 0 {
 		c.Reps = 10
 	}
-	if c.SteadySeconds == 0 {
-		c.SteadySeconds = 1
-	}
 	if c.Tol == 0 {
 		c.Tol = 0.08
 	}
 	return c
 }
 
-// TOPP runs the probing-rate sweep estimator: trains (or long
-// constant-rate runs) at increasing rates ri trace the rate-response
-// curve ro(ri), and the saturated region is inverted by the TOPP
+// TOPP runs the probing-rate sweep estimator: trains at increasing
+// rates ri trace the rate-response curve ro(ri), and the saturated region is inverted by the TOPP
 // regression ri/ro = ri/C + (C-A)/C (core.FitFIFO). On a CSMA/CA link
 // the measured curve is the paper's Eq. 3 shape — flat at the
 // achievable throughput B — so the regression's A lands near B rather
@@ -108,24 +95,6 @@ func TOPP(l probe.Link, cfg TOPPConfig) (Estimate, error) {
 		rate := cfg.MinRateBps + (cfg.MaxRateBps-cfg.MinRateBps)*float64(i)/float64(cfg.Points-1)
 		li := l
 		li.Seed = root.Child(uint64(i)).Seed()
-		if cfg.UseSteadyState {
-			if reason := steadyFits(cfg.Budget, est.Cost, rate, cfg.SteadySeconds, ld.ProbeSize); reason != TruncatedNone {
-				est.Truncated = reason
-				break
-			}
-			dur := sim.FromSeconds(cfg.SteadySeconds)
-			ss, err := probe.MeasureSteadyState(li, rate, dur)
-			if err != nil {
-				return est, err
-			}
-			est.Rounds++
-			est.Cost.Trains++
-			est.Cost.Packets += ss.ProbePackets
-			est.Cost.ProbeSeconds += cfg.SteadySeconds
-			ri = append(ri, rate)
-			ro = append(ro, ss.ProbeRate)
-			continue
-		}
 		gI := sim.FromSeconds(float64(ld.ProbeSize*8) / rate)
 		reps, reason := tracker.allow(est.Cost, cfg.Reps, 1, cfg.TrainLen, gI)
 		if reps == 0 {
@@ -171,25 +140,6 @@ func inflation(b Budget, t *budgetTracker) float64 {
 		return 1
 	}
 	return stats.SigmaInflation(t.lossFrac())
-}
-
-// steadyFits prices one steady-state sweep point against the remaining
-// budget. A steady run's cost is known before it starts — its duration
-// exactly, its packet count bounded by the offered CBR load — so
-// enforcement is exact: a point that does not fit simply does not run.
-func steadyFits(b Budget, c Cost, rate, seconds float64, probeSize int) Truncation {
-	if !b.Enabled() {
-		return TruncatedNone
-	}
-	if max := b.MaxPackets; max > 0 {
-		if offered := int(rate*seconds/float64(probeSize*8)) + 1; c.Packets+offered > max {
-			return TruncatedPackets
-		}
-	}
-	if max := b.MaxProbeSeconds; max > 0 && c.ProbeSeconds+seconds > max {
-		return TruncatedTime
-	}
-	return TruncatedNone
 }
 
 // toppRegress inverts the measured rate-response curve: the FIFO-model

@@ -54,9 +54,8 @@ func DefaultAbest() AbestParams {
 	}
 }
 
-// estimatorSet is the per-unit estimator dispatch shared by the three
-// figures: unit k of a scenario runs the k-th estimator. Index 0 is
-// the ground-truth measurement.
+// estimatorSet indexes the estimators the abest figures dispatch
+// through abRun. Index 0 is the ground-truth measurement.
 const (
 	abTruth = iota
 	abTOPP
@@ -112,16 +111,24 @@ func scaledAbestEffort(sc Scale) abestEffort {
 	}
 }
 
-// abRun dispatches one estimator on the link. The ok result is false
+// abOutcome is one estimator run: its estimate, and whether it produced
+// a value the figure can plot.
+type abOutcome struct {
+	estimate.Estimate
+	ok bool
+}
+
+// abRun dispatches one estimator on the link. The outcome is not ok
 // when the estimator could not produce a value (estimate.
 // ErrEstimateFailed) — the figure then skips the point instead of
 // plotting a bogus number.
-func abRun(k int, l probe.Link, cfg abestEffort) (v estimate.Estimate, ok bool, err error) {
+func abRun(k int, l probe.Link, cfg abestEffort) (abOutcome, error) {
 	var e estimate.Estimate
+	var err error
 	switch k {
 	case abTruth:
 		tr, err := estimate.GroundTruth(l, cfg.Truth)
-		return estimate.Estimate{Value: tr.AvailableBps}, err == nil, err
+		return abOutcome{estimate.Estimate{Value: tr.AvailableBps}, err == nil}, err
 	case abTOPP:
 		e, err = estimate.TOPP(l, cfg.TOPP)
 	case abSLoPS:
@@ -129,22 +136,42 @@ func abRun(k int, l probe.Link, cfg abestEffort) (v estimate.Estimate, ok bool, 
 	case abAdaptive:
 		e, err = estimate.Adaptive(l, cfg.Adaptive)
 	default:
-		return estimate.Estimate{}, false, fmt.Errorf("experiments: estimator index %d", k)
+		return abOutcome{}, fmt.Errorf("experiments: estimator index %d", k)
 	}
 	switch {
 	case errors.Is(err, estimate.ErrEstimateFailed):
 		// No usable value, but the partial Estimate still carries the
 		// Cost and Rounds the failed campaign spent — budget accounting
 		// survives even when the figure skips the point.
-		return e, false, nil
+		return abOutcome{e, false}, nil
 	case errors.Is(err, estimate.ErrTargetNotReached):
 		// The budget ran out: the best-effort value still plots, its
 		// (wide) CI tells the story.
-		return e, true, nil
+		return abOutcome{e, true}, nil
 	case err != nil:
-		return estimate.Estimate{}, false, err
+		return abOutcome{}, err
 	}
-	return e, true, nil
+	return abOutcome{e, true}, nil
+}
+
+// link is the estimators' cell for unit u of a figure whose units draw
+// from root: the probe against one probe-sized contender at crossBps
+// (none at 0), on seed root.Child(u).
+func (p AbestParams) link(root sim.Stream, u int, crossBps float64) probe.Link {
+	l := probe.Link{ProbeSize: p.PacketSize, Seed: root.Child(uint64(u)).Seed(), Workers: 1}
+	if crossBps > 0 {
+		l.Contenders = []probe.Flow{{RateBps: crossBps, Size: p.PacketSize}}
+	}
+	return l
+}
+
+// relErr is |v-truth| as a percentage of truth.
+func relErr(v, truth float64) float64 {
+	rel := 100 * (v - truth) / truth
+	if rel < 0 {
+		rel = -rel
+	}
+	return rel
 }
 
 // AbestAccuracy sweeps the contending cross-load and scores every
@@ -153,51 +180,34 @@ func abRun(k int, l probe.Link, cfg abestEffort) (v estimate.Estimate, ok bool, 
 // whole closed-loop tools in place of single dispersion measurements.
 // Unit u runs estimator u%abEstimators at cross level u/abEstimators.
 func AbestAccuracy(p AbestParams, sc Scale) (*Figure, error) {
-	cfg := scaledAbestEffort(sc)
-	type pt struct {
-		ok  bool
-		val float64
+	if len(p.CrossRates) == 0 {
+		return nil, fmt.Errorf("experiments: abest-accuracy needs cross rates")
 	}
-	return Run(Scenario[pt]{
-		Seed:  p.Seed,
-		Units: len(p.CrossRates) * abEstimators,
-		Build: func() error {
-			if len(p.CrossRates) == 0 {
-				return fmt.Errorf("experiments: abest-accuracy needs cross rates")
+	cfg := scaledAbestEffort(sc)
+	root := sim.NewStream(p.Seed)
+	outs, err := mapUnits(len(p.CrossRates)*abEstimators, sc, nil, func(_ struct{}, u int) (abOutcome, error) {
+		return abRun(u%abEstimators, p.link(root, u, p.CrossRates[u/abEstimators]), cfg)
+	})
+	if err != nil {
+		return nil, err
+	}
+	fig := &Figure{
+		ID:     "abest-accuracy",
+		Title:  "Closed-loop estimator accuracy vs contending cross-load",
+		XLabel: "cross-traffic rate (Mb/s)",
+		YLabel: "estimated available bandwidth (Mb/s)",
+	}
+	for k := 0; k < abEstimators; k++ {
+		s := Series{Name: abName(k)}
+		for i, cr := range p.CrossRates {
+			if o := outs[i*abEstimators+k]; o.ok {
+				s.X = append(s.X, cr/1e6)
+				s.Y = append(s.Y, o.Value/1e6)
 			}
-			return nil
-		},
-		RunOne: func(u int, stream sim.Stream) (pt, error) {
-			point, k := u/abEstimators, u%abEstimators
-			l := probe.Link{ProbeSize: p.PacketSize, Seed: stream.Seed(), Workers: 1}
-			if cr := p.CrossRates[point]; cr > 0 {
-				l.Contenders = []probe.Flow{{RateBps: cr, Size: p.PacketSize}}
-			}
-			e, ok, err := abRun(k, l, cfg)
-			return pt{ok: ok, val: e.Value}, err
-		},
-		Reduce: func(pts []pt) (*Figure, error) {
-			fig := &Figure{
-				ID:     "abest-accuracy",
-				Title:  "Closed-loop estimator accuracy vs contending cross-load",
-				XLabel: "cross-traffic rate (Mb/s)",
-				YLabel: "estimated available bandwidth (Mb/s)",
-			}
-			for k := 0; k < abEstimators; k++ {
-				s := Series{Name: abName(k)}
-				for point := range p.CrossRates {
-					pt := pts[point*abEstimators+k]
-					if !pt.ok {
-						continue
-					}
-					s.X = append(s.X, p.CrossRates[point]/1e6)
-					s.Y = append(s.Y, pt.val/1e6)
-				}
-				fig.Series = append(fig.Series, s)
-			}
-			return fig, nil
-		},
-	}, sc)
+		}
+		fig.Series = append(fig.Series, s)
+	}
+	return fig, nil
 }
 
 // AbestFrontier sweeps the adaptive controller's confidence target and
@@ -206,70 +216,48 @@ func AbestAccuracy(p AbestParams, sc Scale) (*Figure, error) {
 // how long to keep probing. Unit 0 measures ground truth; unit i+1
 // runs the controller at target i.
 func AbestFrontier(p AbestParams, sc Scale) (*Figure, error) {
-	cfg := scaledAbestEffort(sc)
-	type pt struct {
-		ok           bool
-		val, packets float64
-	}
-	link := func(stream sim.Stream) probe.Link {
-		l := probe.Link{ProbeSize: p.PacketSize, Seed: stream.Seed(), Workers: 1}
-		if p.CrossBps > 0 {
-			l.Contenders = []probe.Flow{{RateBps: p.CrossBps, Size: p.PacketSize}}
+	for _, t := range p.Targets {
+		if t <= 0 || t >= 1 {
+			return nil, fmt.Errorf("experiments: CI target %g outside (0,1)", t)
 		}
-		return l
 	}
-	return Run(Scenario[pt]{
-		Seed:  p.Seed + 1,
-		Units: 1 + len(p.Targets),
-		Build: func() error {
-			for _, t := range p.Targets {
-				if t <= 0 || t >= 1 {
-					return fmt.Errorf("experiments: CI target %g outside (0,1)", t)
-				}
-			}
-			return nil
-		},
-		RunOne: func(u int, stream sim.Stream) (pt, error) {
-			if u == 0 {
-				tr, err := estimate.GroundTruth(link(stream), cfg.Truth)
-				return pt{ok: true, val: tr.AvailableBps}, err
-			}
-			ac := cfg.Adaptive
-			ac.TargetRel = p.Targets[u-1]
-			e, ok, err := abRun(abAdaptive, link(stream), abestEffort{Adaptive: ac, Truth: cfg.Truth})
-			return pt{ok: ok, val: e.Value, packets: float64(e.Cost.Packets)}, err
-		},
-		Reduce: func(pts []pt) (*Figure, error) {
-			truth := pts[0].val
-			if truth <= 0 {
-				return nil, fmt.Errorf("experiments: abest-frontier ground truth %g", truth)
-			}
-			errS := Series{Name: "relative error (%)"}
-			costS := Series{Name: "probe packets"}
-			for i, t := range p.Targets {
-				pt := pts[i+1]
-				if !pt.ok {
-					continue
-				}
-				x := 100 * t
-				rel := 100 * (pt.val - truth) / truth
-				if rel < 0 {
-					rel = -rel
-				}
-				errS.X = append(errS.X, x)
-				errS.Y = append(errS.Y, rel)
-				costS.X = append(costS.X, x)
-				costS.Y = append(costS.Y, pt.packets)
-			}
-			return &Figure{
-				ID:     "abest-frontier",
-				Title:  "Adaptive-train probing cost vs accuracy across CI targets",
-				XLabel: "CI95 target (% of estimate)",
-				YLabel: "relative error (%) / probe packets",
-				Series: []Series{errS, costS},
-			}, nil
-		},
-	}, sc)
+	cfg := scaledAbestEffort(sc)
+	root := sim.NewStream(p.Seed + 1)
+	outs, err := mapUnits(1+len(p.Targets), sc, nil, func(_ struct{}, u int) (abOutcome, error) {
+		if u == 0 {
+			return abRun(abTruth, p.link(root, u, p.CrossBps), cfg)
+		}
+		c := cfg
+		c.Adaptive.TargetRel = p.Targets[u-1]
+		return abRun(abAdaptive, p.link(root, u, p.CrossBps), c)
+	})
+	if err != nil {
+		return nil, err
+	}
+	truth := outs[0].Value
+	if truth <= 0 {
+		return nil, fmt.Errorf("experiments: abest-frontier ground truth %g", truth)
+	}
+	errS := Series{Name: "relative error (%)"}
+	costS := Series{Name: "probe packets"}
+	for i, t := range p.Targets {
+		o := outs[i+1]
+		if !o.ok {
+			continue
+		}
+		x := 100 * t
+		errS.X = append(errS.X, x)
+		errS.Y = append(errS.Y, relErr(o.Value, truth))
+		costS.X = append(costS.X, x)
+		costS.Y = append(costS.Y, float64(o.Cost.Packets))
+	}
+	return &Figure{
+		ID:     "abest-frontier",
+		Title:  "Adaptive-train probing cost vs accuracy across CI targets",
+		XLabel: "CI95 target (% of estimate)",
+		YLabel: "relative error (%) / probe packets",
+		Series: []Series{errS, costS},
+	}, nil
 }
 
 // AbestBudget sweeps a hard probe-packet cap across every estimator
@@ -282,83 +270,55 @@ func AbestFrontier(p AbestParams, sc Scale) (*Figure, error) {
 // met. Unit 0 measures ground truth; unit 1 + b*3 + (k-1) runs
 // estimator k under cap b.
 func AbestBudget(p AbestParams, sc Scale) (*Figure, error) {
+	if len(p.BudgetPackets) == 0 {
+		return nil, fmt.Errorf("experiments: abest-budget needs packet caps")
+	}
+	for _, b := range p.BudgetPackets {
+		if b <= 0 {
+			return nil, fmt.Errorf("experiments: abest-budget cap %d must be positive", b)
+		}
+	}
 	cfg := scaledAbestEffort(sc)
 	const tools = abEstimators - 1 // every estimator except ground truth
-	type pt struct {
-		ok        bool
-		val, ci   float64
-		packets   float64
-		truncated estimate.Truncation
-	}
-	link := func(stream sim.Stream) probe.Link {
-		l := probe.Link{ProbeSize: p.PacketSize, Seed: stream.Seed(), Workers: 1}
-		if p.CrossBps > 0 {
-			l.Contenders = []probe.Flow{{RateBps: p.CrossBps, Size: p.PacketSize}}
+	root := sim.NewStream(p.Seed + 3)
+	outs, err := mapUnits(1+len(p.BudgetPackets)*tools, sc, nil, func(_ struct{}, u int) (abOutcome, error) {
+		if u == 0 {
+			return abRun(abTruth, p.link(root, u, p.CrossBps), cfg)
 		}
-		return l
+		budget := estimate.Budget{MaxPackets: p.BudgetPackets[(u-1)/tools]}
+		c := cfg
+		c.TOPP.Budget, c.SLoPS.Budget, c.Adaptive.Budget = budget, budget, budget
+		return abRun(1+(u-1)%tools, p.link(root, u, p.CrossBps), c)
+	})
+	if err != nil {
+		return nil, err
 	}
-	return Run(Scenario[pt]{
-		Seed:  p.Seed + 3,
-		Units: 1 + len(p.BudgetPackets)*tools,
-		Build: func() error {
-			if len(p.BudgetPackets) == 0 {
-				return fmt.Errorf("experiments: abest-budget needs packet caps")
+	truth := outs[0].Value
+	if truth <= 0 {
+		return nil, fmt.Errorf("experiments: abest-budget ground truth %g", truth)
+	}
+	fig := &Figure{
+		ID:     "abest-budget",
+		Title:  "Estimator accuracy and reported epsilon_eff vs hard packet budget",
+		XLabel: "probe-packet budget",
+		YLabel: "relative error / epsilon_eff vs ground truth (%)",
+	}
+	for k := 1; k <= tools; k++ {
+		errS := Series{Name: abName(k) + " error (%)"}
+		epsS := Series{Name: abName(k) + " eps_eff (%)"}
+		for b, cap := range p.BudgetPackets {
+			o := outs[1+b*tools+(k-1)]
+			if !o.ok {
+				continue
 			}
-			for _, b := range p.BudgetPackets {
-				if b <= 0 {
-					return fmt.Errorf("experiments: abest-budget cap %d must be positive", b)
-				}
-			}
-			return nil
-		},
-		RunOne: func(u int, stream sim.Stream) (pt, error) {
-			if u == 0 {
-				tr, err := estimate.GroundTruth(link(stream), cfg.Truth)
-				return pt{ok: true, val: tr.AvailableBps}, err
-			}
-			b, k := (u-1)/tools, 1+(u-1)%tools
-			budget := estimate.Budget{MaxPackets: p.BudgetPackets[b]}
-			c := cfg
-			c.TOPP.Budget = budget
-			c.SLoPS.Budget = budget
-			c.Adaptive.Budget = budget
-			e, ok, err := abRun(k, link(stream), c)
-			return pt{ok: ok, val: e.Value, ci: e.CI,
-				packets: float64(e.Cost.Packets), truncated: e.Truncated}, err
-		},
-		Reduce: func(pts []pt) (*Figure, error) {
-			truth := pts[0].val
-			if truth <= 0 {
-				return nil, fmt.Errorf("experiments: abest-budget ground truth %g", truth)
-			}
-			fig := &Figure{
-				ID:     "abest-budget",
-				Title:  "Estimator accuracy and reported epsilon_eff vs hard packet budget",
-				XLabel: "probe-packet budget",
-				YLabel: "relative error / epsilon_eff vs ground truth (%)",
-			}
-			for k := 1; k <= tools; k++ {
-				errS := Series{Name: abName(k) + " error (%)"}
-				epsS := Series{Name: abName(k) + " eps_eff (%)"}
-				for b, cap := range p.BudgetPackets {
-					pt := pts[1+b*tools+(k-1)]
-					if !pt.ok {
-						continue
-					}
-					rel := 100 * (pt.val - truth) / truth
-					if rel < 0 {
-						rel = -rel
-					}
-					errS.X = append(errS.X, float64(cap))
-					errS.Y = append(errS.Y, rel)
-					epsS.X = append(epsS.X, float64(cap))
-					epsS.Y = append(epsS.Y, 100*pt.ci/truth)
-				}
-				fig.Series = append(fig.Series, errS, epsS)
-			}
-			return fig, nil
-		},
-	}, sc)
+			errS.X = append(errS.X, float64(cap))
+			errS.Y = append(errS.Y, relErr(o.Value, truth))
+			epsS.X = append(epsS.X, float64(cap))
+			epsS.Y = append(epsS.Y, 100*o.CI/truth)
+		}
+		fig.Series = append(fig.Series, errS, epsS)
+	}
+	return fig, nil
 }
 
 // abScenario is one row of the robustness matrix: a named channel/
@@ -399,58 +359,35 @@ func abScenarios() []abScenario {
 // u%abEstimators on scenario u/abEstimators; the x-axis is the
 // scenario index in abScenarios order.
 func AbestRobust(p AbestParams, sc Scale) (*Figure, error) {
+	if p.CrossBps <= 0 {
+		return nil, fmt.Errorf("experiments: abest-robust needs positive cross-load, got %g", p.CrossBps)
+	}
 	cfg := scaledAbestEffort(sc)
 	scenarios := abScenarios()
-	type pt struct {
-		ok  bool
-		val float64
+	root := sim.NewStream(p.Seed + 2)
+	outs, err := mapUnits(len(scenarios)*abEstimators, sc, nil, func(_ struct{}, u int) (abOutcome, error) {
+		return abRun(u%abEstimators, scenarios[u/abEstimators].apply(p.link(root, u, p.CrossBps)), cfg)
+	})
+	if err != nil {
+		return nil, err
 	}
-	return Run(Scenario[pt]{
-		Seed:  p.Seed + 2,
-		Units: len(scenarios) * abEstimators,
-		Build: func() error {
-			if p.CrossBps <= 0 {
-				return fmt.Errorf("experiments: abest-robust needs positive cross-load, got %g", p.CrossBps)
+	fig := &Figure{
+		ID:     "abest-robust",
+		Title:  "Estimator relative error across the scenario matrix (0=perfect 1=fer 2=hidden 3=edca 4=mixed-rate)",
+		XLabel: "scenario",
+		YLabel: "relative error vs scenario ground truth (%)",
+	}
+	for k := 1; k < abEstimators; k++ {
+		s := Series{Name: abName(k)}
+		for scen := range scenarios {
+			truth, o := outs[scen*abEstimators+abTruth], outs[scen*abEstimators+k]
+			if !truth.ok || truth.Value <= 0 || !o.ok {
+				continue
 			}
-			return nil
-		},
-		RunOne: func(u int, stream sim.Stream) (pt, error) {
-			scen, k := u/abEstimators, u%abEstimators
-			l := probe.Link{
-				ProbeSize:  p.PacketSize,
-				Contenders: []probe.Flow{{RateBps: p.CrossBps, Size: p.PacketSize}},
-				Seed:       stream.Seed(),
-				Workers:    1,
-			}
-			l = scenarios[scen].apply(l)
-			e, ok, err := abRun(k, l, cfg)
-			return pt{ok: ok, val: e.Value}, err
-		},
-		Reduce: func(pts []pt) (*Figure, error) {
-			fig := &Figure{
-				ID:     "abest-robust",
-				Title:  "Estimator relative error across the scenario matrix (0=perfect 1=fer 2=hidden 3=edca 4=mixed-rate)",
-				XLabel: "scenario",
-				YLabel: "relative error vs scenario ground truth (%)",
-			}
-			for k := 1; k < abEstimators; k++ {
-				s := Series{Name: abName(k)}
-				for scen := range scenarios {
-					truth := pts[scen*abEstimators+abTruth]
-					pt := pts[scen*abEstimators+k]
-					if !truth.ok || truth.val <= 0 || !pt.ok {
-						continue
-					}
-					rel := 100 * (pt.val - truth.val) / truth.val
-					if rel < 0 {
-						rel = -rel
-					}
-					s.X = append(s.X, float64(scen))
-					s.Y = append(s.Y, rel)
-				}
-				fig.Series = append(fig.Series, s)
-			}
-			return fig, nil
-		},
-	}, sc)
+			s.X = append(s.X, float64(scen))
+			s.Y = append(s.Y, relErr(o.Value, truth.Value))
+		}
+		fig.Series = append(fig.Series, s)
+	}
+	return fig, nil
 }

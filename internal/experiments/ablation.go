@@ -62,31 +62,29 @@ func AblationImmediateAccess(p AblationParams, sc Scale) (*Figure, error) {
 		}
 		return row, nil
 	}
-	return Run(Scenario[[]float64]{
-		Seed:  p.Seed,
-		Units: 2 * sc.Reps,
-		RunOne: func(u int, _ sim.Stream) ([]float64, error) {
-			return runOne(u >= sc.Reps, u%sc.Reps)
+	rows, err := mapUnits(2*sc.Reps, sc, nil, func(_ struct{}, u int) ([]float64, error) {
+		return runOne(u >= sc.Reps, u%sc.Reps)
+	})
+	if err != nil {
+		return nil, err
+	}
+	series := func(rows [][]float64, name string) Series {
+		means := stats.RunningMeans(rows)
+		s := Series{Name: name}
+		for i, m := range means {
+			s.X = append(s.X, float64(i+1))
+			s.Y = append(s.Y, m*1e3)
+		}
+		return s
+	}
+	return &Figure{
+		ID:     "ablation-ia",
+		Title:  "Mean access delay per packet: immediate access vs ablated",
+		XLabel: "packet #",
+		YLabel: "access delay (ms)",
+		Series: []Series{
+			series(rows[:sc.Reps], "standard DCF (immediate access)"),
+			series(rows[sc.Reps:], "no immediate access (ablation)"),
 		},
-		Reduce: func(rowSets [][]float64) (*Figure, error) {
-			series := func(rows [][]float64, name string) Series {
-				means := stats.RunningMeans(rows)
-				s := Series{Name: name}
-				for i, m := range means {
-					s.X = append(s.X, float64(i+1))
-					s.Y = append(s.Y, m*1e3)
-				}
-				return s
-			}
-			std := series(rowSets[:sc.Reps], "standard DCF (immediate access)")
-			abl := series(rowSets[sc.Reps:], "no immediate access (ablation)")
-			return &Figure{
-				ID:     "ablation-ia",
-				Title:  "Mean access delay per packet: immediate access vs ablated",
-				XLabel: "packet #",
-				YLabel: "access delay (ms)",
-				Series: []Series{std, abl},
-			}, nil
-		},
-	}, sc)
+	}, nil
 }

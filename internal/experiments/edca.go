@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 
 	"csmabw/internal/phy"
 	"csmabw/internal/probe"
-	"csmabw/internal/sim"
 )
 
 // This file holds the heterogeneous-cell experiments: the paper
@@ -87,98 +85,37 @@ func DefaultRateAnomaly() RateAnomalyParams {
 // quietly collapsed. For each contender data rate the figure plots the
 // short-train dispersion estimate next to the probe's actual
 // steady-state carried rate at the same saturating offered rate; the
-// widening gap toward the slow end is the compounded bias. Units are
-// the (rate point, replication-or-steady) pairs: per rate point,
-// sc.Reps train replications plus one steady-state measurement.
+// widening gap toward the slow end is the compounded bias. Point i
+// measures both on seed Seed+1117i.
 func RateAnomaly(p RateAnomalyParams, sc Scale) (*Figure, error) {
-	perPoint := sc.Reps + 1
-	dur := sim.FromSeconds(sc.SteadySeconds)
-	link := func(point int) probe.Link {
-		return probe.Link{
-			ProbeSize: p.PacketSize,
-			Contenders: []probe.Flow{{
-				RateBps:     p.CrossRateBps,
-				Size:        p.PacketSize,
-				DataRateBps: p.ContenderRates[point],
-			}},
-			Seed: p.Seed + int64(point)*1117,
+	points := make([]point, len(p.ContenderRates))
+	for i, r := range p.ContenderRates {
+		if r <= 0 {
+			return nil, fmt.Errorf("experiments: non-positive contender rate %g", r)
 		}
+		points[i] = point{probe.Link{
+			ProbeSize:  p.PacketSize,
+			Contenders: []probe.Flow{{RateBps: p.CrossRateBps, Size: p.PacketSize, DataRateBps: r}},
+			Seed:       p.Seed + int64(i)*1117,
+		}, p.SatProbeBps}
 	}
-	// unit carries either one train replication's sample or the
-	// point's steady-state probe rate, tagged by kind.
-	type unit struct {
-		point  int
-		steady bool
-		rate   float64
-		sample probe.TrainSample
+	ts, err := trains(points, p.TrainLen, sc)
+	if err != nil {
+		return nil, err
 	}
-	var plans []*probe.TrainPlan
-	return Run(Scenario[unit]{
-		Seed:  p.Seed,
-		Units: len(p.ContenderRates) * perPoint,
-		Build: func() error {
-			plans = make([]*probe.TrainPlan, len(p.ContenderRates))
-			for point, r := range p.ContenderRates {
-				if r <= 0 {
-					return fmt.Errorf("experiments: non-positive contender rate %g", r)
-				}
-				plan, err := probe.PlanTrain(link(point), p.TrainLen, p.SatProbeBps)
-				if err != nil {
-					return err
-				}
-				plans[point] = plan
-			}
-			return nil
+	ss, err := steady(points, sc)
+	if err != nil {
+		return nil, err
+	}
+	x := mbps(p.ContenderRates)
+	return &Figure{
+		ID:     "rate-anomaly",
+		Title:  "Dispersion estimate vs carried share under the 802.11 rate anomaly",
+		XLabel: "contender data rate (Mb/s)",
+		YLabel: "probe rate (Mb/s)",
+		Series: []Series{
+			rateCurve(fmt.Sprintf("%d-packet train estimate", p.TrainLen), x, ts),
+			curve("steady-state carried rate", x, ss, probeRate),
 		},
-		NewWorker: func() any { return &probe.TrainMeter{} },
-		RunOneOn: func(ws any, u int, _ sim.Stream) (unit, error) {
-			point, k := u/perPoint, u%perPoint
-			if k == sc.Reps {
-				ss, err := probe.MeasureSteadyState(link(point), p.SatProbeBps, dur)
-				if err != nil {
-					return unit{}, err
-				}
-				return unit{point: point, steady: true, rate: ss.ProbeRate}, nil
-			}
-			s, err := plans[point].MeasureOne(ws.(*probe.TrainMeter), k)
-			return unit{point: point, sample: s}, err
-		},
-		Reduce: func(units []unit) (*Figure, error) {
-			fig := &Figure{
-				ID:     "rate-anomaly",
-				Title:  "Dispersion estimate vs carried share under the 802.11 rate anomaly",
-				XLabel: "contender data rate (Mb/s)",
-				YLabel: "probe rate (Mb/s)",
-			}
-			train := Series{Name: fmt.Sprintf("%d-packet train estimate", p.TrainLen)}
-			steady := Series{Name: "steady-state carried rate"}
-			for point := range p.ContenderRates {
-				x := p.ContenderRates[point] / 1e6
-				var samples []probe.TrainSample
-				for _, u := range units {
-					if u.point != point {
-						continue
-					}
-					if u.steady {
-						steady.X = append(steady.X, x)
-						steady.Y = append(steady.Y, u.rate/1e6)
-						continue
-					}
-					samples = append(samples, u.sample)
-				}
-				ts := probe.TrainStats{L: p.PacketSize, Samples: samples}
-				est, err := ts.RateEstimate()
-				if errors.Is(err, probe.ErrNoEstimate) {
-					continue // no usable dispersion at this point: skip, don't plot 0
-				}
-				if err != nil {
-					return nil, err
-				}
-				train.X = append(train.X, x)
-				train.Y = append(train.Y, est/1e6)
-			}
-			fig.Series = append(fig.Series, train, steady)
-			return fig, nil
-		},
-	}, sc)
+	}, nil
 }

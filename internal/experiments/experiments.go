@@ -1,8 +1,8 @@
 // Package experiments contains one driver per figure of the paper's
-// evaluation. Each driver builds the scenario described in the paper,
-// runs it on the simulated CSMA/CA link with independent replications,
-// and returns the same series the paper plots, so the cmd/ tools and
-// the golden tests can regenerate every figure.
+// evaluation. Each driver lists the operating points the paper
+// measures, runs them on the simulated CSMA/CA link with independent
+// replications, and returns the same series the paper plots, so the
+// cmd/ tools and the golden tests can regenerate every figure.
 //
 // Every driver takes a Scale, which multiplies replication counts and
 // train lengths so the same code serves quick tests (Scale{Tiny}),
@@ -14,6 +14,9 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"csmabw/internal/probe"
+	"csmabw/internal/runner"
 )
 
 // Series is one plotted line: X values and the corresponding Y values.
@@ -157,8 +160,28 @@ func (s Scale) validate() error {
 	return nil
 }
 
+// mapUnits runs units 0..n-1 on a pool of sc.Workers goroutines
+// (GOMAXPROCS when zero) and returns their results in unit order, after
+// checking sc. newWorker, when non-nil, builds one state value per
+// worker, such as a *probe.TrainMeter whose engine the worker reuses;
+// run(w, u) must return the same value for unit u whichever worker
+// runs it, so a figure is byte-identical at any worker count.
+func mapUnits[W, T any](n int, sc Scale, newWorker func() W, run func(w W, u int) (T, error)) ([]T, error) {
+	if err := sc.validate(); err != nil {
+		return nil, err
+	}
+	return runner.MapBatches(n, sc.Workers, 0, newWorker, run)
+}
+
+// point is one operating point of a figure: a cell on its own seed,
+// probed at rateBps.
+type point struct {
+	cell    probe.Link
+	rateBps float64
+}
+
 // sweep returns n rate points spanning [lo, hi] inclusive, in bit/s.
-// Drivers call it before Run validates the Scale, so an invalid point
+// Drivers call it before mapUnits checks the Scale, so an invalid point
 // count yields an empty sweep here and the validation error there
 // rather than a panic.
 func sweep(lo, hi float64, n int) []float64 {

@@ -189,17 +189,6 @@ func TestFigKSShape(t *testing.T) {
 	}
 }
 
-func TestFigKSNoInterp(t *testing.T) {
-	p := DefaultFig8()
-	p.TrainLen = 40
-	opt := DefaultKSOptions(p.TrainLen)
-	opt.Packets = 5
-	opt.Interpolate = false
-	if _, err := FigKS("fig08", p, tiny(), opt); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFig10Shape(t *testing.T) {
 	p := DefaultFig10()
 	p.CrossLoads = []float64{0.3, 0.9}

@@ -38,12 +38,12 @@ var goldenAllocs = map[string]uint64{
 	"fig06":            238,
 	"fig07":            257,
 	"fig08":            557,
-	"fig09":            625,
+	"fig09":            513,
 	"fig10":            1455,
-	"fig13":            3026,
-	"fig15":            3884,
-	"fig16":            2622,
-	"fig17":            1527,
+	"fig13":            2475,
+	"fig15":            3266,
+	"fig16":            2227,
+	"fig17":            1103,
 	"fer-rrc":          1041,
 	"fer-transient":    580,
 	"hidden":           1052,

@@ -5,7 +5,6 @@ import (
 
 	"csmabw/internal/mac"
 	"csmabw/internal/probe"
-	"csmabw/internal/sim"
 )
 
 // This file holds the imperfect-channel experiments: the scenarios the
@@ -44,18 +43,20 @@ func DefaultFERRRC() []probe.Link {
 // eats into both the achievable throughput and the dispersion the
 // estimator reads, so the curves flatten lower as FER grows.
 func FERRateResponse(cells []probe.Link, sc Scale) (*Figure, error) {
-	return rateResponse(cells, 10e6, sc, func(x []float64, byCell [][]*probe.SteadyState) (*Figure, error) {
-		fig := &Figure{
-			ID:     "fer-rrc",
-			Title:  "Steady-state rate response under frame loss",
-			XLabel: "ri (Mb/s)",
-			YLabel: "probe ro (Mb/s)",
-		}
-		for c, pts := range byCell {
-			fig.Series = append(fig.Series, curve(ferCurve(cells[c]), x, pts, probeRate))
-		}
-		return fig, nil
-	})
+	x, byCell, err := rateResponse(cells, 10e6, sc)
+	if err != nil {
+		return nil, err
+	}
+	fig := &Figure{
+		ID:     "fer-rrc",
+		Title:  "Steady-state rate response under frame loss",
+		XLabel: "ri (Mb/s)",
+		YLabel: "probe ro (Mb/s)",
+	}
+	for c, pts := range byCell {
+		fig.Series = append(fig.Series, curve(ferCurve(cells[c]), x, pts, probeRate))
+	}
+	return fig, nil
 }
 
 // DefaultFERTransient is the Figure-6 cell at 0%, 1% and 5% FER, curve
@@ -98,71 +99,49 @@ func DefaultHidden() HiddenParams {
 	}
 }
 
-// hiddenVariants enumerates the three propagation variants of the
-// hidden-terminal experiment in plotting order.
-func hiddenVariants(p HiddenParams) []struct {
-	name string
-	topo func() *mac.Topology
-	rts  int
-} {
-	return []struct {
-		name string
-		topo func() *mac.Topology
-		rts  int
-	}{
-		{"single collision domain", func() *mac.Topology { return nil }, 0},
-		{"hidden terminals", mac.HiddenPair, 0},
-		{"hidden terminals + RTS/CTS", mac.HiddenPair, p.RTSThreshold},
-	}
-}
-
 // HiddenTerminal measures the aggregate carried rate (probe plus
 // contender) against the contender's offered rate for a single
 // collision domain, a hidden pair, and a hidden pair using RTS/CTS.
 // Hidden terminals collide without ever sensing each other, collapsing
 // the aggregate as load grows; RTS/CTS shortens the vulnerable window
-// to the handshake and recovers part of the loss. Units are the
-// (variant, rate point) pairs.
+// to the handshake and recovers part of the loss. Point
+// u = variant·points + i runs on seed Seed+131u.
 func HiddenTerminal(p HiddenParams, sc Scale) (*Figure, error) {
 	rates := sweep(0.5e6, p.MaxCrossBps, sc.SweepPoints)
-	nPoints := len(rates)
-	variants := hiddenVariants(p)
-	dur := sim.FromSeconds(sc.SteadySeconds)
-	type pt struct{ x, y float64 }
-	return Run(Scenario[pt]{
-		Seed:  p.Seed,
-		Units: nPoints * len(variants),
-		RunOne: func(u int, _ sim.Stream) (pt, error) {
-			v, i := u/nPoints, u%nPoints
-			l := probe.Link{
+	variants := []struct {
+		name string
+		topo *mac.Topology // shared read-only by the variant's points
+		rts  int
+	}{
+		{"single collision domain", nil, 0},
+		{"hidden terminals", mac.HiddenPair(), 0},
+		{"hidden terminals + RTS/CTS", mac.HiddenPair(), p.RTSThreshold},
+	}
+	var points []point
+	for _, v := range variants {
+		for _, r := range rates {
+			points = append(points, point{probe.Link{
 				ProbeSize:    p.PacketSize,
-				Contenders:   []probe.Flow{{RateBps: rates[i], Size: p.PacketSize}},
-				Seed:         p.Seed + int64(u)*131,
-				Topology:     variants[v].topo(),
-				RTSThreshold: variants[v].rts,
-			}
-			ss, err := probe.MeasureSteadyState(l, p.ProbeRateBps, dur)
-			if err != nil {
-				return pt{}, err
-			}
-			return pt{x: rates[i] / 1e6, y: (ss.ProbeRate + ss.CrossRates[0]) / 1e6}, nil
-		},
-		Reduce: func(pts []pt) (*Figure, error) {
-			fig := &Figure{
-				ID:     "hidden",
-				Title:  "Aggregate carried rate with and without hidden terminals",
-				XLabel: "contender offered rate (Mb/s)",
-				YLabel: "aggregate throughput (Mb/s)",
-			}
-			for v, variant := range variants {
-				s := Series{Name: variant.name}
-				for _, pt := range pts[v*nPoints : (v+1)*nPoints] {
-					s.X = append(s.X, pt.x)
-					s.Y = append(s.Y, pt.y)
-				}
-				fig.Series = append(fig.Series, s)
-			}
-			return fig, nil
-		},
-	}, sc)
+				Contenders:   []probe.Flow{{RateBps: r, Size: p.PacketSize}},
+				Seed:         p.Seed + int64(len(points))*131,
+				Topology:     v.topo,
+				RTSThreshold: v.rts,
+			}, p.ProbeRateBps})
+		}
+	}
+	pts, err := steady(points, sc)
+	if err != nil {
+		return nil, err
+	}
+	fig := &Figure{
+		ID:     "hidden",
+		Title:  "Aggregate carried rate with and without hidden terminals",
+		XLabel: "contender offered rate (Mb/s)",
+		YLabel: "aggregate throughput (Mb/s)",
+	}
+	x := mbps(rates)
+	for v, variant := range variants {
+		fig.Series = append(fig.Series, curve(variant.name, x, pts[v*len(rates):(v+1)*len(rates)], aggregateRate))
+	}
+	return fig, nil
 }

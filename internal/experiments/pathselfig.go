@@ -144,61 +144,50 @@ func (p PathselParams) validate() error {
 	return nil
 }
 
+// newPathselMeter is the per-worker state of the path-selection
+// figures.
+func newPathselMeter() *pathsel.Meter { return &pathsel.Meter{} }
+
 // SelectionRegret compares the selection policies on a time-varying
 // three-upstream cell: every epoch each policy's delivered throughput
 // is scored against the per-epoch oracle (the best single path), and
 // the figure plots the mean cumulative regret over the decision
 // rounds. A policy that reacts slowly to the scheduled degradation —
-// or chases noise before it — accumulates regret visibly. Units are
-// the (policy, replication) pairs.
+// or chases noise before it — accumulates regret visibly. Unit
+// u = policy·reps + rep.
 func SelectionRegret(p PathselParams, sc Scale) (*Figure, error) {
-	type unit struct {
-		policy int
-		res    *pathsel.Result
-	}
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	return Run(Scenario[unit]{
-		Seed:      p.Seed,
-		Units:     len(p.Policies) * sc.Reps,
-		NewWorker: func() any { return &pathsel.Meter{} },
-		RunOneOn: func(ws any, u int, _ sim.Stream) (unit, error) {
-			pol, rep := u/sc.Reps, u%sc.Reps
-			res, err := pathsel.Run(p.config(p.Policies[pol], p.Hysteresis), rep, ws.(*pathsel.Meter))
-			return unit{policy: pol, res: res}, err
-		},
-		Reduce: func(units []unit) (*Figure, error) {
-			fig := &Figure{
-				ID:     "selection-regret",
-				Title:  "Cumulative selection regret on a degrading upstream",
-				XLabel: "decision epoch",
-				YLabel: "cumulative regret (Mb/s · epochs)",
+	runs, err := mapUnits(len(p.Policies)*sc.Reps, sc, newPathselMeter, func(m *pathsel.Meter, u int) (*pathsel.Result, error) {
+		return pathsel.Run(p.config(p.Policies[u/sc.Reps], p.Hysteresis), u%sc.Reps, m)
+	})
+	if err != nil {
+		return nil, err
+	}
+	fig := &Figure{
+		ID:     "selection-regret",
+		Title:  "Cumulative selection regret on a degrading upstream",
+		XLabel: "decision epoch",
+		YLabel: "cumulative regret (Mb/s · epochs)",
+	}
+	for pol, name := range p.Policies {
+		cum := make([]float64, p.Epochs)
+		for _, res := range runs[pol*sc.Reps : (pol+1)*sc.Reps] {
+			run := 0.0
+			for k, ep := range res.Epochs {
+				run += ep.RegretBps / 1e6
+				cum[k] += run
 			}
-			for pol, name := range p.Policies {
-				cum := make([]float64, p.Epochs)
-				n := 0
-				for _, u := range units {
-					if u.policy != pol {
-						continue
-					}
-					n++
-					run := 0.0
-					for k, ep := range u.res.Epochs {
-						run += ep.RegretBps / 1e6
-						cum[k] += run
-					}
-				}
-				s := Series{Name: string(name)}
-				for k := range cum {
-					s.X = append(s.X, float64(k+1))
-					s.Y = append(s.Y, cum[k]/float64(n))
-				}
-				fig.Series = append(fig.Series, s)
-			}
-			return fig, nil
-		},
-	}, sc)
+		}
+		s := Series{Name: string(name)}
+		for k := range cum {
+			s.X = append(s.X, float64(k+1))
+			s.Y = append(s.Y, cum[k]/float64(sc.Reps))
+		}
+		fig.Series = append(fig.Series, s)
+	}
+	return fig, nil
 }
 
 // FailoverLag sweeps the hysteresis margin and plots how many decision
@@ -206,12 +195,8 @@ func SelectionRegret(p PathselParams, sc Scale) (*Figure, error) {
 // scheduled collapse fires — the stability-vs-reactivity trade the
 // margin buys. A lag of 1 is the immediate next decision; runs whose
 // selection never moves are censored at the remaining round count.
-// Units are the (policy, margin, replication) triples.
+// Unit u = (policy·margins + margin)·reps + rep.
 func FailoverLag(p PathselParams, sc Scale) (*Figure, error) {
-	type unit struct {
-		policy, hyst int
-		lag          float64
-	}
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
@@ -219,45 +204,34 @@ func FailoverLag(p PathselParams, sc Scale) (*Figure, error) {
 		return nil, fmt.Errorf("experiments: pathsel: empty hysteresis sweep")
 	}
 	nH := len(p.HystSweep)
-	return Run(Scenario[unit]{
-		Seed:      p.Seed + 1,
-		Units:     len(p.Policies) * nH * sc.Reps,
-		NewWorker: func() any { return &pathsel.Meter{} },
-		RunOneOn: func(ws any, u int, _ sim.Stream) (unit, error) {
-			pol, rest := u/(nH*sc.Reps), u%(nH*sc.Reps)
-			hy, rep := rest/sc.Reps, rest%sc.Reps
-			res, err := pathsel.Run(p.config(p.Policies[pol], p.HystSweep[hy]), rep, ws.(*pathsel.Meter))
-			if err != nil {
-				return unit{}, err
+	lags, err := mapUnits(len(p.Policies)*nH*sc.Reps, sc, newPathselMeter, func(m *pathsel.Meter, u int) (float64, error) {
+		pol, hy := u/(nH*sc.Reps), u/sc.Reps%nH
+		res, err := pathsel.Run(p.config(p.Policies[pol], p.HystSweep[hy]), u%sc.Reps, m)
+		if err != nil {
+			return 0, err
+		}
+		return float64(res.SwitchLag(p.DegradeEpoch - 1)), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	fig := &Figure{
+		ID:     "failover-lag",
+		Title:  "Failover lag vs hysteresis margin after a scheduled degradation",
+		XLabel: "hysteresis margin",
+		YLabel: "mean lag (epochs)",
+	}
+	for pol, name := range p.Policies {
+		s := Series{Name: string(name)}
+		for h, margin := range p.HystSweep {
+			sum := 0.0
+			for _, lag := range lags[(pol*nH+h)*sc.Reps : (pol*nH+h+1)*sc.Reps] {
+				sum += lag
 			}
-			return unit{policy: pol, hyst: hy,
-				lag: float64(res.SwitchLag(p.DegradeEpoch - 1))}, nil
-		},
-		Reduce: func(units []unit) (*Figure, error) {
-			fig := &Figure{
-				ID:     "failover-lag",
-				Title:  "Failover lag vs hysteresis margin after a scheduled degradation",
-				XLabel: "hysteresis margin",
-				YLabel: "mean lag (epochs)",
-			}
-			for pol, name := range p.Policies {
-				sums := make([]float64, nH)
-				counts := make([]int, nH)
-				for _, u := range units {
-					if u.policy != pol {
-						continue
-					}
-					sums[u.hyst] += u.lag
-					counts[u.hyst]++
-				}
-				s := Series{Name: string(name)}
-				for h, margin := range p.HystSweep {
-					s.X = append(s.X, margin)
-					s.Y = append(s.Y, sums[h]/float64(counts[h]))
-				}
-				fig.Series = append(fig.Series, s)
-			}
-			return fig, nil
-		},
-	}, sc)
+			s.X = append(s.X, margin)
+			s.Y = append(s.Y, sum/float64(sc.Reps))
+		}
+		fig.Series = append(fig.Series, s)
+	}
+	return fig, nil
 }

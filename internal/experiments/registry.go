@@ -7,8 +7,9 @@ import (
 )
 
 // Driver produces one figure at a given scale with the paper-default
-// parameters. Every driver is Scenario-backed, so sc.Workers bounds its
-// worker pool and its output is byte-identical at any worker count.
+// parameters. Every driver runs its units through mapUnits, so
+// sc.Workers bounds its worker pool and its output is byte-identical at
+// any worker count.
 type Driver func(sc Scale) (*Figure, error)
 
 // CellDriver produces a figure on the measured cell of a compiled

@@ -11,22 +11,18 @@ import (
 // This file bridges the declarative scenario layer to the figure
 // drivers: a compiled scenario spec carries a complete measured cell
 // (probe.Link) plus a probing plan, and the helpers here run that cell
-// through the same Scenario/Run machinery the hand-wired registry
-// figures use — so a spec-described cell renders with byte-identical
-// reduction code.
+// through the same trains and steady measurements the hand-wired
+// registry figures use — so a spec-described cell renders with
+// byte-identical reduction code.
 
-// unitLink copies a measured cell for one unit of a sweep: its own
-// seed, and Workers pinned to 1 because the Scenario already
-// parallelizes across units, so the inner replication loop staying
-// serial keeps total concurrency at the configured worker count
-// instead of its square. The flow and schedule slices are copied so a
-// per-unit mutation (contender rate) cannot race with the other units
-// sharing the cell; Topology is shared deliberately — the drivers
-// never mutate it (the engine clones it when events edit edges).
+// unitLink copies a measured cell for one point of a sweep, on its own
+// seed. The flow and schedule slices are copied so a per-point mutation
+// (contender rate) cannot alias the cell or the other points; Topology
+// is shared deliberately — the drivers never mutate it (the engine
+// clones it when events edit edges).
 func unitLink(cell *probe.Link, seed int64) probe.Link {
 	l := *cell
 	l.Seed = seed
-	l.Workers = 1
 	if cell.FIFOCross != nil {
 		l.FIFOCross = append([]probe.Flow(nil), cell.FIFOCross...)
 	}
@@ -37,6 +33,16 @@ func unitLink(cell *probe.Link, seed int64) probe.Link {
 		l.Schedule = append([]mac.ScheduledEvent(nil), cell.Schedule...)
 	}
 	return l
+}
+
+// sweepPoints probes the cell at each rate, point i on its own unitLink
+// copy on seed cell.Seed+base+stride·i.
+func sweepPoints(cell *probe.Link, rates []float64, base, stride int64) []point {
+	points := make([]point, len(rates))
+	for i, r := range rates {
+		points[i] = point{unitLink(cell, cell.Seed+base+stride*int64(i)), r}
+	}
+	return points
 }
 
 // sweptContender is the cell's first contender carrying a swept rate,
@@ -92,22 +98,24 @@ func ScenarioFigure(c *scenario.Compiled, sc Scale) (*Figure, error) {
 	case scenario.PlanTrain:
 		return meanDelays(c.Name, "Mean access delay vs probe packet number — "+c.Name, cells, c.Probing.TrainLen, c.Probing.RateBps, 150, oneCurve, sc)
 	case scenario.PlanSteady:
-		return rateResponse(cells, c.Probing.RateBps, sc, func(x []float64, pts [][]*probe.SteadyState) (*Figure, error) {
-			series := []Series{curve("probe ro (Mb/s)", x, pts[0], probeRate)}
-			if len(c.Link.FIFOCross) > 0 {
-				series = append(series, curve("FIFO cross (Mb/s)", x, pts[0], fifoRate))
-			}
-			for ci := range c.Link.Contenders {
-				series = append(series, curve(c.StationNames[ci+1]+" (Mb/s)", x, pts[0], crossRate(ci)))
-			}
-			return &Figure{
-				ID:     c.Name,
-				Title:  "Steady-state rate response — " + c.Name,
-				XLabel: "ri (Mb/s)",
-				YLabel: "throughput (Mb/s)",
-				Series: series,
-			}, nil
-		})
+		x, pts, err := rateResponse(cells, c.Probing.RateBps, sc)
+		if err != nil {
+			return nil, err
+		}
+		series := []Series{curve("probe ro (Mb/s)", x, pts[0], probeRate)}
+		if len(c.Link.FIFOCross) > 0 {
+			series = append(series, curve("FIFO cross (Mb/s)", x, pts[0], fifoRate))
+		}
+		for ci := range c.Link.Contenders {
+			series = append(series, curve(c.StationNames[ci+1]+" (Mb/s)", x, pts[0], crossRate(ci)))
+		}
+		return &Figure{
+			ID:     c.Name,
+			Title:  "Steady-state rate response — " + c.Name,
+			XLabel: "ri (Mb/s)",
+			YLabel: "throughput (Mb/s)",
+			Series: series,
+		}, nil
 	}
 	return nil, fmt.Errorf("experiments: scenario %q has unknown probing plan %q", c.Name, c.Probing.Plan)
 }

@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 
 	"csmabw/internal/core"
 	"csmabw/internal/probe"
-	"csmabw/internal/sim"
 )
 
 // TrainRRCParams configures the short-train rate response experiments
@@ -17,7 +15,7 @@ type TrainRRCParams struct {
 	MaxProbeBps float64
 	// Cell is the measured link — channel, topology, EDCA, contending
 	// and FIFO cross flows — and Cell.Seed is the figure seed. Every
-	// unit measures a copy with its own seed and Workers pinned to 1.
+	// point measures a copy on its own seed.
 	Cell probe.Link
 }
 
@@ -47,71 +45,45 @@ func DefaultFig15() TrainRRCParams {
 
 // TrainRRC produces the dispersion-inferred rate response L/E[gO] for
 // each configured train length, plus the steady-state curve measured
-// with long constant-rate probing. The units of work are the (curve,
-// rate point) pairs: unit u measures point u%P of curve u/P, where
-// curve 0 is the steady-state sweep and curve k>0 is the k-th train
-// length.
+// with long constant-rate probing. Steady point i runs on seed
+// Cell.Seed+37i, and point i of the n-packet trains on
+// Cell.Seed+1000n+i.
 func TrainRRC(id string, p TrainRRCParams, sc Scale) (*Figure, error) {
 	rates := sweep(0.5e6, p.MaxProbeBps, sc.SweepPoints)
-	nPoints := len(rates)
-	dur := sim.FromSeconds(sc.SteadySeconds)
-	type pt struct {
-		ok   bool
-		x, y float64
+	x := mbps(rates)
+	ss, err := steady(sweepPoints(&p.Cell, rates, 0, 37), sc)
+	if err != nil {
+		return nil, err
 	}
-	return Run(Scenario[pt]{
-		Seed:  p.Cell.Seed,
-		Units: nPoints * (1 + len(p.TrainLens)),
-		RunOne: func(u int, _ sim.Stream) (pt, error) {
-			curve, i := u/nPoints, u%nPoints
-			ri := rates[i]
-			if curve == 0 {
-				ss, err := probe.MeasureSteadyState(unitLink(&p.Cell, p.Cell.Seed+int64(i)*37), ri, dur)
-				if err != nil {
-					return pt{}, err
-				}
-				return pt{ok: true, x: ri / 1e6, y: ss.ProbeRate / 1e6}, nil
-			}
-			n := p.TrainLens[curve-1]
-			ts, err := probe.MeasureTrain(unitLink(&p.Cell, p.Cell.Seed+int64(n*1000+i)), n, ri, sc.Reps)
-			if err != nil {
-				return pt{}, err
-			}
-			est, err := ts.RateEstimate()
-			if errors.Is(err, probe.ErrNoEstimate) {
-				// No usable dispersion at this operating point: leave the
-				// point out of the curve instead of plotting a bogus 0.
-				return pt{}, nil
-			}
-			if err != nil {
-				return pt{}, err
-			}
-			return pt{ok: true, x: ri / 1e6, y: est / 1e6}, nil
-		},
-		Reduce: func(pts []pt) (*Figure, error) {
-			fig := &Figure{
-				ID:     id,
-				Title:  "Dispersion-inferred rate response of short trains vs steady state",
-				XLabel: "ri (Mb/s)",
-				YLabel: "L/E[gO] (Mb/s)",
-			}
-			for curve := 0; curve <= len(p.TrainLens); curve++ {
-				s := Series{Name: "steady state"}
-				if curve > 0 {
-					s.Name = fmt.Sprintf("train of %d packets", p.TrainLens[curve-1])
-				}
-				for _, pt := range pts[curve*nPoints : (curve+1)*nPoints] {
-					if !pt.ok {
-						continue
-					}
-					s.X = append(s.X, pt.x)
-					s.Y = append(s.Y, pt.y)
-				}
-				fig.Series = append(fig.Series, s)
-			}
-			return fig, nil
-		},
-	}, sc)
+	fig := &Figure{
+		ID:     id,
+		Title:  "Dispersion-inferred rate response of short trains vs steady state",
+		XLabel: "ri (Mb/s)",
+		YLabel: "L/E[gO] (Mb/s)",
+		Series: []Series{curve("steady state", x, ss, probeRate)},
+	}
+	for _, n := range p.TrainLens {
+		ts, err := trains(sweepPoints(&p.Cell, rates, int64(n)*1000, 1), n, sc)
+		if err != nil {
+			return nil, err
+		}
+		fig.Series = append(fig.Series, rateCurve(fmt.Sprintf("train of %d packets", n), x, ts))
+	}
+	return fig, nil
+}
+
+// rateCurve is the dispersion-inferred rate L/E[gO] of each point's
+// trains, in Mb/s, at x. A point with no usable dispersion is left out
+// of the curve instead of plotted as a bogus 0.
+func rateCurve(name string, x []float64, byPoint []probe.TrainStats) Series {
+	s := Series{Name: name}
+	for i := range byPoint {
+		if est, err := byPoint[i].RateEstimate(); err == nil {
+			s.X = append(s.X, x[i])
+			s.Y = append(s.Y, est/1e6)
+		}
+	}
+	return s
 }
 
 // Fig16Params configures the packet-pair experiment of Figure 16.
@@ -136,7 +108,7 @@ func DefaultFig16() Fig16Params {
 	return Fig16Params{CrossRates: rates, SaturateBps: 12e6, Cell: probe.Link{ProbeSize: 1500, Seed: 16}}
 }
 
-// levelLink is the cell of sweep level i, on its own seed.
+// levelLink is the cell of sweep level i, on seed Cell.Seed+61i.
 func (p Fig16Params) levelLink(i int) probe.Link {
 	cr := p.CrossRates[i]
 	l := unitLink(&p.Cell, p.Cell.Seed+int64(i)*61)
@@ -151,59 +123,36 @@ func (p Fig16Params) levelLink(i int) probe.Link {
 
 // Fig16PacketPair compares, for each cross-traffic level, the actual
 // achievable throughput (fluid response, measured with a saturating
-// long flow) against the packet-pair dispersion inference. The pair
-// overestimates everywhere except at zero cross-traffic (Section 7.3).
-// Each cross-traffic level is an independent unit on the worker pool.
+// long flow) against the packet-pair dispersion inference: a 2-packet
+// train sent back to back on the same cell, levelLink(i) at level i.
+// The pair overestimates everywhere except at zero cross-traffic
+// (Section 7.3).
 func Fig16PacketPair(p Fig16Params, sc Scale) (*Figure, error) {
-	dur := sim.FromSeconds(sc.SteadySeconds)
-	type pt struct {
-		x, fluid, pair float64
-		pairOK         bool
+	saturate := make([]point, len(p.CrossRates))
+	pair := make([]point, len(p.CrossRates))
+	for i := range p.CrossRates {
+		l := p.levelLink(i)
+		saturate[i], pair[i] = point{l, p.SaturateBps}, point{l, 0}
 	}
-	return Run(Scenario[pt]{
-		Seed:  p.Cell.Seed,
-		Units: len(p.CrossRates),
-		RunOne: func(i int, _ sim.Stream) (pt, error) {
-			cr := p.CrossRates[i]
-			l := p.levelLink(i)
-			ss, err := probe.MeasureSteadyState(l, p.SaturateBps, dur)
-			if err != nil {
-				return pt{}, err
-			}
-			out := pt{x: cr / 1e6, fluid: ss.ProbeRate / 1e6}
-			est, err := probe.MeasurePair(l, sc.Reps)
-			switch {
-			case errors.Is(err, probe.ErrNoEstimate):
-				// The fluid point stands; the pair curve skips this level
-				// instead of plotting a bogus 0 bit/s inference.
-			case err != nil:
-				return pt{}, err
-			default:
-				out.pair, out.pairOK = est/1e6, true
-			}
-			return out, nil
+	ss, err := steady(saturate, sc)
+	if err != nil {
+		return nil, err
+	}
+	pairs, err := trains(pair, 2, sc)
+	if err != nil {
+		return nil, err
+	}
+	x := mbps(p.CrossRates)
+	return &Figure{
+		ID:     "fig16",
+		Title:  "Packet-pair inference vs actual achievable throughput",
+		XLabel: "cross-traffic rate (Mb/s)",
+		YLabel: "achievable throughput (Mb/s)",
+		Series: []Series{
+			curve("fluid response (actual)", x, ss, probeRate),
+			rateCurve("packet pair inference", x, pairs),
 		},
-		Reduce: func(pts []pt) (*Figure, error) {
-			fluid := Series{Name: "fluid response (actual)"}
-			pair := Series{Name: "packet pair inference"}
-			for _, pt := range pts {
-				fluid.X = append(fluid.X, pt.x)
-				fluid.Y = append(fluid.Y, pt.fluid)
-				if !pt.pairOK {
-					continue
-				}
-				pair.X = append(pair.X, pt.x)
-				pair.Y = append(pair.Y, pt.pair)
-			}
-			return &Figure{
-				ID:     "fig16",
-				Title:  "Packet-pair inference vs actual achievable throughput",
-				XLabel: "cross-traffic rate (Mb/s)",
-				YLabel: "achievable throughput (Mb/s)",
-				Series: []Series{fluid, pair},
-			}, nil
-		},
-	}, sc)
+	}, nil
 }
 
 // Fig17Params configures the MSER-corrected measurement of Figure 17.
@@ -232,61 +181,41 @@ func DefaultFig17() Fig17Params {
 
 // Fig17MSER compares the raw 20-packet-train rate response against the
 // MSER-m corrected one and the steady-state curve (Section 7.4: the
-// corrected curve approaches steady state without longer trains). Each
-// rate point is an independent unit on the worker pool; points whose
-// trains were entirely dropped are skipped, as in the paper's ensembles.
+// corrected curve approaches steady state without longer trains). Point
+// i measures both on seed Cell.Seed+41i; points whose trains were
+// entirely dropped are skipped, as in the paper's ensembles.
 func Fig17MSER(p Fig17Params, sc Scale) (*Figure, error) {
 	rates := sweep(1e6, p.MaxProbeBps, sc.SweepPoints)
-	dur := sim.FromSeconds(sc.SteadySeconds)
-	type pt struct {
-		ok                        bool
-		x, steady, raw, corrected float64
+	points := sweepPoints(&p.Cell, rates, 0, 41)
+	ss, err := steady(points, sc)
+	if err != nil {
+		return nil, err
 	}
-	return Run(Scenario[pt]{
-		Seed:  p.Cell.Seed,
-		Units: len(rates),
-		RunOne: func(i int, _ sim.Stream) (pt, error) {
-			ri := rates[i]
-			l := unitLink(&p.Cell, p.Cell.Seed+int64(i)*41)
-			ss, err := probe.MeasureSteadyState(l, ri, dur)
-			if err != nil {
-				return pt{}, err
-			}
-			ts, err := probe.MeasureTrain(l, p.TrainLen, ri, sc.Reps)
-			if err != nil {
-				return pt{}, err
-			}
-			// MSER correction applied to the ensemble: the per-position mean
-			// gap series locates the transient, every train is truncated
-			// there, and the remainder averaged (Section 7.4).
-			raw, corrected, ok := core.TrainRates(ts.InterDepartureGaps(), ts.L, p.MSERBatch)
-			if !ok {
-				return pt{}, nil
-			}
-			return pt{ok: true, x: ri / 1e6, steady: ss.ProbeRate / 1e6, raw: raw / 1e6, corrected: corrected / 1e6}, nil
-		},
-		Reduce: func(pts []pt) (*Figure, error) {
-			steady := Series{Name: "steady state"}
-			raw := Series{Name: fmt.Sprintf("train of %d packets", p.TrainLen)}
-			corrected := Series{Name: fmt.Sprintf("train of %d packets (MSER-%d)", p.TrainLen, p.MSERBatch)}
-			for _, pt := range pts {
-				if !pt.ok {
-					continue
-				}
-				steady.X = append(steady.X, pt.x)
-				steady.Y = append(steady.Y, pt.steady)
-				raw.X = append(raw.X, pt.x)
-				raw.Y = append(raw.Y, pt.raw)
-				corrected.X = append(corrected.X, pt.x)
-				corrected.Y = append(corrected.Y, pt.corrected)
-			}
-			return &Figure{
-				ID:     "fig17",
-				Title:  "MSER-corrected short-train measurement vs raw and steady state",
-				XLabel: "ri (Mb/s)",
-				YLabel: "L/E[gO] (Mb/s)",
-				Series: []Series{steady, raw, corrected},
-			}, nil
-		},
-	}, sc)
+	ts, err := trains(points, p.TrainLen, sc)
+	if err != nil {
+		return nil, err
+	}
+	steadyS := Series{Name: "steady state"}
+	raw := Series{Name: fmt.Sprintf("train of %d packets", p.TrainLen)}
+	corrected := Series{Name: fmt.Sprintf("train of %d packets (MSER-%d)", p.TrainLen, p.MSERBatch)}
+	for i, r := range rates {
+		// MSER correction applied to the ensemble: the per-position mean
+		// gap series locates the transient, every train is truncated
+		// there, and the remainder averaged (Section 7.4).
+		rawBps, corrBps, ok := core.TrainRates(ts[i].InterDepartureGaps(), ts[i].L, p.MSERBatch)
+		if !ok {
+			continue
+		}
+		x := r / 1e6
+		steadyS.X, steadyS.Y = append(steadyS.X, x), append(steadyS.Y, ss[i].ProbeRate/1e6)
+		raw.X, raw.Y = append(raw.X, x), append(raw.Y, rawBps/1e6)
+		corrected.X, corrected.Y = append(corrected.X, x), append(corrected.Y, corrBps/1e6)
+	}
+	return &Figure{
+		ID:     "fig17",
+		Title:  "MSER-corrected short-train measurement vs raw and steady state",
+		XLabel: "ri (Mb/s)",
+		YLabel: "L/E[gO] (Mb/s)",
+		Series: []Series{steadyS, raw, corrected},
+	}, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"csmabw/internal/probe"
-	"csmabw/internal/sim"
 	"csmabw/internal/stats"
 	"csmabw/internal/traffic"
 )
@@ -78,59 +77,66 @@ func (p TransientParams) link() probe.Link {
 	}
 }
 
-// trains runs sc.Reps replications of an n-packet train at rateBps on
-// each cell and hands reduce each cell's replications, in cell order.
-// Each cell is planned once and each worker measures on one TrainMeter.
-// Unit u = cell·reps + rep is replication rep of its cell, so a cell's
-// TrainStats are exactly probe.MeasureTrain's on that cell at any
-// worker count.
-func trains(cells []probe.Link, n int, rateBps float64, sc Scale, reduce func([]probe.TrainStats) (*Figure, error)) (*Figure, error) {
-	plans := make([]*probe.TrainPlan, len(cells))
-	return Run(Scenario[probe.TrainSample]{
-		Units: len(cells) * sc.Reps,
-		Build: func() (err error) {
-			for c := range cells {
-				if plans[c], err = probe.PlanTrain(cells[c], n, rateBps); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		NewWorker: func() any { return &probe.TrainMeter{} },
-		RunOneOn: func(ws any, u int, _ sim.Stream) (probe.TrainSample, error) {
-			return plans[u/sc.Reps].MeasureOne(ws.(*probe.TrainMeter), u%sc.Reps)
-		},
-		Reduce: func(samples []probe.TrainSample) (*Figure, error) {
-			byCell := make([]probe.TrainStats, len(cells))
-			for c, plan := range plans {
-				lo, hi := c*sc.Reps, (c+1)*sc.Reps
-				byCell[c] = probe.TrainStats{
-					N: n, GI: plan.GI(), L: cells[c].WithDefaults().ProbeSize, Reps: sc.Reps,
-					Samples: samples[lo:hi:hi],
-				}
-			}
-			return reduce(byCell)
-		},
-	}, sc)
+// trains runs sc.Reps replications of an n-packet train at each point
+// and returns each point's replications, in point order. Each point is
+// planned once and each worker measures on one TrainMeter. Unit
+// u = point·reps + rep is replication rep of its point, so a point's
+// TrainStats are exactly probe.MeasureTrain's on its cell and rate at
+// any worker count.
+func trains(points []point, n int, sc Scale) ([]probe.TrainStats, error) {
+	plans := make([]*probe.TrainPlan, len(points))
+	for i, pt := range points {
+		var err error
+		if plans[i], err = probe.PlanTrain(pt.cell, n, pt.rateBps); err != nil {
+			return nil, err
+		}
+	}
+	samples, err := mapUnits(len(points)*sc.Reps, sc, func() *probe.TrainMeter { return &probe.TrainMeter{} },
+		func(m *probe.TrainMeter, u int) (probe.TrainSample, error) {
+			return plans[u/sc.Reps].MeasureOne(m, u%sc.Reps)
+		})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]probe.TrainStats, len(points))
+	for i, plan := range plans {
+		lo, hi := i*sc.Reps, (i+1)*sc.Reps
+		out[i] = probe.TrainStats{
+			N: n, GI: plan.GI(), L: points[i].cell.WithDefaults().ProbeSize, Reps: sc.Reps,
+			Samples: samples[lo:hi:hi],
+		}
+	}
+	return out, nil
+}
+
+// at probes every cell at rateBps.
+func at(cells []probe.Link, rateBps float64) []point {
+	points := make([]point, len(cells))
+	for c, cell := range cells {
+		points[c] = point{cell, rateBps}
+	}
+	return points
 }
 
 // meanDelays is the Figure-6 transient on a list of cells: for each
 // cell, one curve, labelled name(cell), of the mean access delay of
 // each of its first show probe packets across replications.
 func meanDelays(id, title string, cells []probe.Link, n int, rateBps float64, show int, name func(probe.Link) string, sc Scale) (*Figure, error) {
-	return trains(cells, n, rateBps, sc, func(byCell []probe.TrainStats) (*Figure, error) {
-		fig := &Figure{ID: id, Title: title, XLabel: "packet #", YLabel: "access delay (ms)"}
-		for c := range byCell {
-			means := stats.RunningMeans(byCell[c].DelaysByIndex())
-			s := Series{Name: name(cells[c])}
-			for i := 0; i < show && i < len(means); i++ {
-				s.X = append(s.X, float64(i+1))
-				s.Y = append(s.Y, means[i]*1e3)
-			}
-			fig.Series = append(fig.Series, s)
+	byCell, err := trains(at(cells, rateBps), n, sc)
+	if err != nil {
+		return nil, err
+	}
+	fig := &Figure{ID: id, Title: title, XLabel: "packet #", YLabel: "access delay (ms)"}
+	for c := range byCell {
+		means := stats.RunningMeans(byCell[c].DelaysByIndex())
+		s := Series{Name: name(cells[c])}
+		for i := 0; i < show && i < len(means); i++ {
+			s.X = append(s.X, float64(i+1))
+			s.Y = append(s.Y, means[i]*1e3)
 		}
-		return fig, nil
-	})
+		fig.Series = append(fig.Series, s)
+	}
+	return fig, nil
 }
 
 // oneCurve labels the curve of a one-cell mean-delay transient.
@@ -146,49 +152,51 @@ func Fig6MeanAccessDelay(p TransientParams, sc Scale, show int) (*Figure, error)
 // Fig7Histograms reproduces Figure 7: the access-delay histogram of the
 // first packet against that of a late (steady-state) packet.
 func Fig7Histograms(p TransientParams, sc Scale, latePacket, bins int) (*Figure, error) {
-	return trains([]probe.Link{p.link()}, p.TrainLen, p.ProbeRateBps, sc, func(ts []probe.TrainStats) (*Figure, error) {
-		delays := ts[0].DelaysByIndex()
-		first := stats.Column(delays, 0)
-		lateIdx := latePacket
-		if lateIdx >= p.TrainLen {
-			lateIdx = p.TrainLen - 1
+	ts, err := trains([]point{{p.link(), p.ProbeRateBps}}, p.TrainLen, sc)
+	if err != nil {
+		return nil, err
+	}
+	delays := ts[0].DelaysByIndex()
+	first := stats.Column(delays, 0)
+	lateIdx := latePacket
+	if lateIdx >= p.TrainLen {
+		lateIdx = p.TrainLen - 1
+	}
+	late := stats.Column(delays, lateIdx)
+	if len(first) == 0 || len(late) == 0 {
+		return nil, fmt.Errorf("experiments: no samples for histogram")
+	}
+	// Shared range across both histograms.
+	lo, hi := first[0], first[0]
+	for _, v := range append(append([]float64{}, first...), late...) {
+		if v < lo {
+			lo = v
 		}
-		late := stats.Column(delays, lateIdx)
-		if len(first) == 0 || len(late) == 0 {
-			return nil, fmt.Errorf("experiments: no samples for histogram")
+		if v > hi {
+			hi = v
 		}
-		// Shared range across both histograms.
-		lo, hi := first[0], first[0]
-		for _, v := range append(append([]float64{}, first...), late...) {
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-		if hi == lo {
-			hi = lo + 1e-6
-		}
-		h1 := stats.NewHistogram(first, lo, hi, bins)
-		h2 := stats.NewHistogram(late, lo, hi, bins)
-		s1 := Series{Name: "packet 1"}
-		s2 := Series{Name: fmt.Sprintf("packet %d", lateIdx+1)}
-		for i := 0; i < bins; i++ {
-			x := h1.BinCenter(i) * 1e3 // ms
-			s1.X = append(s1.X, x)
-			s1.Y = append(s1.Y, float64(h1.Counts[i]))
-			s2.X = append(s2.X, x)
-			s2.Y = append(s2.Y, float64(h2.Counts[i]))
-		}
-		return &Figure{
-			ID:     "fig07",
-			Title:  "Access delay histograms: first vs late packet",
-			XLabel: "access delay (ms)",
-			YLabel: "count",
-			Series: []Series{s1, s2},
-		}, nil
-	})
+	}
+	if hi == lo {
+		hi = lo + 1e-6
+	}
+	h1 := stats.NewHistogram(first, lo, hi, bins)
+	h2 := stats.NewHistogram(late, lo, hi, bins)
+	s1 := Series{Name: "packet 1"}
+	s2 := Series{Name: fmt.Sprintf("packet %d", lateIdx+1)}
+	for i := 0; i < bins; i++ {
+		x := h1.BinCenter(i) * 1e3 // ms
+		s1.X = append(s1.X, x)
+		s1.Y = append(s1.Y, float64(h1.Counts[i]))
+		s2.X = append(s2.X, x)
+		s2.Y = append(s2.Y, float64(h2.Counts[i]))
+	}
+	return &Figure{
+		ID:     "fig07",
+		Title:  "Access delay histograms: first vs late packet",
+		XLabel: "access delay (ms)",
+		YLabel: "count",
+		Series: []Series{s1, s2},
+	}, nil
 }
 
 // KSOptions configures the per-index KS analysis of Figures 8 and 9.
@@ -200,70 +208,66 @@ type KSOptions struct {
 	TailFrom int
 	// Alpha is the KS significance (paper: 95% -> 0.05).
 	Alpha float64
-	// Interpolate applies the paper's footnote-2 ECDF interpolation.
-	Interpolate bool
 }
 
 // DefaultKSOptions matches the paper's setup for a train of length n.
 func DefaultKSOptions(trainLen int) KSOptions {
 	tail := trainLen / 2
-	return KSOptions{Packets: 100, TailFrom: tail, Alpha: 0.05, Interpolate: true}
+	return KSOptions{Packets: 100, TailFrom: tail, Alpha: 0.05}
 }
 
 // FigKS reproduces Figures 8 (top+bottom) and 9: the KS statistic of
 // each packet index's access-delay distribution against the
-// steady-state pool, the 95% threshold line, and (when queue samples
-// exist) the mean contender queue length per index.
+// steady-state pool, with the paper's footnote-2 ECDF interpolation,
+// the 95% threshold line, and (when queue samples exist) the mean
+// contender queue length per index.
 func FigKS(id string, p TransientParams, sc Scale, opt KSOptions) (*Figure, error) {
-	return trains([]probe.Link{p.link()}, p.TrainLen, p.ProbeRateBps, sc, func(ts []probe.TrainStats) (*Figure, error) {
-		delays := ts[0].DelaysByIndex()
-		tail := stats.Tail(delays, opt.TailFrom)
-		if len(tail) == 0 {
-			return nil, fmt.Errorf("experiments: empty steady-state pool (TailFrom=%d)", opt.TailFrom)
+	ts, err := trains([]point{{p.link(), p.ProbeRateBps}}, p.TrainLen, sc)
+	if err != nil {
+		return nil, err
+	}
+	delays := ts[0].DelaysByIndex()
+	tail := stats.Tail(delays, opt.TailFrom)
+	if len(tail) == 0 {
+		return nil, fmt.Errorf("experiments: empty steady-state pool (TailFrom=%d)", opt.TailFrom)
+	}
+	// The steady-state pool is large (reps × tail indices) and
+	// every packet index tests against it: sort it once.
+	tailECDF := stats.NewECDF(tail)
+	ksS := Series{Name: "KS value"}
+	thrS := Series{Name: "threshold 95% CI"}
+	if opt.Packets > p.TrainLen {
+		opt.Packets = p.TrainLen
+	}
+	for i := 0; i < opt.Packets; i++ {
+		col := stats.Column(delays, i)
+		if len(col) == 0 {
+			continue
 		}
-		// The steady-state pool is large (reps × tail indices) and
-		// every packet index tests against it: sort it once.
-		tailECDF := stats.NewECDF(tail)
-		ksS := Series{Name: "KS value"}
-		thrS := Series{Name: "threshold 95% CI"}
-		if opt.Packets > p.TrainLen {
-			opt.Packets = p.TrainLen
+		res := stats.KSTwoSampleInterpECDF(col, tailECDF, opt.Alpha)
+		x := float64(i + 1)
+		ksS.X = append(ksS.X, x)
+		ksS.Y = append(ksS.Y, res.D)
+		thrS.X = append(thrS.X, x)
+		thrS.Y = append(thrS.Y, res.Threshold)
+	}
+	fig := &Figure{
+		ID:     id,
+		Title:  "KS test of per-packet access delay vs steady state",
+		XLabel: "packet #",
+		YLabel: "KS value",
+		Series: []Series{ksS, thrS},
+	}
+	if queues := ts[0].QueueByIndex(); len(queues) > 0 && len(queues[0]) > 0 {
+		qMeans := stats.RunningMeans(queues)
+		qS := Series{Name: "mean contender queue (pkts)"}
+		for i := 0; i < opt.Packets && i < len(qMeans); i++ {
+			qS.X = append(qS.X, float64(i+1))
+			qS.Y = append(qS.Y, qMeans[i])
 		}
-		for i := 0; i < opt.Packets; i++ {
-			col := stats.Column(delays, i)
-			if len(col) == 0 {
-				continue
-			}
-			var res stats.KSResult
-			if opt.Interpolate {
-				res = stats.KSTwoSampleInterpECDF(col, tailECDF, opt.Alpha)
-			} else {
-				res = stats.KSTwoSampleECDF(col, tailECDF, opt.Alpha)
-			}
-			x := float64(i + 1)
-			ksS.X = append(ksS.X, x)
-			ksS.Y = append(ksS.Y, res.D)
-			thrS.X = append(thrS.X, x)
-			thrS.Y = append(thrS.Y, res.Threshold)
-		}
-		fig := &Figure{
-			ID:     id,
-			Title:  "KS test of per-packet access delay vs steady state",
-			XLabel: "packet #",
-			YLabel: "KS value",
-			Series: []Series{ksS, thrS},
-		}
-		if queues := ts[0].QueueByIndex(); len(queues) > 0 && len(queues[0]) > 0 {
-			qMeans := stats.RunningMeans(queues)
-			qS := Series{Name: "mean contender queue (pkts)"}
-			for i := 0; i < opt.Packets && i < len(qMeans); i++ {
-				qS.X = append(qS.X, float64(i+1))
-				qS.Y = append(qS.Y, qMeans[i])
-			}
-			fig.Series = append(fig.Series, qS)
-		}
-		return fig, nil
-	})
+		fig.Series = append(fig.Series, qS)
+	}
+	return fig, nil
 }
 
 // Fig10Params configures the transient-duration study of Figure 10.
@@ -307,27 +311,29 @@ func Fig10TransientDuration(p Fig10Params, sc Scale) (*Figure, error) {
 		cells[li].Contenders[0] = sweptContender(&p.Cell, traffic.RateForLoad(cell.Phy, load, cell.ProbeSize))
 	}
 	probeRate := traffic.RateForLoad(cell.Phy, p.ProbeLoadErlang, cell.ProbeSize)
-	return trains(cells, p.TrainLen, probeRate, sc, func(byLoad []probe.TrainStats) (*Figure, error) {
-		series := make([]Series, len(p.Tolerances))
+	byLoad, err := trains(at(cells, probeRate), p.TrainLen, sc)
+	if err != nil {
+		return nil, err
+	}
+	series := make([]Series, len(p.Tolerances))
+	for ti, tol := range p.Tolerances {
+		series[ti] = Series{Name: fmt.Sprintf("tolerance %g", tol)}
+	}
+	for li := range byLoad {
+		means := stats.RunningMeans(byLoad[li].DelaysByIndex())
+		// Steady state: mean over the last quarter of indices.
+		tailFrom := len(means) * 3 / 4
+		tailMean := stats.Mean(means[tailFrom:])
 		for ti, tol := range p.Tolerances {
-			series[ti] = Series{Name: fmt.Sprintf("tolerance %g", tol)}
+			series[ti].X = append(series[ti].X, p.CrossLoads[li])
+			series[ti].Y = append(series[ti].Y, float64(stats.TransientLength(means[:tailFrom], tailMean, tol)))
 		}
-		for li := range byLoad {
-			means := stats.RunningMeans(byLoad[li].DelaysByIndex())
-			// Steady state: mean over the last quarter of indices.
-			tailFrom := len(means) * 3 / 4
-			steady := stats.Mean(means[tailFrom:])
-			for ti, tol := range p.Tolerances {
-				series[ti].X = append(series[ti].X, p.CrossLoads[li])
-				series[ti].Y = append(series[ti].Y, float64(stats.TransientLength(means[:tailFrom], steady, tol)))
-			}
-		}
-		return &Figure{
-			ID:     "fig10",
-			Title:  "Estimated transient duration vs offered cross-traffic load (probe load 1 Erlang)",
-			XLabel: "cross load (Erlang)",
-			YLabel: "transient length (packets)",
-			Series: series,
-		}, nil
-	})
+	}
+	return &Figure{
+		ID:     "fig10",
+		Title:  "Estimated transient duration vs offered cross-traffic load (probe load 1 Erlang)",
+		XLabel: "cross load (Erlang)",
+		YLabel: "transient length (packets)",
+		Series: series,
+	}, nil
 }
