@@ -18,10 +18,8 @@ type AdaptiveConfig struct {
 	TrainLen int
 	// TargetRel is the stopping target: the 95% confidence half-width
 	// of the estimate must fall below TargetRel times the estimate
-	// (default 0.05). TargetBps, when positive, is used instead as an
-	// absolute half-width target in bit/s.
+	// (default 0.05).
 	TargetRel float64
-	TargetBps float64
 	// BatchReps is how many replications each round adds (default 8).
 	// The batch schedule is fixed — rounds always grow the sample by
 	// the same amount — so the controller's cost is monotone in the
@@ -84,11 +82,6 @@ func Adaptive(l probe.Link, cfg AdaptiveConfig) (Estimate, error) {
 	if err := checkFrac("adaptive CI target", cfg.TargetRel, 0, 1); err != nil {
 		return Estimate{}, err
 	}
-	if cfg.TargetBps != 0 {
-		if err := checkRate("adaptive absolute CI target", cfg.TargetBps); err != nil {
-			return Estimate{}, err
-		}
-	}
 	if cfg.BatchReps < 1 || cfg.MaxReps < cfg.BatchReps {
 		return Estimate{}, fmt.Errorf("estimate: invalid adaptive config %+v", cfg)
 	}
@@ -148,11 +141,7 @@ func Adaptive(l probe.Link, cfg AdaptiveConfig) (Estimate, error) {
 		// buy more evidence for the same confidence — which governs both
 		// the stopping rule and the reported CI.
 		est.CI = est.Value * sum.CI95HalfWidth() * inflation(cfg.Budget, &tracker) / sum.Mean
-		target := cfg.TargetRel * est.Value
-		if cfg.TargetBps > 0 {
-			target = cfg.TargetBps
-		}
-		if est.CI <= target {
+		if est.CI <= cfg.TargetRel*est.Value {
 			return est, nil
 		}
 	}

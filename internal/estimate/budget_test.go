@@ -118,7 +118,7 @@ func lossyLink(seed int64, fer float64) probe.Link {
 // survives failed campaigns.
 func TestFailedCampaignsCarryCost(t *testing.T) {
 	t.Run("slops", func(t *testing.T) {
-		est, err := SLoPS(lossyLink(42, 0.99), SLoPSConfig{TrainLen: 20, Reps: 3, MaxRounds: 3})
+		est, err := SLoPS(lossyLink(42, 0.99), SLoPSConfig{TrainLen: 20, Reps: 3})
 		if !errors.Is(err, ErrEstimateFailed) {
 			t.Fatalf("err = %v, want ErrEstimateFailed", err)
 		}

@@ -312,9 +312,21 @@ func checkRate(name string, v float64) error {
 	return nil
 }
 
-// checkFrac validates a fraction-like knob (CI targets, tolerances,
-// trend thresholds) against NaN as well as its (lo, hi) range; zero is
-// allowed as the "use the default" sentinel.
+// bracket is the probing-rate range TOPP sweeps and SLoPS bisects on
+// the link l (defaults applied): from 0.25 Mb/s to 1.2 times the PHY's
+// saturation throughput bound for the probe size. An empty or
+// non-finite bracket is an error.
+func bracket(l probe.Link) (lo, hi float64, err error) {
+	lo, hi = 0.25e6, 1.2*l.Phy.MaxThroughput(l.ProbeSize)
+	if !(hi > lo) || math.IsInf(hi, 0) {
+		return 0, 0, fmt.Errorf("estimate: probing-rate bracket [%g, %g] empty", lo, hi)
+	}
+	return lo, hi, nil
+}
+
+// checkFrac validates a fraction-like knob (the relative CI targets)
+// against NaN as well as its (lo, hi) range; zero is allowed as the
+// "use the default" sentinel.
 func checkFrac(name string, v, lo, hi float64) error {
 	if v == 0 {
 		return nil

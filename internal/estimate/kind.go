@@ -117,14 +117,15 @@ func RunKind(l probe.Link, k Kind, cfg JobConfig) (Estimate, error) {
 			Budget:   cfg.Budget,
 		})
 	case KindSLoPS:
-		ld := l.WithDefaults()
-		// The default bracket is (0.25 Mb/s, 1.2*C); the resolution at
-		// TargetRel of its width makes the terminal bracket half-width a
-		// CI at the job's relative scale of the searchable range.
-		hi := 1.2 * ld.Phy.MaxThroughput(ld.ProbeSize)
-		res := target * (hi - 0.25e6)
+		// The resolution at TargetRel of the search bracket's width
+		// makes the terminal bracket half-width a CI at the job's
+		// relative scale of the searchable range.
+		lo, hi, err := bracket(l.WithDefaults())
+		if err != nil {
+			return Estimate{}, err
+		}
 		return SLoPS(l, SLoPSConfig{
-			ResolutionBps: res,
+			ResolutionBps: target * (hi - lo),
 			TrainLen:      cfg.TrainLen,
 			Reps:          cfg.Reps,
 			Budget:        cfg.Budget,

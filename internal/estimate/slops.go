@@ -9,11 +9,24 @@ import (
 	"csmabw/internal/stats"
 )
 
-// SLoPSConfig tunes the self-loading binary search.
+// The SLoPS search constants.
+const (
+	// slopsTrendT is the t-statistic above which a rate's delay trend
+	// counts as increasing: each train contributes the difference
+	// between its second-half and first-half mean one-way delay, and
+	// the rate is classified as self-loading when the mean of those
+	// differences exceeds slopsTrendT standard errors — a one-sided
+	// location test that is robust to the per-packet contention noise
+	// a pairwise-comparison metric drowns in.
+	slopsTrendT = 2
+	// slopsMaxRounds bounds the bisection; the search also stops at
+	// ceil(log2(bracket/resolution)) naturally.
+	slopsMaxRounds = 20
+)
+
+// SLoPSConfig tunes the self-loading binary search over the
+// probing-rate bracket (see bracket).
 type SLoPSConfig struct {
-	// LoBps/HiBps bracket the search. Zero values default to 0.25 Mb/s
-	// and the PHY's saturation throughput bound.
-	LoBps, HiBps float64
 	// ResolutionBps stops the bisection once the bracket is narrower
 	// than this (default 250 kb/s).
 	ResolutionBps float64
@@ -23,17 +36,6 @@ type SLoPSConfig struct {
 	// Reps is the trains sent per probing rate (default 8); the trend
 	// verdict at a rate aggregates all replications.
 	Reps int
-	// TrendT is the t-statistic above which a rate's delay trend
-	// counts as increasing (default 2.0): each train contributes the
-	// difference between its second-half and first-half mean one-way
-	// delay, and the rate is classified as self-loading when the mean
-	// of those differences exceeds TrendT standard errors — a one-sided
-	// location test that is robust to the per-packet contention noise
-	// a pairwise-comparison metric drowns in.
-	TrendT float64
-	// MaxRounds bounds the bisection (default 20); the search also
-	// stops at ceil(log2(bracket/resolution)) naturally.
-	MaxRounds int
 	// Budget caps the search's probing effort; the zero value is
 	// uncapped. The budgeted search only runs whole rounds — a round
 	// that no longer fits is not started — so a budgeted campaign is an
@@ -47,14 +49,8 @@ type SLoPSConfig struct {
 	Budget Budget
 }
 
-// withDefaults fills the zero-value knobs against the link's PHY.
-func (c SLoPSConfig) withDefaults(l probe.Link) SLoPSConfig {
-	if c.LoBps == 0 {
-		c.LoBps = 0.25e6
-	}
-	if c.HiBps == 0 {
-		c.HiBps = 1.2 * l.Phy.MaxThroughput(l.ProbeSize)
-	}
+// withDefaults fills the zero-value knobs.
+func (c SLoPSConfig) withDefaults() SLoPSConfig {
 	if c.ResolutionBps == 0 {
 		c.ResolutionBps = 250e3
 	}
@@ -64,12 +60,6 @@ func (c SLoPSConfig) withDefaults(l probe.Link) SLoPSConfig {
 	if c.Reps == 0 {
 		c.Reps = 8
 	}
-	if c.TrendT == 0 {
-		c.TrendT = 2
-	}
-	if c.MaxRounds == 0 {
-		c.MaxRounds = 20
-	}
 	return c
 }
 
@@ -78,52 +68,43 @@ func (c SLoPSConfig) withDefaults(l probe.Link) SLoPSConfig {
 // train's whole duration, so the per-packet one-way delays trend
 // upward; probing below it leaves them stationary. The estimator
 // bisects on the probing rate, classifying each rate by a one-sided
-// location test on its trains' delay trends (see TrendT), until the
-// bracket is narrower than the resolution. The bracket midpoint is the
-// estimate and the bracket half-width its confidence bound; the round
-// count is bounded by ceil(log2(bracket/resolution)), so the search
-// always terminates in a known number of rate probings.
+// location test on its trains' delay trends (see slopsTrendT), until
+// the bracket is narrower than the resolution. The bracket midpoint is
+// the estimate and the bracket half-width its confidence bound; the
+// round count is bounded by ceil(log2(bracket/resolution)), so the
+// search always terminates in a known number of rate probings.
 //
 // Round r derives its randomness from sim.NewStream(l.Seed).Child(r),
 // so the result is identical at any l.Workers setting.
 func SLoPS(l probe.Link, cfg SLoPSConfig) (Estimate, error) {
 	ld := l.WithDefaults()
-	cfg = cfg.withDefaults(ld)
-	if err := checkRate("SLoPS lower bracket", cfg.LoBps); err != nil {
+	cfg = cfg.withDefaults()
+	lo, hi, err := bracket(ld)
+	if err != nil {
 		return Estimate{}, err
-	}
-	if err := checkRate("SLoPS upper bracket", cfg.HiBps); err != nil {
-		return Estimate{}, err
-	}
-	if cfg.HiBps <= cfg.LoBps {
-		return Estimate{}, fmt.Errorf("estimate: SLoPS bracket [%g, %g] empty", cfg.LoBps, cfg.HiBps)
 	}
 	if err := checkRate("SLoPS resolution", cfg.ResolutionBps); err != nil {
 		return Estimate{}, err
 	}
-	if cfg.ResolutionBps >= cfg.HiBps-cfg.LoBps {
+	if cfg.ResolutionBps >= hi-lo {
 		// A resolution wider than the bracket would end the search before
 		// a single train is sent; reject it rather than return a
 		// zero-evidence "estimate".
 		return Estimate{}, fmt.Errorf("estimate: SLoPS resolution %g not below the bracket width %g",
-			cfg.ResolutionBps, cfg.HiBps-cfg.LoBps)
+			cfg.ResolutionBps, hi-lo)
 	}
 	if cfg.TrainLen < 8 {
 		return Estimate{}, fmt.Errorf("estimate: SLoPS train length %d too short for a trend", cfg.TrainLen)
-	}
-	if !(cfg.TrendT > 0) || math.IsInf(cfg.TrendT, 0) {
-		return Estimate{}, fmt.Errorf("estimate: SLoPS trend threshold %g must be positive and finite", cfg.TrendT)
 	}
 	if err := cfg.Budget.validate(); err != nil {
 		return Estimate{}, err
 	}
 
 	root := sim.NewStream(l.Seed)
-	lo, hi := cfg.LoBps, cfg.HiBps
 	est := Estimate{}
 	tracker := budgetTracker{budget: cfg.Budget}
 	classified := false
-	for round := 0; round < cfg.MaxRounds && hi-lo > cfg.ResolutionBps; round++ {
+	for round := 0; round < slopsMaxRounds && hi-lo > cfg.ResolutionBps; round++ {
 		mid := (lo + hi) / 2
 		li := l
 		li.Seed = root.Child(uint64(round)).Seed()
@@ -165,7 +146,7 @@ func SLoPS(l probe.Link, cfg SLoPSConfig) (Estimate, error) {
 			// Nothing delivered a readable trend — treat as overload and
 			// search lower.
 			hi = mid
-		case trendIncreasing(deltas, cfg.TrendT):
+		case trendIncreasing(deltas, slopsTrendT):
 			classified = true
 			hi = mid // delays trend upward: probing above the available share
 		default:

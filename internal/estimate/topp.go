@@ -10,34 +10,27 @@ import (
 	"csmabw/internal/stats"
 )
 
+// toppTol is the relative deviation |ro-ri|/ri below which a sweep
+// point counts as unsaturated.
+const toppTol = 0.08
+
 // TOPPConfig tunes the rate-sweep estimator.
 type TOPPConfig struct {
-	// MinRateBps/MaxRateBps bracket the probing-rate sweep. Zero values
-	// default to 0.25 Mb/s and the PHY's saturation throughput bound.
-	MinRateBps, MaxRateBps float64
-	// Points is the number of sweep rates (default 10).
+	// Points is the number of sweep rates, spread evenly over the
+	// probing-rate bracket (see bracket; default 10).
 	Points int
 	// TrainLen is the packets per train (default 50).
 	TrainLen int
 	// Reps is the train replications per sweep rate (default 10).
 	Reps int
-	// Tol is the relative deviation |ro-ri|/ri below which a sweep
-	// point counts as unsaturated (default 0.08).
-	Tol float64
 	// Budget caps the sweep's probing effort; the zero value is
 	// uncapped. A truncated sweep regresses whatever points it bought
 	// and reports the cap in Estimate.Truncated.
 	Budget Budget
 }
 
-// withDefaults fills the zero-value knobs against the link's PHY.
-func (c TOPPConfig) withDefaults(l probe.Link) TOPPConfig {
-	if c.MinRateBps == 0 {
-		c.MinRateBps = 0.25e6
-	}
-	if c.MaxRateBps == 0 {
-		c.MaxRateBps = 1.2 * l.Phy.MaxThroughput(l.ProbeSize)
-	}
+// withDefaults fills the zero-value knobs.
+func (c TOPPConfig) withDefaults() TOPPConfig {
 	if c.Points == 0 {
 		c.Points = 10
 	}
@@ -46,9 +39,6 @@ func (c TOPPConfig) withDefaults(l probe.Link) TOPPConfig {
 	}
 	if c.Reps == 0 {
 		c.Reps = 10
-	}
-	if c.Tol == 0 {
-		c.Tol = 0.08
 	}
 	return c
 }
@@ -67,21 +57,13 @@ func (c TOPPConfig) withDefaults(l probe.Link) TOPPConfig {
 // Child(i), so the result is identical at any l.Workers setting.
 func TOPP(l probe.Link, cfg TOPPConfig) (Estimate, error) {
 	ld := l.WithDefaults()
-	cfg = cfg.withDefaults(ld)
-	if err := checkRate("TOPP min rate", cfg.MinRateBps); err != nil {
+	cfg = cfg.withDefaults()
+	lo, hi, err := bracket(ld)
+	if err != nil {
 		return Estimate{}, err
-	}
-	if err := checkRate("TOPP max rate", cfg.MaxRateBps); err != nil {
-		return Estimate{}, err
-	}
-	if cfg.MaxRateBps <= cfg.MinRateBps {
-		return Estimate{}, fmt.Errorf("estimate: TOPP rate bracket [%g, %g] empty", cfg.MinRateBps, cfg.MaxRateBps)
 	}
 	if cfg.Points < 3 {
 		return Estimate{}, fmt.Errorf("estimate: TOPP needs >= 3 sweep points, got %d", cfg.Points)
-	}
-	if err := checkFrac("TOPP tolerance", cfg.Tol, 0, 1); err != nil {
-		return Estimate{}, err
 	}
 	if err := cfg.Budget.validate(); err != nil {
 		return Estimate{}, err
@@ -92,7 +74,7 @@ func TOPP(l probe.Link, cfg TOPPConfig) (Estimate, error) {
 	tracker := budgetTracker{budget: cfg.Budget}
 	var ri, ro []float64
 	for i := 0; i < cfg.Points; i++ {
-		rate := cfg.MinRateBps + (cfg.MaxRateBps-cfg.MinRateBps)*float64(i)/float64(cfg.Points-1)
+		rate := lo + (hi-lo)*float64(i)/float64(cfg.Points-1)
 		li := l
 		li.Seed = root.Child(uint64(i)).Seed()
 		gI := sim.FromSeconds(float64(ld.ProbeSize*8) / rate)
@@ -127,7 +109,7 @@ func TOPP(l probe.Link, cfg TOPPConfig) (Estimate, error) {
 			ro = append(ro, out)
 		}
 	}
-	return toppRegress(est, ri, ro, cfg.Tol, inflation(cfg.Budget, &tracker))
+	return toppRegress(est, ri, ro, inflation(cfg.Budget, &tracker))
 }
 
 // inflation is the loss-aware sigma inflation factor a budgeted
@@ -150,13 +132,13 @@ func inflation(b Budget, t *budgetTracker) float64 {
 // campaign's loss-aware sigma inflation (1 when unbudgeted). A failed
 // fit still returns the partial Estimate so the caller's budget ledger
 // survives the failure.
-func toppRegress(est Estimate, ri, ro []float64, tol, inflate float64) (Estimate, error) {
-	csma, errCSMA := core.FitCSMA(ri, ro, tol)
+func toppRegress(est Estimate, ri, ro []float64, inflate float64) (Estimate, error) {
+	csma, errCSMA := core.FitCSMA(ri, ro, toppTol)
 	if errCSMA != nil {
 		return est, fmt.Errorf("%w (TOPP: %v)", ErrEstimateFailed, errCSMA)
 	}
 	est.Value = csma.B
-	if fifo, err := core.FitFIFO(ri, ro, tol); err == nil {
+	if fifo, err := core.FitFIFO(ri, ro, toppTol); err == nil {
 		fifoRMSE := core.ModelRMSE(ri, ro, func(r float64) float64 {
 			if r <= fifo.A {
 				return r
@@ -173,7 +155,7 @@ func toppRegress(est Estimate, ri, ro []float64, tol, inflate float64) (Estimate
 	}
 	var plateau []float64
 	for i := range ri {
-		if ri[i] > 0 && ro[i] > 0 && ro[i] < ri[i]*(1-tol) {
+		if ri[i] > 0 && ro[i] > 0 && ro[i] < ri[i]*(1-toppTol) {
 			plateau = append(plateau, ro[i])
 		}
 	}

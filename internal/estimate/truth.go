@@ -23,35 +23,28 @@ type Truth struct {
 
 // TruthConfig tunes the ground-truth measurement.
 type TruthConfig struct {
-	// SaturateBps is the probing rate used to saturate the link; 0
-	// defaults to twice the PHY's saturation throughput bound.
-	SaturateBps float64
 	// Duration is the steady-state measurement length (default 4s).
 	Duration sim.Time
 }
 
 // GroundTruth measures the available bandwidth the link actually
 // offers the probing flow: one long saturating constant-rate run, with
-// the probe's carried rate read off the steady-state window. The
+// the probe's carried rate read off the steady-state window; the
+// probing rate is twice the PHY's saturation throughput bound. The
 // measurement is the operational sup{ri : ro(ri)} definition (paper
 // Eq. 2) — the carried total minus the cross-traffic share — and for a
 // saturated homogeneous cell it cross-checks against the
 // bianchi.Solution fair share (see the package tests).
 func GroundTruth(l probe.Link, cfg TruthConfig) (Truth, error) {
 	ld := l.WithDefaults()
-	if cfg.SaturateBps == 0 {
-		cfg.SaturateBps = 2 * ld.Phy.MaxThroughput(ld.ProbeSize)
-	}
+	saturate := 2 * ld.Phy.MaxThroughput(ld.ProbeSize)
 	if cfg.Duration == 0 {
 		cfg.Duration = 4 * sim.Second
-	}
-	if err := checkRate("saturating rate", cfg.SaturateBps); err != nil {
-		return Truth{}, err
 	}
 	if cfg.Duration < 0 {
 		return Truth{}, fmt.Errorf("estimate: invalid truth config %+v", cfg)
 	}
-	ss, err := probe.MeasureSteadyState(l, cfg.SaturateBps, cfg.Duration)
+	ss, err := probe.MeasureSteadyState(l, saturate, cfg.Duration)
 	if err != nil {
 		return Truth{}, err
 	}

@@ -15,13 +15,13 @@ import (
 // tiny — two or three quiet paths, short trains — so the fuzzer spends
 // its budget on the knob space, not the simulator.
 func FuzzPathselConfig(f *testing.F) {
-	f.Add(2, 3, 8, 0.3, 0.1, 10.0, 0.0, "ema", int64(1), 0.25)
-	f.Add(3, 2, 12, 1.0, 0.0, 1.0, 0.5, "ucb", int64(7), 0.5)
-	f.Add(2, 1, 2, 0.5, 2.0, 0.0, 0.9, "last", int64(3), 1.0)
-	f.Add(1, 2, 6, 0.9, 0.5, 5.0, 0.1, "bogus", int64(0), -1.0)
-	f.Add(2, 3, 5, -0.5, 1e300, -1.0, 1.5, "ema", int64(-9), 0.0)
+	f.Add(2, 3, 8, 0.3, 0.1, 10.0, "ema", int64(1), 0.25)
+	f.Add(3, 2, 12, 1.0, 0.0, 1.0, "ucb", int64(7), 0.5)
+	f.Add(2, 1, 2, 0.5, 2.0, 0.0, "last", int64(3), 1.0)
+	f.Add(1, 2, 6, 0.9, 0.5, 5.0, "bogus", int64(0), -1.0)
+	f.Add(2, 3, 5, -0.5, 1e300, -1.0, "ema", int64(-9), 0.0)
 	f.Fuzz(func(t *testing.T, nPaths, epochs, trainLen int,
-		alpha, hyst, explore, pinned float64, policy string, seed int64, epochSec float64) {
+		alpha, hyst, explore float64, policy string, seed int64, epochSec float64) {
 		if nPaths < 0 || nPaths > 3 || epochs > 3 || trainLen > 16 {
 			t.Skip("fixture bounds")
 		}
@@ -45,7 +45,6 @@ func FuzzPathselConfig(f *testing.F) {
 			Alpha:        alpha,
 			Hysteresis:   hyst,
 			Explore:      explore,
-			Pinned:       pinned,
 		}
 		res, err := Run(cfg, 0, nil)
 		if err != nil {

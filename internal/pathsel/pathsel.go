@@ -12,12 +12,10 @@
 //
 // The scoring follows the multiplicative-subscore shape of deployed
 // path scorers: each metric maps to a subscore in (0, 1] and the
-// combined score is 100 · s_del^w · s_jit^w · s_los^w, so one bad
-// dimension drags the product down regardless of the others. Selection
-// is hysteretic — an incumbent is only abandoned for a challenger
-// whose score clears a relative margin — and a configurable fraction
-// of flows is pinned to the first path selected, modelling long-lived
-// connections that cannot migrate.
+// combined score is 100 · s_del · s_jit · s_los, so one bad dimension
+// drags the product down regardless of the others. Selection is
+// hysteretic — an incumbent is only abandoned for a challenger whose
+// score clears a relative margin.
 package pathsel
 
 import (
@@ -69,22 +67,12 @@ type Config struct {
 	// Alpha is the EMA smoothing factor in (0, 1]; 1 disables memory
 	// (default 0.3).
 	Alpha float64
-	// Weight is the subscore exponent w (default 1).
-	Weight float64
-	// DelayRef and JitterRef are the reference scales, in seconds,
-	// that map access delay and jitter into subscores
-	// s = 1/(1 + x/ref) (default 5 ms each).
-	DelayRef, JitterRef float64
 	// Hysteresis is the relative score margin a challenger must clear
 	// over the incumbent before a failover (default 0.1).
 	Hysteresis float64
 	// Explore is the UCB exploration coefficient, in score points
 	// (PolicyUCB only; default 10).
 	Explore float64
-	// Pinned is the fraction of traffic pinned to the first-selected
-	// path, in [0, 1) — long-lived flows that cannot migrate
-	// (default 0).
-	Pinned float64
 }
 
 // WithDefaults returns the config with zero-valued knobs resolved.
@@ -103,15 +91,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.Alpha == 0 {
 		c.Alpha = 0.3
-	}
-	if c.Weight == 0 {
-		c.Weight = 1
-	}
-	if c.DelayRef == 0 {
-		c.DelayRef = 0.005
-	}
-	if c.JitterRef == 0 {
-		c.JitterRef = 0.005
 	}
 	if c.Explore == 0 {
 		c.Explore = 10
@@ -151,20 +130,11 @@ func (c Config) Validate() error {
 	if !(c.Alpha > 0 && c.Alpha <= 1) {
 		return fmt.Errorf("pathsel: EMA alpha %g outside (0, 1]", c.Alpha)
 	}
-	if !(c.Weight > 0) || math.IsInf(c.Weight, 0) {
-		return fmt.Errorf("pathsel: subscore weight %g", c.Weight)
-	}
-	if !(c.DelayRef > 0) || !(c.JitterRef > 0) {
-		return fmt.Errorf("pathsel: non-positive reference scales %g/%g", c.DelayRef, c.JitterRef)
-	}
 	if math.IsNaN(c.Hysteresis) || math.IsInf(c.Hysteresis, 0) || c.Hysteresis < 0 {
 		return fmt.Errorf("pathsel: hysteresis %g", c.Hysteresis)
 	}
 	if math.IsNaN(c.Explore) || math.IsInf(c.Explore, 0) || c.Explore < 0 {
 		return fmt.Errorf("pathsel: exploration coefficient %g", c.Explore)
-	}
-	if math.IsNaN(c.Pinned) || c.Pinned < 0 || c.Pinned >= 1 {
-		return fmt.Errorf("pathsel: pinned fraction %g outside [0, 1)", c.Pinned)
 	}
 	return nil
 }
@@ -182,16 +152,20 @@ type Meas struct {
 	Loss float64
 }
 
+// scoreRef is the reference scale, in seconds, that maps access delay
+// and jitter into subscores s = 1/(1 + x/scoreRef).
+const scoreRef = 0.005
+
 // Score maps a measurement to the combined selection score
-// 100 · s_del^w · s_jit^w · s_los^w with s_del = 1/(1+delay/ref),
-// s_jit = 1/(1+jitter/ref), s_los = 1−loss: each subscore lives in
+// 100 · s_del · s_jit · s_los with s_del = 1/(1+delay/5ms),
+// s_jit = 1/(1+jitter/5ms), s_los = 1−loss: each subscore lives in
 // (0, 1], so one bad dimension caps the product no matter how good
 // the others are.
-func Score(m Meas, w, delayRef, jitterRef float64) float64 {
-	sDel := 1 / (1 + math.Max(m.Delay, 0)/delayRef)
-	sJit := 1 / (1 + math.Max(m.Jitter, 0)/jitterRef)
+func Score(m Meas) float64 {
+	sDel := 1 / (1 + math.Max(m.Delay, 0)/scoreRef)
+	sJit := 1 / (1 + math.Max(m.Jitter, 0)/scoreRef)
 	sLos := 1 - math.Min(math.Max(m.Loss, 0), 1)
-	return 100 * math.Pow(sDel, w) * math.Pow(sJit, w) * math.Pow(sLos, w)
+	return 100 * sDel * sJit * sLos
 }
 
 // Epoch is one decision round's record.
@@ -212,8 +186,8 @@ type Epoch struct {
 	// this round — the previous round's Selected (round 0 bootstraps
 	// on its own decision).
 	Routed int
-	// DeliveredBps is the traffic-weighted delivered throughput:
-	// (1−pinned)·rate[routed] + pinned·rate[first-routed].
+	// DeliveredBps is the delivered throughput: the routed path's
+	// measured rate.
 	DeliveredBps float64
 	// BestBps is the best single path's rate this round — the oracle.
 	BestBps float64
@@ -330,7 +304,7 @@ func Run(cfg Config, rep int, m *Meter) (*Result, error) {
 
 	ema := make([]Meas, nP)
 	uses := make([]int, nP)
-	sel, sel0 := -1, -1
+	sel := -1
 	res := &Result{Epochs: make([]Epoch, 0, cfg.Epochs)}
 	for k := 0; k < cfg.Epochs; k++ {
 		start := sim.Time(k) * epochDur
@@ -367,11 +341,11 @@ func Run(cfg Config, rep int, m *Meter) (*Result, error) {
 			}
 			switch cfg.Policy {
 			case PolicyLast:
-				ep.Scores[p] = Score(ep.Meas[p], cfg.Weight, cfg.DelayRef, cfg.JitterRef)
+				ep.Scores[p] = Score(ep.Meas[p])
 			case PolicyEMA:
-				ep.Scores[p] = Score(ema[p], cfg.Weight, cfg.DelayRef, cfg.JitterRef)
+				ep.Scores[p] = Score(ema[p])
 			case PolicyUCB:
-				ep.Scores[p] = Score(ema[p], cfg.Weight, cfg.DelayRef, cfg.JitterRef) +
+				ep.Scores[p] = Score(ema[p]) +
 					cfg.Explore*math.Sqrt(math.Log(float64(k+2))/float64(1+uses[p]))
 			}
 		}
@@ -386,7 +360,6 @@ func Run(cfg Config, rep int, m *Meter) (*Result, error) {
 		switch {
 		case sel < 0:
 			sel = best
-			sel0 = best
 			routed = best // round 0 bootstraps on its own decision
 		case best != sel && ep.Scores[best] > ep.Scores[sel]*(1+cfg.Hysteresis):
 			sel = best
@@ -397,7 +370,7 @@ func Run(cfg Config, rep int, m *Meter) (*Result, error) {
 		ep.Selected = sel
 		ep.Routed = routed
 
-		ep.DeliveredBps = (1-cfg.Pinned)*ep.Meas[routed].RateBps + cfg.Pinned*ep.Meas[sel0].RateBps
+		ep.DeliveredBps = ep.Meas[routed].RateBps
 		for p := 0; p < nP; p++ {
 			if ep.Meas[p].RateBps > ep.BestBps {
 				ep.BestBps = ep.Meas[p].RateBps

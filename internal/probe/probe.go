@@ -736,12 +736,6 @@ type SteadyState struct {
 	CrossRates  []float64 // carried rate per contender
 	MeasureFrom sim.Time
 	MeasureTo   sim.Time
-	// ProbePackets is the number of probe frames delivered over the
-	// whole run (warm-in quarter included) — the count a cost ledger
-	// charges for the measurement, as opposed to the nominal
-	// rate×duration/size arithmetic, which both truncates and pretends
-	// undelivered offered load was sent.
-	ProbePackets int
 }
 
 // MeasureSteadyState runs the long-train experiment at rate rateBps for
@@ -775,9 +769,6 @@ func MeasureSteadyState(l Link, rateBps float64, duration sim.Time) (*SteadyStat
 	// Split station-0 throughput into probe and FIFO shares.
 	var probeBits, fifoBits int64
 	for _, f := range res.Frames[0] {
-		if f.Probe {
-			ss.ProbePackets++
-		}
 		if f.Departed < from || f.Departed > to {
 			continue
 		}

@@ -1,7 +1,29 @@
+// Package scenario is the declarative front door to the simulator: a
+// small JSON spec — one file per measured cell — describing the
+// stations (access category, data rate, power, traffic source), the
+// hearing topology, the channel error models and the probing plan,
+// compiled into the existing probe.Link / mac.Config structures. The
+// compiler reads the spec in one pass and checks each key as it reads
+// it — unknown keys, NaN/Inf/negative knobs, topology bounds,
+// TXOP-vs-hidden-topology conflicts — rejecting a bad spec with a
+// positional error ("stations[2].traffic.rate_mbps: …") before
+// anything runs; a spec with several faults reports the first one in
+// reading order. A spec is the only way to describe a cell to the cmd
+// tools: the -scenario flag names one, and campaign and pathsel files
+// list them. The checked-in library under scenarios/ holds the
+// reusable cells the experiment drivers and docs point at.
+//
+// The spec is deliberately declarative and engine-agnostic: it names
+// workloads (what the cell looks like, how it is probed), not Go
+// structures, so campaign tooling can iterate over scenario files
+// without touching code in probe, experiments or the cmd front ends.
 package scenario
 
 import (
 	"fmt"
+	"math"
+	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -61,407 +83,464 @@ type Compiled struct {
 	Notes []string
 }
 
-// errAt is a positional compile error rooted at a spec field path.
-func errAt(path, format string, a ...any) error {
-	return fmt.Errorf("scenario: %s: %s", path, fmt.Sprintf(format, a...))
-}
-
-// checkSpan rejects a duration of s seconds at path that is longer
-// than sim.MaxSeconds.
-func checkSpan(path string, s float64) error {
-	if s > sim.MaxSeconds {
-		return errAt(path, "%g s: must be at most %.4g s", s, sim.MaxSeconds)
+// CompileFile reads and compiles a spec file — the path every
+// -scenario flag goes through.
+func CompileFile(path string) (*Compiled, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: %w", err)
 	}
-	return nil
+	c, err := Compile(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return c, nil
 }
 
-// phyFor resolves the spec's PHY profile name. The empty name
-// compiles to the zero phy.Params — the engine default (802.11b long
-// preamble), applied later by Link.WithDefaults — so specs that omit
-// the field produce Links identical to hand-wired zero-Phy ones.
-func phyFor(name string) (phy.Params, error) {
+// Compile reads a scenario spec and lowers it into engine
+// configuration in one pass. The strict walker (walker.go) rejects
+// unknown keys, wrong types and non-finite numbers, and each key is
+// range-checked as it is lowered, so every fault is a positional
+// error. The top-level keys are read first; then name, phy, seed,
+// rts_threshold_bytes, probe, fifo_cross, stations, channel, events
+// and probing are lowered in that order, the stations before the
+// topology bounds and event targets that need them. Within an object,
+// every key is read and unknown keys are rejected before its range
+// checks. A spec with several faults reports the first one in this
+// order. A TXOP-enabled access category over hidden stations, which
+// the engine would only reject at run time, is caught after the
+// events, and the compiled Link finally passes probe.Link.Validate, so
+// a compiled scenario can never smuggle an invalid knob into a
+// measurement.
+func Compile(data []byte) (*Compiled, error) {
+	root, err := Root(data, "scenario")
+	if err != nil {
+		return nil, err
+	}
+	c := &Compiled{
+		Name:         root.Str("name"),
+		Description:  root.Str("description"),
+		Notes:        root.Strs("notes"),
+		StationNames: []string{"probe"},
+	}
+	phyName := root.Str("phy")
+	l := probe.Link{Seed: int64(root.Int("seed")), RTSThreshold: root.Int("rts_threshold_bytes")}
+	probeObj := root.Child("probe")
+	fifo := root.Children("fifo_cross")
+	stations := root.Children("stations")
+	channel := root.Child("channel")
+	events := root.Children("events")
+	probing := root.Child("probing")
+	if probing == nil {
+		root.Fail("probing", "spec needs a probing plan")
+	}
+	root.Done()
+
+	if c.Name == "" {
+		root.Fail("name", "scenario needs a name")
+	}
+	var ok bool
+	if l.Phy, ok = phyFor(phyName); !ok {
+		root.Fail("phy", "unknown profile %q (b11|b11short|g54|a54)", phyName)
+	}
+	if l.RTSThreshold < 0 {
+		root.Fail("rts_threshold_bytes", "negative threshold %d", l.RTSThreshold)
+	}
+	if probeObj != nil {
+		readProbe(probeObj, &l)
+	}
+	for _, f := range fifo {
+		l.FIFOCross = append(l.FIFOCross, readFlow(f))
+	}
+	for i, st := range stations {
+		flow, name := readStation(st, i)
+		l.Contenders = append(l.Contenders, flow)
+		c.StationNames = append(c.StationNames, name)
+	}
+	if channel != nil {
+		readChannel(channel, &l, len(c.StationNames))
+	}
+	l.Schedule = readEvents(events, c.StationNames)
+	checkTXOP(&l, probeObj, stations)
+	if probing != nil {
+		size := l.ProbeSize
+		if size == 0 {
+			size = 1500
+		}
+		c.Probing = readProbing(probing, size)
+	}
+	if err := root.Err(); err != nil {
+		return nil, err
+	}
+	if err := l.Validate(); err != nil {
+		return nil, fmt.Errorf("scenario %q: %w", c.Name, err)
+	}
+	c.Link = l
+	return c, nil
+}
+
+// phyFor resolves the spec's PHY profile name; ok is false for an
+// unknown one. The empty name compiles to the zero phy.Params — the
+// engine default (802.11b long preamble), applied later by
+// Link.WithDefaults — so specs that omit the field produce Links
+// identical to hand-wired zero-Phy ones.
+func phyFor(name string) (p phy.Params, ok bool) {
 	switch name {
 	case "":
-		return phy.Params{}, nil
+		return phy.Params{}, true
 	case "b11":
-		return phy.B11(), nil
+		return phy.B11(), true
 	case "b11short":
-		return phy.B11Short(), nil
+		return phy.B11Short(), true
 	case "g54":
-		return phy.G54(), nil
+		return phy.G54(), true
 	case "a54":
-		return phy.A54(), nil
+		return phy.A54(), true
 	}
-	return phy.Params{}, errAt("phy", "unknown profile %q (b11|b11short|g54|a54)", name)
+	return phy.Params{}, false
 }
 
-// compileFlow turns one FlowSpec into a probe.Flow.
-func compileFlow(f FlowSpec, path string) (probe.Flow, error) {
-	out := probe.Flow{}
-	if f.RateMbps <= 0 {
-		return out, errAt(path+".rate_mbps", "flow needs a positive rate, got %g", f.RateMbps)
+// checkSpan rejects a duration of s seconds at key that is longer than
+// sim.MaxSeconds.
+func checkSpan(o *Obj, key string, s float64) {
+	if s > sim.MaxSeconds {
+		o.Fail(key, "%g s: must be at most %.4g s", s, sim.MaxSeconds)
 	}
-	out.RateBps = f.RateMbps * 1e6
-	if f.SizeBytes < 0 {
-		return out, errAt(path+".size_bytes", "negative packet size %d", f.SizeBytes)
+}
+
+// readProbe lowers the probe object into the probing station's knobs.
+func readProbe(o *Obj, l *probe.Link) {
+	l.ProbeSize = o.Int("size_bytes")
+	acName := o.Str("ac")
+	rate := o.Num("data_rate_mbps")
+	l.ProbePowerDB = o.Num("power_db")
+	warmup := o.Num("warmup_seconds")
+	o.Done()
+	if l.ProbeSize < 0 {
+		o.Fail("size_bytes", "negative packet size %d", l.ProbeSize)
 	}
-	out.Size = f.SizeBytes
-	if out.Size == 0 {
-		out.Size = 1500
+	var err error
+	if l.ProbeAC, err = phy.ParseAC(acName); err != nil {
+		o.Fail("ac", "%v", err)
 	}
-	switch f.Kind {
+	if rate < 0 {
+		o.Fail("data_rate_mbps", "negative rate %g", rate)
+	}
+	l.ProbeDataRateBps = rate * 1e6
+	if warmup < 0 {
+		o.Fail("warmup_seconds", "negative warm-up %g", warmup)
+	}
+	checkSpan(o, "warmup_seconds", warmup)
+	l.WarmUp = sim.FromSeconds(warmup)
+}
+
+// readFlow lowers one traffic-flow object: Poisson by default, on/off
+// when kind is "onoff" and both burst periods are set.
+func readFlow(o *Obj) probe.Flow {
+	kind := o.Str("kind")
+	rate := o.Num("rate_mbps")
+	f := probe.Flow{RateBps: rate * 1e6, Size: o.Int("size_bytes")}
+	on, off := o.Num("on_seconds"), o.Num("off_seconds")
+	o.Done()
+	if rate <= 0 {
+		o.Fail("rate_mbps", "flow needs a positive rate, got %g", rate)
+	}
+	if f.Size < 0 {
+		o.Fail("size_bytes", "negative packet size %d", f.Size)
+	}
+	if f.Size == 0 {
+		f.Size = 1500
+	}
+	switch kind {
 	case "", "poisson":
-		if f.OnSeconds != 0 || f.OffSeconds != 0 {
-			return out, errAt(path+".on_seconds", "burst periods need kind \"onoff\"")
+		if on != 0 || off != 0 {
+			o.Fail("on_seconds", "burst periods need kind \"onoff\"")
 		}
 	case "onoff":
-		if f.OnSeconds <= 0 || f.OffSeconds <= 0 {
-			return out, errAt(path+".on_seconds", "on/off process needs positive on_seconds and off_seconds, got %g/%g", f.OnSeconds, f.OffSeconds)
+		if on <= 0 || off <= 0 {
+			o.Fail("on_seconds", "on/off process needs positive on_seconds and off_seconds, got %g/%g", on, off)
 		}
-		if err := checkSpan(path+".on_seconds", f.OnSeconds); err != nil {
-			return out, err
-		}
-		if err := checkSpan(path+".off_seconds", f.OffSeconds); err != nil {
-			return out, err
-		}
-		out.OnMean = sim.FromSeconds(f.OnSeconds)
-		out.OffMean = sim.FromSeconds(f.OffSeconds)
+		checkSpan(o, "on_seconds", on)
+		checkSpan(o, "off_seconds", off)
+		f.OnMean, f.OffMean = sim.FromSeconds(on), sim.FromSeconds(off)
 	default:
-		return out, errAt(path+".kind", "unknown traffic kind %q (poisson|onoff)", f.Kind)
+		o.Fail("kind", "unknown traffic kind %q (poisson|onoff)", kind)
 	}
-	return out, nil
+	return f
 }
 
-// compileTopology builds the hearing graph for n stations.
-func compileTopology(t *TopologySpec, n int) (*mac.Topology, error) {
-	if t == nil {
-		return nil, nil
+// readStation lowers contending station i into its flow and its tool
+// output name.
+func readStation(o *Obj, i int) (probe.Flow, string) {
+	name := o.Str("name")
+	acName := o.Str("ac")
+	rate := o.Num("data_rate_mbps")
+	power := o.Num("power_db")
+	traffic := o.Child("traffic")
+	if traffic == nil {
+		o.Fail("traffic", "station needs a traffic object")
 	}
-	switch t.Kind {
+	o.Done()
+	var f probe.Flow
+	if traffic != nil {
+		f = readFlow(traffic)
+	}
+	var err error
+	if f.AC, err = phy.ParseAC(acName); err != nil {
+		o.Fail("ac", "%v", err)
+	}
+	if rate < 0 {
+		o.Fail("data_rate_mbps", "negative rate %g", rate)
+	}
+	f.DataRateBps = rate * 1e6
+	f.PowerDB = power
+	if name == "" {
+		name = fmt.Sprintf("contender-%d", i)
+	}
+	return f, name
+}
+
+// readChannel lowers the channel object — error rates, capture and the
+// hearing graph over n stations — into the link.
+func readChannel(o *Obj, l *probe.Link, n int) {
+	l.Loss = phy.ErrorModel{FER: o.Num("fer"), BER: o.Num("ber")}
+	l.CaptureDB = o.Num("capture_db")
+	topo := o.Child("topology")
+	o.Done()
+	if topo != nil {
+		l.Topology = readTopology(topo, n)
+	}
+	if err := l.Loss.Validate(); err != nil {
+		o.Fail("fer", "%v", err)
+	}
+	if l.CaptureDB < 0 {
+		o.Fail("capture_db", "negative capture threshold %g", l.CaptureDB)
+	}
+}
+
+// readTopology builds the hearing graph over the probing station 0 and
+// stations 1..n-1; mesh compiles to the nil (full-mesh) topology.
+func readTopology(o *Obj, n int) *mac.Topology {
+	kind, links := o.Str("kind"), o.Pairs("links")
+	o.Done()
+	var topo *mac.Topology
+	switch kind {
 	case "", "mesh":
-		if len(t.Links) > 0 {
-			return nil, errAt("channel.topology.links", "links need kind \"links\"")
-		}
-		return nil, nil
 	case "hidden":
-		if len(t.Links) > 0 {
-			return nil, errAt("channel.topology.links", "links need kind \"links\"")
-		}
-		return mac.NewTopology(n), nil
+		topo = mac.NewTopology(n)
 	case "chain":
-		if len(t.Links) > 0 {
-			return nil, errAt("channel.topology.links", "links need kind \"links\"")
-		}
-		return mac.Chain(n), nil
+		topo = mac.Chain(n)
 	case "links":
-		topo := mac.NewTopology(n)
-		for i, ab := range t.Links {
-			path := fmt.Sprintf("channel.topology.links[%d]", i)
+		topo = mac.NewTopology(n)
+		for i, ab := range links {
 			a, b := ab[0], ab[1]
-			if a < 0 || a >= n || b < 0 || b >= n {
-				return nil, errAt(path, "station index out of range [0, %d): [%d, %d]", n, a, b)
-			}
-			if a == b {
-				return nil, errAt(path, "station %d cannot hear itself explicitly", a)
+			switch {
+			case a < 0 || a >= n || b < 0 || b >= n:
+				o.Fail(fmt.Sprintf("links[%d]", i), "station index out of range [0, %d): [%d, %d]", n, a, b)
+				return nil
+			case a == b:
+				o.Fail(fmt.Sprintf("links[%d]", i), "station %d cannot hear itself explicitly", a)
+				return nil
 			}
 			topo.Connect(a, b)
 		}
-		return topo, nil
-	}
-	return nil, errAt("channel.topology.kind", "unknown topology %q (mesh|hidden|chain|links)", t.Kind)
-}
-
-// compileProbing validates the measurement plan. probeSize (bytes,
-// defaults already applied) converts a gap_ms train spacing into the
-// equivalent probing rate.
-func compileProbing(p ProbingSpec, probeSize int) (Probing, error) {
-	out := Probing{}
-	switch p.Plan {
-	case "train":
-		out.Plan = PlanTrain
-	case "steady":
-		out.Plan = PlanSteady
-	case "":
-		return out, errAt("probing.plan", "plan is required (train|steady)")
+		return topo
 	default:
-		return out, errAt("probing.plan", "unknown plan %q (train|steady)", p.Plan)
+		o.Fail("kind", "unknown topology %q (mesh|hidden|chain|links)", kind)
+		return nil
 	}
-	if p.RateMbps < 0 {
-		return out, errAt("probing.rate_mbps", "negative rate %g", p.RateMbps)
+	if len(links) > 0 {
+		o.Fail("links", "links need kind \"links\"")
 	}
-	if p.GapMs < 0 {
-		return out, errAt("probing.gap_ms", "negative gap %g", p.GapMs)
-	}
-	if p.Reps < 0 {
-		return out, errAt("probing.reps", "negative replication count %d", p.Reps)
-	}
-	if p.DurationSeconds < 0 {
-		return out, errAt("probing.duration_seconds", "negative duration %g", p.DurationSeconds)
-	}
-	if err := checkSpan("probing.duration_seconds", p.DurationSeconds); err != nil {
-		return out, err
-	}
-	switch out.Plan {
-	case PlanTrain:
-		if p.DurationSeconds > 0 {
-			return out, errAt("probing.duration_seconds", "a train plan has no duration; use packets/rate_mbps/gap_ms")
-		}
-		if p.Packets < 2 {
-			return out, errAt("probing.packets", "a train needs at least 2 packets, got %d", p.Packets)
-		}
-		if p.RateMbps > 0 && p.GapMs > 0 {
-			return out, errAt("probing.gap_ms", "rate_mbps and gap_ms both set; they define the same spacing")
-		}
-		out.TrainLen = p.Packets
-		out.RateBps = p.RateMbps * 1e6
-		if p.GapMs > 0 {
-			// A gap is the reciprocal expression of the rate over the
-			// probe payload: rate = size_bits / gap.
-			out.RateBps = float64(probeSize*8) / (p.GapMs / 1e3)
-		}
-		out.Reps = p.Reps
-	case PlanSteady:
-		if p.Packets != 0 || p.GapMs != 0 || p.Reps != 0 {
-			return out, errAt("probing.packets", "packets/gap_ms/reps belong to train plans; a steady plan takes rate_mbps and duration_seconds")
-		}
-		if p.RateMbps <= 0 {
-			return out, errAt("probing.rate_mbps", "a steady plan needs a positive rate, got %g", p.RateMbps)
-		}
-		out.RateBps = p.RateMbps * 1e6
-		out.DurationSeconds = p.DurationSeconds
-	}
-	return out, nil
+	return topo
 }
 
-// compileEvents lowers the spec's structured events into the engine's
-// schedule, with positional semantic validation: parseable and
-// monotone instants, station names that resolve against the compiled
-// cell (index 0 = the probing station), error rates in [0, 1),
-// non-negative rates, link edges between distinct in-range stations,
-// and no event that changes nothing. names is the compiled
-// StationNames list.
-func (s *Spec) compileEvents(names []string) ([]mac.ScheduledEvent, error) {
-	if len(s.Events) == 0 {
-		return nil, nil
+// readEvents lowers the structured mid-run changes into the engine's
+// schedule: parseable and monotone instants, station names that
+// resolve against the compiled cell (names; index 0 = the probing
+// station), error rates in [0, 1), non-negative rates, link edges
+// between distinct in-range stations, and no event that changes
+// nothing. A pointer field is set only when its key is present, so an
+// explicit zero ("fer": 0 — restore the perfect channel) survives.
+func readEvents(events []*Obj, names []string) []mac.ScheduledEvent {
+	if len(events) == 0 {
+		return nil
 	}
 	n := len(names)
-	out := make([]mac.ScheduledEvent, 0, len(s.Events))
+	out := make([]mac.ScheduledEvent, 0, len(events))
 	prev := sim.Time(0)
-	for i, ev := range s.Events {
-		path := fmt.Sprintf("events[%d]", i)
-		if ev.At == "" {
-			return nil, errAt(path+".at", `event needs an instant ("2s", "500ms")`)
-		}
-		d, err := time.ParseDuration(ev.At)
-		if err != nil {
-			return nil, errAt(path+".at", "bad duration %q", ev.At)
-		}
-		at := sim.FromSeconds(d.Seconds())
-		if at < 0 {
-			return nil, errAt(path+".at", "negative instant %q", ev.At)
-		}
-		if at < prev {
-			return nil, errAt(path+".at", "instant %q before the previous event; events must be time-ordered", ev.At)
-		}
-		prev = at
-		me := mac.ScheduledEvent{At: at, Target: -1}
-		if ev.Station != "" && ev.Station != "*" {
-			found := false
-			for j, nm := range names {
-				if nm == ev.Station {
-					me.Target, found = j, true
-					break
-				}
+	for _, o := range events {
+		at := o.Str("at")
+		station := o.Str("station")
+		num := func(key string) *float64 {
+			if !o.Has(key) {
+				return nil
 			}
-			if !found {
-				return nil, errAt(path+".station", "unknown station %q (known: %s)", ev.Station, strings.Join(names, ", "))
+			v := o.Num(key)
+			return &v
+		}
+		me := mac.ScheduledEvent{Target: -1, SetFER: num("fer"), SetBER: num("ber")}
+		rate := num("data_rate_mbps")
+		me.SetPowerDB = num("power_db")
+		if o.Has("hears") && !o.Has("link") {
+			o.Fail("hears", `"hears" needs a "link" edge`)
+		}
+		hears := o.Bool("hears")
+		var link []float64
+		if o.Has("link") {
+			if link = o.Nums("link"); len(link) != 2 || link[0] != math.Trunc(link[0]) || link[1] != math.Trunc(link[1]) {
+				o.Fail("link", "want a [a, b] station index pair")
+				link = nil
 			}
 		}
-		if f := ev.FER; f != nil {
-			if *f < 0 || *f >= 1 {
-				return nil, errAt(path+".fer", "frame-error rate %g outside [0, 1)", *f)
-			}
-			me.SetFER = f
+		o.Done()
+
+		if at == "" {
+			o.Fail("at", `event needs an instant ("2s", "500ms")`)
 		}
-		if b := ev.BER; b != nil {
-			if *b < 0 || *b >= 1 {
-				return nil, errAt(path+".ber", "bit-error rate %g outside [0, 1)", *b)
-			}
-			me.SetBER = b
+		d, err := time.ParseDuration(at)
+		if at != "" && err != nil {
+			o.Fail("at", "bad duration %q", at)
 		}
-		if r := ev.DataRateMbps; r != nil {
-			if *r < 0 {
-				return nil, errAt(path+".data_rate_mbps", "negative rate %g", *r)
+		me.At = sim.FromSeconds(d.Seconds())
+		if me.At < 0 {
+			o.Fail("at", "negative instant %q", at)
+		}
+		if me.At < prev {
+			o.Fail("at", "instant %q before the previous event; events must be time-ordered", at)
+		}
+		prev = me.At
+		if station != "" && station != "*" {
+			if me.Target = slices.Index(names, station); me.Target < 0 {
+				o.Fail("station", "unknown station %q (known: %s)", station, strings.Join(names, ", "))
 			}
-			bps := *r * 1e6
+		}
+		if f := me.SetFER; f != nil && (*f < 0 || *f >= 1) {
+			o.Fail("fer", "frame-error rate %g outside [0, 1)", *f)
+		}
+		if b := me.SetBER; b != nil && (*b < 0 || *b >= 1) {
+			o.Fail("ber", "bit-error rate %g outside [0, 1)", *b)
+		}
+		if rate != nil {
+			if *rate < 0 {
+				o.Fail("data_rate_mbps", "negative rate %g", *rate)
+			}
+			bps := *rate * 1e6
 			me.SetDataRate = &bps
 		}
-		me.SetPowerDB = ev.PowerDB // walker guarantees finiteness
-		if lk := ev.Link; lk != nil {
-			a, b := lk[0], lk[1]
+		if link != nil {
+			a, b := int(link[0]), int(link[1])
 			if a < 0 || a >= n || b < 0 || b >= n {
-				return nil, errAt(path+".link", "station index out of range [0, %d): [%d, %d]", n, a, b)
+				o.Fail("link", "station index out of range [0, %d): [%d, %d]", n, a, b)
+			} else if a == b {
+				o.Fail("link", "station %d cannot hear itself", a)
 			}
-			if a == b {
-				return nil, errAt(path+".link", "station %d cannot hear itself", a)
-			}
-			me.SetTopologyEdge = &mac.TopologyEdge{A: a, B: b, Hears: ev.Hears}
+			me.SetTopologyEdge = &mac.TopologyEdge{A: a, B: b, Hears: hears}
 		}
 		if me.SetFER == nil && me.SetBER == nil && me.SetDataRate == nil &&
 			me.SetPowerDB == nil && me.SetTopologyEdge == nil {
-			return nil, errAt(path, "event changes nothing; set fer, ber, data_rate_mbps, power_db or link")
+			o.Fail("", "event changes nothing; set fer, ber, data_rate_mbps, power_db or link")
 		}
 		out = append(out, me)
 	}
-	return out, nil
+	return out
 }
 
-// Compile turns a parsed spec into engine configuration, validating
-// everything statically: value ranges, topology bounds against the
-// station count, plan consistency, and conflicts the engine would
-// otherwise only reject at run time (a TXOP-enabled access category
-// over a topology with hidden stations). The compiled Link additionally
-// passes probe.Link.Validate, so a compiled scenario can never smuggle
-// an invalid knob into a measurement.
-func (s *Spec) Compile() (*Compiled, error) {
-	if s.Name == "" {
-		return nil, errAt("name", "scenario needs a name")
-	}
-	c := &Compiled{
-		Name:        s.Name,
-		Description: s.Description,
-		Notes:       s.Notes,
-	}
-	p, err := phyFor(s.Phy)
-	if err != nil {
-		return nil, err
-	}
-	l := probe.Link{
-		Phy:       p,
-		Seed:      s.Seed,
-		ProbeSize: s.Probe.SizeBytes,
-	}
-	if s.RTSThresholdBytes < 0 {
-		return nil, errAt("rts_threshold_bytes", "negative threshold %d", s.RTSThresholdBytes)
-	}
-	l.RTSThreshold = s.RTSThresholdBytes
-	if s.Probe.SizeBytes < 0 {
-		return nil, errAt("probe.size_bytes", "negative packet size %d", s.Probe.SizeBytes)
-	}
-	probeAC, err := phy.ParseAC(s.Probe.AC)
-	if err != nil {
-		return nil, errAt("probe.ac", "%v", err)
-	}
-	l.ProbeAC = probeAC
-	if s.Probe.DataRateMbps < 0 {
-		return nil, errAt("probe.data_rate_mbps", "negative rate %g", s.Probe.DataRateMbps)
-	}
-	l.ProbeDataRateBps = s.Probe.DataRateMbps * 1e6
-	l.ProbePowerDB = s.Probe.PowerDB
-	if s.Probe.WarmupSeconds < 0 {
-		return nil, errAt("probe.warmup_seconds", "negative warm-up %g", s.Probe.WarmupSeconds)
-	}
-	if err := checkSpan("probe.warmup_seconds", s.Probe.WarmupSeconds); err != nil {
-		return nil, err
-	}
-	l.WarmUp = sim.FromSeconds(s.Probe.WarmupSeconds)
-
-	for i, f := range s.FIFOCross {
-		flow, err := compileFlow(f, fmt.Sprintf("fifo_cross[%d]", i))
-		if err != nil {
-			return nil, err
-		}
-		l.FIFOCross = append(l.FIFOCross, flow)
-	}
-	c.StationNames = []string{"probe"}
-	for i, st := range s.Stations {
-		path := fmt.Sprintf("stations[%d]", i)
-		flow, err := compileFlow(st.Traffic, path+".traffic")
-		if err != nil {
-			return nil, err
-		}
-		ac, err := phy.ParseAC(st.AC)
-		if err != nil {
-			return nil, errAt(path+".ac", "%v", err)
-		}
-		flow.AC = ac
-		if st.DataRateMbps < 0 {
-			return nil, errAt(path+".data_rate_mbps", "negative rate %g", st.DataRateMbps)
-		}
-		flow.DataRateBps = st.DataRateMbps * 1e6
-		flow.PowerDB = st.PowerDB
-		l.Contenders = append(l.Contenders, flow)
-		name := st.Name
-		if name == "" {
-			name = fmt.Sprintf("contender-%d", i)
-		}
-		c.StationNames = append(c.StationNames, name)
-	}
-
-	n := 1 + len(l.Contenders)
-	topo, err := compileTopology(s.Channel.Topology, n)
-	if err != nil {
-		return nil, err
-	}
-	l.Topology = topo
-	l.Loss = phy.ErrorModel{FER: s.Channel.FER, BER: s.Channel.BER}
-	if err := l.Loss.Validate(); err != nil {
-		return nil, errAt("channel.fer", "%v", err)
-	}
-	if s.Channel.CaptureDB < 0 {
-		return nil, errAt("channel.capture_db", "negative capture threshold %g", s.Channel.CaptureDB)
-	}
-	l.CaptureDB = s.Channel.CaptureDB
-
-	if l.Schedule, err = s.compileEvents(c.StationNames); err != nil {
-		return nil, err
-	}
+// checkTXOP rejects an access category with a TXOP limit on a cell
+// with hidden stations or scheduled hearing-graph edits (which can
+// hide stations mid-run): the engine only rejects that conflict when a
+// replication runs, so the compiler names the offending ac field here,
+// before any measurement starts.
+func checkTXOP(l *probe.Link, probeObj *Obj, stations []*Obj) {
+	hidden := l.Topology != nil && !l.Topology.IsFullMesh()
 	edgeEvents := false
 	for _, ev := range l.Schedule {
-		if ev.SetTopologyEdge != nil {
-			edgeEvents = true
-			break
+		edgeEvents = edgeEvents || ev.SetTopologyEdge != nil
+	}
+	if !hidden && !edgeEvents {
+		return
+	}
+	why := "over a topology with hidden stations"
+	if !hidden {
+		why = "with scheduled link events"
+	}
+	eff := l.Phy
+	if eff.Name == "" {
+		eff = phy.B11()
+	}
+	// A category other than plain DCF can only come from a probe object.
+	if eff.EDCA(l.ProbeAC).TXOPLimit > 0 {
+		probeObj.Fail("ac", "access category %v has a TXOP limit, unsupported %s", l.ProbeAC, why)
+	}
+	for i, f := range l.Contenders {
+		if eff.EDCA(f.AC).TXOPLimit > 0 {
+			stations[i].Fail("ac", "access category %v has a TXOP limit, unsupported %s", f.AC, why)
 		}
 	}
+}
 
-	// The engine rejects a TXOP-enabled access category combined with a
-	// hidden-station topology (or scheduled hearing-graph edits, which
-	// can hide stations mid-run) only when the replication actually
-	// runs; the whole point of the compiler is to catch that conflict
-	// here, positionally, before any measurement starts.
-	if (topo != nil && !topo.IsFullMesh()) || edgeEvents {
-		why := "over a topology with hidden stations"
-		if topo == nil || topo.IsFullMesh() {
-			why = "with scheduled link events"
-		}
-		eff := l.Phy
-		if eff.Name == "" {
-			eff = phy.B11()
-		}
-		if eff.EDCA(probeAC).TXOPLimit > 0 {
-			return nil, errAt("probe.ac", "access category %v has a TXOP limit, unsupported %s", probeAC, why)
-		}
-		for i, f := range l.Contenders {
-			if eff.EDCA(f.AC).TXOPLimit > 0 {
-				return nil, errAt(fmt.Sprintf("stations[%d].ac", i),
-					"access category %v has a TXOP limit, unsupported %s", f.AC, why)
-			}
-		}
+// readProbing lowers the measurement plan. probeSize (bytes, defaults
+// already applied) converts a gap_ms train spacing into the
+// equivalent probing rate.
+func readProbing(o *Obj, probeSize int) Probing {
+	plan := o.Str("plan")
+	packets := o.Int("packets")
+	rate := o.Num("rate_mbps")
+	gap := o.Num("gap_ms")
+	reps := o.Int("reps")
+	dur := o.Num("duration_seconds")
+	o.Done()
+	out := Probing{Plan: Plan(plan)}
+	switch out.Plan {
+	case PlanTrain, PlanSteady:
+	case "":
+		o.Fail("plan", "plan is required (train|steady)")
+	default:
+		o.Fail("plan", "unknown plan %q (train|steady)", plan)
 	}
-
-	if err := l.Validate(); err != nil {
-		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
+	if rate < 0 {
+		o.Fail("rate_mbps", "negative rate %g", rate)
 	}
-	c.Link = l
-
-	size := l.ProbeSize
-	if size == 0 {
-		size = 1500
+	if gap < 0 {
+		o.Fail("gap_ms", "negative gap %g", gap)
 	}
-	if c.Probing, err = compileProbing(s.Probing, size); err != nil {
-		return nil, err
+	if reps < 0 {
+		o.Fail("reps", "negative replication count %d", reps)
 	}
-	return c, nil
+	if dur < 0 {
+		o.Fail("duration_seconds", "negative duration %g", dur)
+	}
+	checkSpan(o, "duration_seconds", dur)
+	switch out.Plan {
+	case PlanTrain:
+		if dur > 0 {
+			o.Fail("duration_seconds", "a train plan has no duration; use packets/rate_mbps/gap_ms")
+		}
+		if packets < 2 {
+			o.Fail("packets", "a train needs at least 2 packets, got %d", packets)
+		}
+		if rate > 0 && gap > 0 {
+			o.Fail("gap_ms", "rate_mbps and gap_ms both set; they define the same spacing")
+		}
+		out.TrainLen = packets
+		out.RateBps = rate * 1e6
+		if gap > 0 {
+			// A gap is the reciprocal expression of the rate over the
+			// probe payload: rate = size_bits / gap.
+			out.RateBps = float64(probeSize*8) / (gap / 1e3)
+		}
+		out.Reps = reps
+	case PlanSteady:
+		if packets != 0 || gap != 0 || reps != 0 {
+			o.Fail("packets", "packets/gap_ms/reps belong to train plans; a steady plan takes rate_mbps and duration_seconds")
+		}
+		if rate <= 0 {
+			o.Fail("rate_mbps", "a steady plan needs a positive rate, got %g", rate)
+		}
+		out.RateBps = rate * 1e6
+		out.DurationSeconds = dur
+	}
+	return out
 }
 
 // MACConfig assembles a general-purpose engine configuration carrying

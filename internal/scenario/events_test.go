@@ -110,16 +110,13 @@ func TestPhasesKeyRejected(t *testing.T) {
 		"probing": {"plan": "train", "packets": 10},
 		"phases": ["0-1s warm-up", "1-3s measured"]
 	}`, "phases: unknown key")
-	s, err := Parse([]byte(`{
+	c := mustCompile(t, `{
 		"name": "t",
 		"probing": {"plan": "train", "packets": 10},
 		"notes": ["0-1s warm-up"]
-	}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Notes) != 1 {
-		t.Fatalf("notes %v", s.Notes)
+	}`)
+	if len(c.Notes) != 1 {
+		t.Fatalf("notes %v", c.Notes)
 	}
 }
 

@@ -5,13 +5,13 @@ import (
 	"testing"
 )
 
-// FuzzScenarioSpec drives the strict parser and the compiler with
-// arbitrary byte soup. The invariants: neither step may panic, every
-// reported error must carry the "scenario" prefix (or a position), and
-// a spec that parses and compiles must yield a Link that passes
-// probe.Link.Validate and a plan the drivers can trust (a positive
-// train length or a positive steady rate) — i.e. the compiler never
-// lets a malformed cell through to the engine.
+// FuzzScenarioSpec drives the one-pass compiler with arbitrary byte
+// soup. The invariants: it may not panic, every reported error must
+// carry the "scenario" prefix (or a position), and a spec that
+// compiles must yield a Link that passes probe.Link.Validate and a
+// plan the drivers can trust (a positive train length or a positive
+// steady rate) — i.e. the compiler never lets a malformed cell through
+// to the engine.
 func FuzzScenarioSpec(f *testing.F) {
 	seeds := []string{
 		minimal,
@@ -46,14 +46,7 @@ func FuzzScenarioSpec(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := Parse(data)
-		if err != nil {
-			if !strings.Contains(err.Error(), "scenario") {
-				t.Fatalf("parse error without package prefix: %q", err)
-			}
-			return
-		}
-		c, err := s.Compile()
+		c, err := Compile(data)
 		if err != nil {
 			if !strings.Contains(err.Error(), "scenario") {
 				t.Fatalf("compile error without package prefix: %q", err)

@@ -20,25 +20,18 @@ const minimal = `{
 
 func mustCompile(t *testing.T, src string) *Compiled {
 	t.Helper()
-	s, err := Parse([]byte(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := s.Compile()
+	c, err := Compile([]byte(src))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c
 }
 
-// wantErr parses (and, when parsing succeeds, compiles) src and
-// demands an error mentioning frag — usually the positional path.
+// wantErr compiles src and demands an error mentioning frag — usually
+// the positional path.
 func wantErr(t *testing.T, src, frag string) {
 	t.Helper()
-	s, err := Parse([]byte(src))
-	if err == nil {
-		_, err = s.Compile()
-	}
+	_, err := Compile([]byte(src))
 	if err == nil {
 		t.Fatalf("spec accepted, want error mentioning %q", frag)
 	}

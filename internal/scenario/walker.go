@@ -1,6 +1,6 @@
 package scenario
 
-// The strict JSON object walker behind the spec parser, exported so
+// The strict JSON object walker behind the spec compiler, exported so
 // sibling declarative formats — the campaign files of internal/campaign
 // — parse with the same discipline: positional errors, unknown-key
 // rejection, NaN/Inf refusal, integer checks. The walker is not a
@@ -57,8 +57,10 @@ func Root(data []byte, prefix string) (*Obj, error) {
 // recorded, or nil. Callers check it once, after walking everything.
 func (o *Obj) Err() error { return *o.err }
 
-// Fail records err (with the object's path prefixed) unless an earlier
-// error already claimed the slot.
+// Fail records a fault at key, formatted "<prefix>: <path>.<key>:
+// <msg>", unless an earlier error already claimed the slot. The
+// compilers report their semantic checks through it as well, so a
+// range fault carries the same positional path as a type fault.
 func (o *Obj) Fail(key, format string, a ...any) {
 	if *o.err != nil {
 		return

@@ -105,13 +105,9 @@ func lintCampaign(path string) []string {
 // measurement can never reach — legal, but almost certainly a mistake
 // in a checked-in library spec.
 func lintFile(path string) []string {
-	s, err := scenario.Load(path)
+	c, err := scenario.CompileFile(path)
 	if err != nil {
 		return []string{err.Error()}
-	}
-	c, err := s.Compile()
-	if err != nil {
-		return []string{fmt.Sprintf("%s: %v", path, err)}
 	}
 	var findings []string
 	stem := strings.TrimSuffix(filepath.Base(path), ".json")
