@@ -19,6 +19,7 @@ import (
 	"strings"
 
 	"csmabw/internal/estimate"
+	"csmabw/internal/probe"
 	"csmabw/internal/scenario"
 )
 
@@ -242,6 +243,9 @@ func parseEffort(o *scenario.Obj) (trainLen, reps, maxReps int) {
 		if k.v < 0 {
 			o.Fail(k.key, "effort knob %d must be >= 0", k.v)
 		}
+	}
+	if trainLen > probe.MaxTrainLen {
+		o.Fail("train_len", "a train holds at most %d packets, got %d", probe.MaxTrainLen, trainLen)
 	}
 	return trainLen, reps, maxReps
 }

@@ -59,6 +59,7 @@ func TestParseErrors(t *testing.T) {
 		{"nan budget", `{"name":"c","jobs":[{"id":"a","scenario":"s.json","estimator":"topp","budget":{"max_probe_seconds":1e999}}]}`, "non-finite number"},
 		{"negative budget", `{"name":"c","jobs":[{"id":"a","scenario":"s.json","estimator":"topp","budget":{"max_packets":-3}}]}`, "must be >= 0"},
 		{"negative effort", `{"name":"c","jobs":[{"id":"a","scenario":"s.json","estimator":"topp","reps":-1}]}`, "must be >= 0"},
+		{"train too long", `{"name":"c","jobs":[{"id":"a","scenario":"s.json","estimator":"topp","train_len":100001}]}`, "jobs[0].train_len: a train holds at most 100000 packets"},
 		{"dup explicit ids", `{"name":"c","jobs":[
 			{"id":"a","scenario":"s.json","estimator":"topp"},
 			{"id":"a","scenario":"s.json","estimator":"slops"}]}`, `duplicate job id "a"`},

@@ -26,35 +26,34 @@ func goldenPath(id string) string {
 
 // goldenAllocs is the heap allocation count (runtime.MemStats.Mallocs)
 // of one run of each registry figure at Tiny() on one worker: the
-// modal count over four runs at each of GOMAXPROCS 1, 2, 4 and 8, with
-// and without -race, recorded with Go 1.24.0. Repeat runs read at most
-// 34 above a row, and neither GOMAXPROCS nor -race moved it. Per-worker
-// engine reuse is what keeps the train figures' counts this low;
-// losing it multiplies them. After an intentional change, re-record a
-// row from the count its failure message prints.
+// modal count over three runs at GOMAXPROCS 2, recorded with Go 1.24.0.
+// Runs at GOMAXPROCS 1 and 8 and under -race read within 23 of a row.
+// Per-worker engine reuse is what keeps the train figures' counts this
+// low; losing it multiplies them. After an intentional change,
+// re-record a row from the count its failure message prints.
 var goldenAllocs = map[string]uint64{
-	"fig01":            362,
-	"fig04":            404,
-	"fig06":            238,
-	"fig07":            257,
-	"fig08":            557,
-	"fig09":            513,
-	"fig10":            1455,
-	"fig13":            2475,
-	"fig15":            3266,
-	"fig16":            2227,
-	"fig17":            1103,
-	"fer-rrc":          1041,
-	"fer-transient":    580,
-	"hidden":           1052,
-	"edca-transient":   746,
-	"rate-anomaly":     885,
-	"abest-accuracy":   10380,
-	"abest-frontier":   1778,
-	"abest-robust":     10362,
-	"abest-budget":     4561,
-	"selection-regret": 14709,
-	"failover-lag":     73170,
+	"fig01":            341,
+	"fig04":            377,
+	"fig06":            203,
+	"fig07":            215,
+	"fig08":            526,
+	"fig09":            485,
+	"fig10":            1218,
+	"fig13":            2099,
+	"fig15":            2890,
+	"fig16":            1933,
+	"fig17":            971,
+	"fer-rrc":          994,
+	"fer-transient":    469,
+	"hidden":           972,
+	"edca-transient":   600,
+	"rate-anomaly":     759,
+	"abest-accuracy":   9217,
+	"abest-frontier":   1575,
+	"abest-robust":     9262,
+	"abest-budget":     4075,
+	"selection-regret": 11827,
+	"failover-lag":     58761,
 }
 
 // TestGoldenFigures renders every registry figure at the tiny scale and

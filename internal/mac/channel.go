@@ -2,6 +2,7 @@ package mac
 
 import (
 	"math"
+	"math/bits"
 
 	"csmabw/internal/sim"
 )
@@ -46,15 +47,14 @@ type clusterEntry struct {
 }
 
 // clusterCand is a contending station that did not transmit at the
-// cluster's first instant and may not hear everyone, with its effective
-// countdown expiry and, once the cluster has grown, the instant its
-// countdown froze: the start of the first transmission it heard (heard
-// set), the end of the receiver's vulnerable window, or sim.MaxTime when
-// the countdown expired inside the cluster instead (the station joined
-// it, or its post-backoff ended).
+// cluster's first instant and may not hear everyone (its countdown
+// expiry is the station's cached one) with, once the cluster has grown,
+// the instant its countdown froze: the start of the first transmission
+// it heard (heard set), the end of the receiver's vulnerable window, or
+// sim.MaxTime when the countdown expired inside the cluster instead (the
+// station joined it, or its post-backoff ended).
 type clusterCand struct {
 	s      *station
-	expiry sim.Time
 	freeze sim.Time
 	heard  bool
 }
@@ -62,8 +62,8 @@ type clusterCand struct {
 // candLess orders candidates by (expiry, station id). Station ids are
 // unique, so this is a total order.
 func candLess(a, b clusterCand) bool {
-	if a.expiry != b.expiry {
-		return a.expiry < b.expiry
+	if a.s.expiry != b.s.expiry {
+		return a.s.expiry < b.s.expiry
 	}
 	return a.s.id < b.s.id
 }
@@ -110,7 +110,6 @@ func (e *Engine) appendEntry(entries []clusterEntry, s *station, start sim.Time)
 // empty queue: the station returns to the fully idle state.
 func (e *Engine) endPostBackoff(s *station) {
 	s.backoff = -1
-	s.postBO = false
 	e.nActive--
 }
 
@@ -124,36 +123,34 @@ func (e *Engine) endPostBackoff(s *station) {
 // from the engine's own generators, so runs are deterministic for a
 // given config and seed.
 func (e *Engine) transmitCluster(txAt sim.Time) {
-	slot := e.phy.Slot
 	mesh := e.topo == nil
 	cands, entries := e.candScratch[:0], e.entryScratch[:0]
 
-	// One scan over the countdowns. Those expiring by txAt transmit
-	// there. On a full mesh every other station hears that transmission,
-	// whoever makes it, and freezes at txAt; with a hearing graph the
-	// others become candidates, settled once the cluster is known.
+	// One scan over the countdowns, reading the expiries the idle period
+	// cached (arm). Those expiring by txAt transmit there. On a full
+	// mesh every other station hears that transmission, whoever makes
+	// it, and freezes at txAt; with a hearing graph the others become
+	// candidates, settled once the cluster is known.
 	for _, s := range e.stations {
 		if s.backoff < 0 {
 			continue
 		}
-		start := e.senseStart(s)
-		t := start + sim.Time(s.backoff)*slot
 		switch {
-		case t <= txAt && s.hol() == nil:
+		case s.expiry <= txAt && s.hol() == nil:
 			e.endPostBackoff(s)
-		case t <= txAt:
+		case s.expiry <= txAt:
 			entries = e.appendEntry(entries, s, txAt)
 		case mesh:
-			decrementTo(s, start, txAt, slot)
+			e.decrementTo(s, txAt)
 		default:
-			cands = append(cands, clusterCand{s: s, expiry: t})
+			cands = append(cands, clusterCand{s: s})
 		}
 	}
 	e.now = txAt
 	if len(entries) == 0 {
 		// No transmission happened; the candidates counted down to txAt.
 		for _, c := range cands {
-			decrementTo(c.s, e.senseStart(c.s), txAt, slot)
+			e.decrementTo(c.s, txAt)
 		}
 		return
 	}
@@ -173,23 +170,24 @@ func (e *Engine) transmitCluster(txAt sim.Time) {
 		}
 		for i := range cands {
 			c := &cands[i]
+			expiry := c.s.expiry
 			c.freeze = sim.MaxTime
 			for j := range entries {
 				// A transmission starting in the same slot as c's expiry
 				// cannot be sensed in time: both stations transmit.
-				if st := entries[j].start; st < c.expiry && st < c.freeze && e.hears(c.s.id, entries[j].s.id) {
+				if st := entries[j].start; st < expiry && st < c.freeze && e.hears(c.s.id, entries[j].s.id) {
 					c.freeze = st
 				}
 			}
 			switch {
 			case c.freeze != sim.MaxTime:
 				c.heard = true
-			case c.expiry >= vulnEnd:
+			case expiry >= vulnEnd:
 				c.freeze = vulnEnd
 			case c.s.hol() == nil:
 				e.endPostBackoff(c.s)
 			default:
-				entries = e.appendEntry(entries, c.s, c.expiry)
+				entries = e.appendEntry(entries, c.s, expiry)
 				vulnEnd = max(vulnEnd, entries[len(entries)-1].vulnEnd)
 			}
 		}
@@ -242,7 +240,7 @@ func (e *Engine) transmitCluster(txAt sim.Time) {
 	// pressure is the hidden-terminal pathology RTS/CTS exists to fix.
 	for _, c := range cands {
 		if c.freeze != sim.MaxTime && (c.heard || receiverSpoke) {
-			decrementTo(c.s, e.senseStart(c.s), c.freeze, slot)
+			e.decrementTo(c.s, c.freeze)
 		}
 	}
 
@@ -339,14 +337,38 @@ func (e *Engine) transmitCluster(txAt sim.Time) {
 }
 
 // decrementTo decrements s's frozen countdown by the whole slots that
-// elapsed between its sensing start and the freeze instant.
-func decrementTo(s *station, senseStart, freezeAt, slot sim.Time) {
-	if freezeAt <= senseStart {
-		return
+// elapsed between its cached sensing start and the freeze instant. A
+// freeze at or past the cached expiry leaves no slot to count.
+func (e *Engine) decrementTo(s *station, freezeAt sim.Time) {
+	switch {
+	case freezeAt <= s.cdStart:
+	case freezeAt >= s.expiry:
+		s.backoff = 0
+	default:
+		s.backoff -= int(slotsIn(freezeAt-s.cdStart, e.phy.Slot, e.slotInv))
 	}
-	elapsed := int((freezeAt - senseStart) / slot)
-	if elapsed > s.backoff {
-		elapsed = s.backoff
+}
+
+// reciprocal returns ⌊2⁶⁴/slot⌋ + 1, the multiplier slotsIn uses in
+// place of a division by slot, or 0 when slot is below 2 or not below
+// 2³², where no exact one fits.
+func reciprocal(slot sim.Time) uint64 {
+	if slot < 2 || slot >= 1<<32 {
+		return 0
 	}
-	s.backoff -= elapsed
+	q, _ := bits.Div64(1, 0, uint64(slot))
+	return q + 1
+}
+
+// slotsIn returns the whole slots in d ≥ 0, ⌊d/slot⌋, without a 64-bit
+// division when it can. For d and slot below 2³² the high word of
+// d·reciprocal(slot) is exact: the multiplier overshoots 2⁶⁴/slot by at
+// most 1, so the product overshoots d·2⁶⁴/slot by at most d, which is
+// below 2⁶⁴/slot and so cannot carry the quotient to the next integer.
+func slotsIn(d, slot sim.Time, inv uint64) sim.Time {
+	if inv == 0 || d >= 1<<32 {
+		return d / slot
+	}
+	q, _ := bits.Mul64(uint64(d), inv)
+	return sim.Time(q)
 }

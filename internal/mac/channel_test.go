@@ -177,10 +177,11 @@ func TestCaptureDeliversStrongestFrame(t *testing.T) {
 // full mesh: a station that overhears a same-slot collision defers EIFS
 // afterwards even when the receiver captured one of the colliding
 // frames, because the losers' frames were undecodable on the air. The
-// run stops after the first busy period, the clean captured collision.
+// frames are probes, and the run stops once one is resolved: after the
+// first busy period, the clean captured collision.
 func TestCaptureBystanderDefersEIFS(t *testing.T) {
 	frame := func(at sim.Time) []traffic.Arrival {
-		return []traffic.Arrival{{At: at, Size: 1500, Index: -1}}
+		return []traffic.Arrival{{At: at, Size: 1500, Probe: true}}
 	}
 	cfg := Config{
 		Phy:     phy.B11(),
@@ -191,7 +192,7 @@ func TestCaptureBystanderDefersEIFS(t *testing.T) {
 			{Arrivals: frame(sim.Millisecond)},              // loses in the same slot
 			{Arrivals: frame(1500 * sim.Microsecond)},       // bystander, queued mid-air
 		},
-		StopWhen: func() bool { return true },
+		StopAfterProbes: 1,
 	}
 	e, err := New(cfg)
 	if err != nil {

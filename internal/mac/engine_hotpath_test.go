@@ -78,27 +78,31 @@ func TestSourceMatchesArrivalsByteIdentical(t *testing.T) {
 	}
 }
 
-func TestStopWhenCutsRunPrefixIntact(t *testing.T) {
+func TestStopAfterProbesCutsRunPrefixIntact(t *testing.T) {
 	full, err := Run(hotScenario(3, true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Stop once station 0 has delivered 50 frames: everything recorded
-	// up to that point must match the full run exactly.
+	if full.ProbesResolved != 200 {
+		t.Fatalf("full run resolved %d of its 200 probes", full.ProbesResolved)
+	}
+	// Stop once 50 of the train's 200 probes are resolved: everything
+	// recorded up to that point must match the full run exactly.
 	cfg := hotScenario(3, true)
-	delivered := 0
-	cfg.OnDepart = func(e *Engine, f *Frame) {
-		if f.Station == 0 {
-			delivered++
+	cfg.StopAfterProbes = 50
+	probes := 0
+	cfg.OnEvent = func(ev Event) {
+		if ev.Probe && (ev.Kind == EvSuccess || ev.Kind == EvDrop) {
+			probes++
 		}
 	}
-	cfg.StopWhen = func() bool { return delivered >= 50 }
 	part, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(part.Frames[0]) < 50 {
-		t.Fatalf("stopped run delivered %d frames for station 0, want >= 50", len(part.Frames[0]))
+	if part.ProbesResolved < 50 || part.ProbesResolved != probes {
+		t.Fatalf("stopped run resolved %d probes (%d delivered or dropped), want >= 50",
+			part.ProbesResolved, probes)
 	}
 	if part.End >= full.End {
 		t.Fatalf("stopped run did not stop early: end %v vs %v", part.End, full.End)
@@ -137,6 +141,31 @@ func TestRecordFramesFilter(t *testing.T) {
 	for i := range got.Stats {
 		if got.Stats[i] != all.Stats[i] {
 			t.Fatalf("stats[%d] differ: %+v vs %+v", i, got.Stats[i], all.Stats[i])
+		}
+	}
+}
+
+// TestOnDepartSkipsUnrecordedStations pins OnDepart to the RecordFrames
+// filter: the hook sees exactly the frames the result retains, in
+// departure order, and none of the unrecorded station's.
+func TestOnDepartSkipsUnrecordedStations(t *testing.T) {
+	cfg := hotScenario(4, true)
+	cfg.RecordFrames = func(station int) bool { return station == 1 }
+	var seen []*Frame
+	cfg.OnDepart = func(e *Engine, f *Frame) { seen = append(seen, f) }
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats[0].Delivered == 0 || res.Stats[1].Delivered == 0 {
+		t.Fatalf("fixture inert: %+v", res.Stats)
+	}
+	if len(seen) != len(res.Frames[1]) {
+		t.Fatalf("OnDepart saw %d frames, station 1 recorded %d", len(seen), len(res.Frames[1]))
+	}
+	for i, f := range seen {
+		if f != res.Frames[1][i] {
+			t.Fatalf("OnDepart frame %d is station %d's #%d, not station 1's recorded frame", i, f.Station, f.ID)
 		}
 	}
 }
@@ -242,26 +271,60 @@ func TestHotPathAllocBound(t *testing.T) {
 	}
 }
 
-// BenchmarkEngineHotPath reports the allocation profile of a loaded
-// run, on a full mesh and on a hidden pair; together with
-// TestHotPathAllocBound it pins the zero-alloc hot path (allocs/op
-// stays flat in the frame count).
+// fig09Contenders are the four Poisson contenders of the Fig. 9 cell:
+// 40, 576, 1000 and 1500-byte packets at 0.1, 0.5, 0.75 and 2 Mb/s.
+func fig09Contenders(seed int64, end sim.Time) []StationConfig {
+	var out []StationConfig
+	for i, f := range []struct {
+		rate float64
+		size int
+	}{{0.1e6, 40}, {0.5e6, 576}, {0.75e6, 1000}, {2e6, 1500}} {
+		out = append(out, StationConfig{
+			Source: traffic.NewPoisson(sim.NewRand(seed*10+int64(i)), f.rate, f.size, 0, end),
+		})
+	}
+	return out
+}
+
+// lightScenario is the Fig. 9 cell under a steady 0.5 Mb/s probe flow:
+// a lightly loaded five-station mesh whose busy periods are mostly lone
+// exchanges, the cell that dominates the paper's transient figures.
+func lightScenario(seed int64) Config {
+	end := 3 * sim.Second
+	cfg := Config{Phy: phy.B11(), Seed: seed, Horizon: end}
+	cfg.Stations = append([]StationConfig{{Name: "probe", Source: traffic.Marked(traffic.NewCBR(0.5e6, 1500, 0, end))}},
+		fig09Contenders(seed, end)...)
+	return cfg
+}
+
+// BenchmarkEngineHotPath reports the cost of a loaded run — on a light
+// five-station mesh, a loaded full mesh and a hidden pair — in
+// nanoseconds per transmission attempt (bench/'s mac.ns_per_attempt)
+// and allocations; together with TestHotPathAllocBound it pins the
+// zero-alloc hot path (allocs/op stays flat in the frame count).
 func BenchmarkEngineHotPath(b *testing.B) {
 	cases := []struct {
 		name  string
 		build func(seed int64) Config
 	}{
+		{"light", lightScenario},
 		{"dcf", func(seed int64) Config { return hotScenario(seed, true) }},
 		{"hidden", func(seed int64) Config { return hiddenHotScenario(seed, true) }},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
+			attempts := 0
 			for i := 0; i < b.N; i++ {
-				if _, err := Run(tc.build(int64(i))); err != nil {
+				res, err := Run(tc.build(int64(i)))
+				if err != nil {
 					b.Fatal(err)
 				}
+				for _, st := range res.Stats {
+					attempts += st.Attempts
+				}
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(attempts), "ns/attempt")
 		})
 	}
 }

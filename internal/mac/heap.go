@@ -1,100 +1,5 @@
 package mac
 
-// arrivalHeap indexes the stations that still have a pending (not yet
-// queued) arrival, keyed by (pending arrival time, station id). It is
-// the engine's next-candidate structure for traffic: nextArrival() is a
-// peek at the root instead of a scan over every station, and the pump
-// paths pop only the stations whose arrivals are actually due. The id
-// tie-break makes pop order deterministic, so same-instant admissions
-// are processed in station order — the order the pre-refactor scan used
-// — keeping RNG draw sequences byte-identical.
-type arrivalHeap struct {
-	a []*station
-}
-
-func (h *arrivalHeap) len() int { return len(h.a) }
-
-// min returns the station with the earliest pending arrival, or nil.
-func (h *arrivalHeap) min() *station {
-	if len(h.a) == 0 {
-		return nil
-	}
-	return h.a[0]
-}
-
-func (h *arrivalHeap) before(x, y *station) bool {
-	if x.pending.At != y.pending.At {
-		return x.pending.At < y.pending.At
-	}
-	return x.id < y.id
-}
-
-func (h *arrivalHeap) push(s *station) {
-	s.heapIdx = len(h.a)
-	h.a = append(h.a, s)
-	h.up(s.heapIdx)
-}
-
-// popMin removes and returns the root station.
-func (h *arrivalHeap) popMin() *station {
-	s := h.a[0]
-	last := len(h.a) - 1
-	h.a[0] = h.a[last]
-	h.a[0].heapIdx = 0
-	h.a[last] = nil
-	h.a = h.a[:last]
-	if last > 0 {
-		h.down(0)
-	}
-	s.heapIdx = -1
-	return s
-}
-
-func (h *arrivalHeap) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.before(h.a[i], h.a[parent]) {
-			return
-		}
-		h.swap(i, parent)
-		i = parent
-	}
-}
-
-func (h *arrivalHeap) down(i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(h.a) && h.before(h.a[l], h.a[smallest]) {
-			smallest = l
-		}
-		if r < len(h.a) && h.before(h.a[r], h.a[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		h.swap(i, smallest)
-		i = smallest
-	}
-}
-
-func (h *arrivalHeap) swap(i, j int) {
-	h.a[i], h.a[j] = h.a[j], h.a[i]
-	h.a[i].heapIdx = i
-	h.a[j].heapIdx = j
-}
-
-// reset empties the heap for engine reuse. The backing array is kept;
-// stale station pointers beyond the new length are harmless because the
-// stations they reference are owned (and reset) by the same engine.
-func (h *arrivalHeap) reset() {
-	for i := range h.a {
-		h.a[i] = nil
-	}
-	h.a = h.a[:0]
-}
-
 // frameArena hands out Frames from slab-allocated blocks, replacing one
 // heap allocation per packet with one per arenaBlock packets. Frames
 // live as long as the Result that references them. The slabs are

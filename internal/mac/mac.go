@@ -48,17 +48,18 @@
 // drivers can study both the steady state (Figs. 1, 4) and the transient
 // (Figs. 6-10, 13, 15-17), under perfect and imperfect channels alike.
 //
-// The engine core is event-driven rather than scan-driven: an indexed
-// heap of per-station pending arrivals replaces the all-station arrival
-// scans, an active-station counter replaces the all-station backlog
-// scans, and each idle period computes every station's candidate
-// transmission instant exactly once, updating the minimum incrementally
-// as arrivals are admitted. Traffic is pulled lazily from
-// traffic.Source generators (StationConfig.Source), so a run that stops
-// early — see Config.StopWhen — never materializes or draws the tail of
-// a schedule it will not consume. Frames come from a slab arena. None
-// of this changes behaviour: RNG draw order is byte-identical to the
-// scan-driven engine.
+// The engine core is event-driven rather than scan-driven: a
+// per-station array of pending arrival instants and its cached minimum
+// replace the all-station arrival scans, an active-station counter
+// replaces the all-station backlog scans, and each idle period computes
+// every station's sensing start and countdown expiry exactly once,
+// updating the minimum incrementally as arrivals are admitted; the
+// busy-period resolver reads those cached instants. Traffic is pulled
+// lazily from traffic.Source generators (StationConfig.Source), so a
+// run that stops early — see Config.StopAfterProbes — never
+// materializes or draws the tail of a schedule it will not consume.
+// Frames come from a slab arena. None of this changes behaviour: RNG
+// draw order is byte-identical to the scan-driven engine.
 //
 // Model simplifications (documented, deliberate): control frames (RTS,
 // CTS, ACK) are never corrupted by the error model — they are short and
@@ -200,10 +201,11 @@ type Config struct {
 	// shrinks markedly.
 	DisableImmediateAccess bool
 
-	// OnDepart, if set, is invoked at the instant each frame finishes
-	// transmission, before it is appended to the result. The engine
-	// pointer allows sampling instantaneous state such as queue lengths
-	// (used to reproduce Fig. 8 bottom).
+	// OnDepart, if set, is invoked at the instant each frame of a
+	// recorded station (see RecordFrames) finishes transmission, before
+	// it is appended to the result. The engine pointer allows sampling
+	// instantaneous state such as queue lengths (used to reproduce
+	// Fig. 8 bottom).
 	OnDepart func(e *Engine, f *Frame)
 
 	// OnEvent, if set, receives every channel event (transmission
@@ -211,19 +213,22 @@ type Config struct {
 	// (internal/trace) attaches to.
 	OnEvent func(ev Event)
 
-	// StopWhen, if set, is polled after every resolved busy period; the
-	// run ends as soon as it returns true. Everything simulated up to
-	// the stop instant — delivered frames, stats, hook invocations — is
-	// exactly what an un-stopped run would have produced, so a
-	// measurement that only needs a prefix of the scenario (a probing
-	// train that has fully drained, say) can cut the tail without
-	// changing a single recorded value.
-	StopWhen func() bool
+	// StopAfterProbes, if positive, ends the run once that many probe
+	// frames have been delivered or dropped by the retry limit
+	// (Result.ProbesResolved), checked after every resolved busy period.
+	// Everything simulated up to the stop instant — delivered frames,
+	// stats, hook invocations — is exactly what an un-stopped run would
+	// have produced, so a measurement that only needs a prefix of the
+	// scenario (a probing train that has fully drained) cuts the tail
+	// without changing a single recorded value. Zero runs to the
+	// horizon.
+	StopAfterProbes int
 
 	// RecordFrames, if set, selects which stations' delivered frames
-	// are retained in Result.Frames; other stations deliver normally
-	// (stats, hooks, and timing are unaffected) but their frames are
-	// not accumulated. Nil retains every station.
+	// are retained in Result.Frames and passed to OnDepart; other
+	// stations deliver normally (stats, events and timing are
+	// unaffected) but their frames are neither accumulated nor handed
+	// to the hook. Nil records every station.
 	RecordFrames func(station int) bool
 }
 
@@ -295,6 +300,10 @@ type Result struct {
 	Stats []StationStats
 	// End is the simulated time at which the run stopped.
 	End sim.Time
+	// ProbesResolved counts the probe frames delivered or dropped by
+	// the retry limit, on every station (the count StopAfterProbes
+	// polls).
+	ProbesResolved int
 }
 
 // Throughput returns station s's carried rate in bit/s over [from, to],
@@ -331,19 +340,16 @@ type station struct {
 
 	src traffic.Source
 	// pending is the next arrival pulled from src but not yet due; it
-	// is valid while hasPending. lastAt enforces the source's time
-	// ordering.
-	pending    traffic.Arrival
-	hasPending bool
-	lastAt     sim.Time
-	heapIdx    int // position in the engine's arrival heap, -1 when absent
+	// is valid while the engine's pendAt entry for the station is below
+	// sim.MaxTime. lastAt enforces the source's time ordering.
+	pending traffic.Arrival
+	lastAt  sim.Time
 
 	queue   []*Frame
 	head    int // index of HOL frame within queue (amortised pop)
 	cw      int
 	retries int
 	backoff int  // slots remaining; -1 when no countdown is active
-	postBO  bool // true while the countdown is a post-backoff with an empty queue
 	eifs    bool // next sensing period must be EIFS (observed an erroneous frame)
 	inTx    bool // scratch flag: transmitting in the busy period being resolved
 	// senseFrom is a personal lower bound on when this station started
@@ -354,7 +360,14 @@ type station struct {
 	// idleAt is the instant the medium last became idle from this
 	// station's perspective. With a full-mesh topology every station
 	// holds the same value; with hidden terminals the views diverge.
-	idleAt   sim.Time
+	idleAt sim.Time
+	// cdStart and expiry cache the armed countdown's sensing start
+	// (senseStart) and the instant its backoff runs out. contend's scan
+	// and admitIdleArrivals compute them once per idle period; the
+	// busy-period resolver that follows reads them, and every contend
+	// rebuilds them.
+	cdStart, expiry sim.Time
+
 	power    float64        // received power at the common receiver, relative dB
 	loss     phy.ErrorModel // resolved error model for this station's uplink
 	rng      *sim.Rand
@@ -404,13 +417,13 @@ func (s *station) popHOL() *Frame {
 // so this is the predicate the engine's active-station counter tracks.
 func (s *station) active() bool { return s.queueLen() > 0 || s.backoff >= 0 }
 
-// advancePending pulls the next arrival from the station's source,
-// enforcing the Source ordering contract.
-func (s *station) advancePending() {
+// advancePending pulls the next arrival from the station's source into
+// pending, enforcing the Source ordering contract, and returns its
+// instant, or sim.MaxTime once the source is exhausted.
+func (s *station) advancePending() sim.Time {
 	a, ok := s.src.Next()
 	if !ok {
-		s.hasPending = false
-		return
+		return sim.MaxTime
 	}
 	if a.Size <= 0 {
 		panic(fmt.Sprintf("mac: station %d (%s): source produced non-positive size %d", s.id, s.name, a.Size))
@@ -421,7 +434,7 @@ func (s *station) advancePending() {
 	}
 	s.lastAt = a.At
 	s.pending = a
-	s.hasPending = true
+	return a.At
 }
 
 // Engine runs one scenario. Create with New, drive with Run.
@@ -451,16 +464,21 @@ type Engine struct {
 	chrng *sim.Rand
 
 	// Event-driven bookkeeping: nActive counts stations satisfying
-	// station.active(), arrHeap indexes pending arrivals, arena batches
-	// Frame allocations, record caches the RecordFrames decisions, and
-	// the scratch slices below are reused across busy periods so the
-	// hot path allocates nothing.
+	// station.active(); pendAt holds each station's next arrival
+	// instant (sim.MaxTime once its source is exhausted) and nextAt
+	// their minimum, refreshed after every pump; arena batches Frame
+	// allocations; record caches the RecordFrames decisions; and the
+	// scratch slices below are reused across busy periods so the hot
+	// path allocates nothing.
 	nActive int
-	arrHeap arrivalHeap
+	pendAt  []sim.Time
+	nextAt  sim.Time
 	arena   frameArena
 	record  []bool
+	// slotInv is the reciprocal the frozen-countdown decrement divides
+	// by (see slotsIn); 0 when the PHY's slot admits no exact one.
+	slotInv uint64
 
-	admitScratch []*station
 	candScratch  []clusterCand
 	entryScratch []clusterEntry
 }
@@ -476,11 +494,11 @@ func New(cfg Config) (*Engine, error) {
 
 // Reset reinitialises the engine for a fresh run of cfg, reusing the
 // memory the previous run grew: the frame slab arena, the station
-// structs and their FIFO backing arrays, the arrival heap, the result
-// buffers and the busy-period scratch. The reuse survives a change of
-// station count: the per-station state only grows, so a Reset to a
-// smaller cell reslices it and one back to a larger cell finds the
-// stations it held before. After a successful Reset the engine behaves
+// structs and their FIFO backing arrays, the pending-arrival array, the
+// result buffers and the busy-period scratch. The reuse survives a
+// change of station count: the per-station state only grows, so a
+// Reset to a smaller cell reslices it and one back to a larger cell
+// finds the stations it held before. After a successful Reset the engine behaves
 // byte-identically — RNG draw order included — to a freshly
 // constructed New(cfg), so a worker that measures a batch of
 // replications on one engine produces exactly the replications it
@@ -534,7 +552,7 @@ func (e *Engine) init(cfg Config) error {
 	e.nActive = 0
 	e.captureOn = cfg.Channel.CaptureThresholdDB > 0
 	e.lossy = !cfg.Channel.Loss.IsZero()
-	e.arrHeap.reset()
+	e.slotInv = reciprocal(cfg.Phy.Slot)
 	e.arena.reset()
 	e.stations = resize(e.stations, nSt)
 	for i, sc := range cfg.Stations {
@@ -571,7 +589,6 @@ func (e *Engine) init(cfg Config) error {
 			id:      i,
 			name:    sc.Name,
 			src:     src,
-			heapIdx: -1,
 			backoff: -1,
 			power:   sc.PowerDB,
 			loss:    loss,
@@ -599,6 +616,7 @@ func (e *Engine) init(cfg Config) error {
 	e.res.Stats = resize(e.res.Stats, nSt)
 	clear(e.res.Stats)
 	e.res.End = 0
+	e.res.ProbesResolved = 0
 	e.record = resize(e.record, nSt)
 	for i := range e.record {
 		e.record[i] = cfg.RecordFrames == nil || cfg.RecordFrames(i)
@@ -608,12 +626,12 @@ func (e *Engine) init(cfg Config) error {
 		e.entryScratch = make([]clusterEntry, 0, nSt)
 		e.candScratch = make([]clusterCand, 0, nSt)
 	}
-	// Prime each station's pending arrival and index it.
-	for _, s := range e.stations {
-		s.advancePending()
-		if s.hasPending {
-			e.arrHeap.push(s)
-		}
+	// Prime each station's pending arrival.
+	e.pendAt = resize(e.pendAt, nSt)
+	e.nextAt = sim.MaxTime
+	for i, s := range e.stations {
+		e.pendAt[i] = s.advancePending()
+		e.nextAt = min(e.nextAt, e.pendAt[i])
 	}
 	return nil
 }
@@ -709,10 +727,11 @@ func (e *Engine) Now() sim.Time { return e.now }
 func (e *Engine) QueueLen(s int) int { return e.stations[s].queueLen() }
 
 // pumpStation moves every due arrival of s into its queue, maintaining
-// the active-station counter. The caller owns s's heap membership.
+// its pendAt entry and the active-station counter. The caller refreshes
+// nextAt.
 func (e *Engine) pumpStation(s *station, now sim.Time) {
 	wasActive := s.active()
-	for s.hasPending && s.pending.At <= now {
+	for e.pendAt[s.id] <= now {
 		a := s.pending
 		f := e.arena.next()
 		f.ID = int64(s.id)<<40 | s.frameSeq
@@ -726,34 +745,29 @@ func (e *Engine) pumpStation(s *station, now sim.Time) {
 			f.HOL = a.At
 		}
 		s.queue = append(s.queue, f)
-		s.advancePending()
+		e.pendAt[s.id] = s.advancePending()
 	}
 	if !wasActive && s.active() {
 		e.nActive++
 	}
 }
 
-// pumpArrivals moves every arrival with At <= now into its queue.
+// pumpArrivals moves every arrival with At <= now into its queue, in
+// station order, and refreshes nextAt in the same pass. A pump draws
+// only from its own station's source, so the order is free.
 func (e *Engine) pumpArrivals(now sim.Time) {
-	for {
-		s := e.arrHeap.min()
-		if s == nil || s.pending.At > now {
-			return
-		}
-		e.arrHeap.popMin()
-		e.pumpStation(s, now)
-		if s.hasPending {
-			e.arrHeap.push(s)
-		}
+	if e.nextAt > now {
+		return
 	}
-}
-
-// nextArrival returns the earliest pending arrival time, or sim.MaxTime.
-func (e *Engine) nextArrival() sim.Time {
-	if s := e.arrHeap.min(); s != nil {
-		return s.pending.At
+	next := sim.MaxTime
+	for i, at := range e.pendAt {
+		if at <= now {
+			e.pumpStation(e.stations[i], now)
+			at = e.pendAt[i]
+		}
+		next = min(next, at)
 	}
-	return sim.MaxTime
+	e.nextAt = next
 }
 
 // drawBackoff draws a fresh backoff for s from [0, cw].
@@ -778,6 +792,16 @@ func (e *Engine) senseStart(s *station) sim.Time {
 	return base + s.aifs
 }
 
+// arm caches s's sensing start and countdown expiry for the current
+// idle period and returns its candidate transmission instant: the
+// expiry, or now for an immediate-access frame that arrived after its
+// DIFS-idle point and so transmits right away.
+func (e *Engine) arm(s *station) sim.Time {
+	s.cdStart = e.senseStart(s)
+	s.expiry = s.cdStart + sim.Time(s.backoff)*e.phy.Slot
+	return max(s.expiry, e.now)
+}
+
 // Run executes the scenario to completion and returns the result.
 // It may only be called once per New or Reset; to run another
 // scenario on the same engine (reusing its arenas and scratch),
@@ -792,7 +816,7 @@ func (e *Engine) Run() *Result {
 		// queues without immediate-access rights (they must back off).
 		e.pumpArrivals(e.now)
 		if e.nActive == 0 {
-			na := e.nextArrival()
+			na := e.nextAt
 			if na == sim.MaxTime || na > horizon {
 				break
 			}
@@ -805,7 +829,7 @@ func (e *Engine) Run() *Result {
 		if !e.contend(horizon) {
 			break
 		}
-		if e.cfg.StopWhen != nil && e.cfg.StopWhen() {
+		if stop := e.cfg.StopAfterProbes; stop > 0 && e.res.ProbesResolved >= stop {
 			break
 		}
 	}
@@ -824,7 +848,6 @@ func (e *Engine) Run() *Result {
 // arrivals are admitted, so the idle period costs O(stations + due
 // arrivals) instead of a full rescan per admitted arrival.
 func (e *Engine) contend(horizon sim.Time) bool {
-	slot := e.phy.Slot
 	// Candidate transmission instants for stations with an active
 	// countdown (frame pending or post-backoff). Stations that became
 	// backlogged while the medium was busy draw their backoff here, in
@@ -839,20 +862,11 @@ func (e *Engine) contend(horizon sim.Time) bool {
 			// the medium was busy, or the station has no immediate
 			// access right. Draw a fresh backoff now.
 			s.drawBackoff()
-			s.postBO = false
 		}
-		t := e.senseStart(s) + sim.Time(s.backoff)*slot
-		if t < e.now {
-			// Immediate-access frames may have arrived after the
-			// DIFS-idle point: they transmit right away, i.e. now.
-			t = e.now
-		}
-		if t < txAt {
-			txAt = t
-		}
+		txAt = min(txAt, e.arm(s))
 	}
 	for {
-		na := e.nextArrival()
+		na := e.nextAt
 		if txAt == sim.MaxTime && na == sim.MaxTime {
 			return false
 		}
@@ -887,32 +901,19 @@ func (e *Engine) contend(horizon sim.Time) bool {
 // stations (sim.MaxTime when none gained a countdown), so contend can
 // maintain its minimum without rescanning.
 func (e *Engine) admitIdleArrivals() sim.Time {
-	// Collect the due stations, then process them in station order: the
-	// ablation path draws backoffs here, and draw order must match the
-	// scan-driven engine's station-order sweep.
-	adm := e.admitScratch[:0]
-	for {
-		s := e.arrHeap.min()
-		if s == nil || s.pending.At > e.now {
-			break
+	// The due stations are processed in station order, the ablation
+	// path's backoff draw order; nextAt is refreshed in the same pass.
+	minCand, next := sim.MaxTime, sim.MaxTime
+	for i, at := range e.pendAt {
+		if at > e.now {
+			next = min(next, at)
+			continue
 		}
-		e.arrHeap.popMin()
-		adm = append(adm, s)
-	}
-	for i := 1; i < len(adm); i++ { // insertion sort by id; len is tiny
-		for j := i; j > 0 && adm[j].id < adm[j-1].id; j-- {
-			adm[j], adm[j-1] = adm[j-1], adm[j]
-		}
-	}
-	minCand := sim.MaxTime
-	slot := e.phy.Slot
-	for _, s := range adm {
+		s := e.stations[i]
 		hadFrame := s.queueLen() > 0
 		counting := s.backoff >= 0
 		e.pumpStation(s, e.now)
-		if s.hasPending {
-			e.arrHeap.push(s)
-		}
+		next = min(next, e.pendAt[i])
 		if s.queueLen() == 0 || hadFrame {
 			continue
 		}
@@ -920,13 +921,11 @@ func (e *Engine) admitIdleArrivals() sim.Time {
 		if counting {
 			// Post-backoff countdown in progress: the frame inherits it
 			// (its candidate instant is already accounted for).
-			s.postBO = false
 			continue
 		}
 		// The station starts sensing at the arrival instant; it may
 		// transmit once it has observed DIFS of idle medium from here.
 		s.senseFrom = e.now
-		s.postBO = false
 		if e.cfg.DisableImmediateAccess {
 			// Ablation mode: treat the idle arrival like any other and
 			// draw a full backoff.
@@ -936,15 +935,9 @@ func (e *Engine) admitIdleArrivals() sim.Time {
 			// with no backoff.
 			s.backoff = 0
 		}
-		t := e.senseStart(s) + sim.Time(s.backoff)*slot
-		if t < e.now {
-			t = e.now
-		}
-		if t < minCand {
-			minCand = t
-		}
+		minCand = min(minCand, e.arm(s))
 	}
-	e.admitScratch = adm[:0]
+	e.nextAt = next
 	return minCand
 }
 
@@ -1037,16 +1030,16 @@ func (e *Engine) deliver(s *station, f *Frame, txStart, dataEnd, exchEnd sim.Tim
 	s.eifs = false
 	if nf := s.hol(); nf != nil {
 		nf.HOL = exchEnd
-		s.postBO = false
-	} else {
-		s.postBO = true
 	}
 	s.drawBackoff()
 
-	if e.cfg.OnDepart != nil {
-		e.cfg.OnDepart(e, f)
+	if f.Probe {
+		e.res.ProbesResolved++
 	}
 	if e.record[s.id] {
+		if e.cfg.OnDepart != nil {
+			e.cfg.OnDepart(e, f)
+		}
 		e.res.Frames[s.id] = append(e.res.Frames[s.id], f)
 	}
 }
@@ -1087,6 +1080,9 @@ func (e *Engine) retryFail(s *station, at sim.Time) {
 		// Long retry limit exhausted: drop the frame.
 		df := s.popHOL()
 		e.res.Stats[s.id].Dropped++
+		if df.Probe {
+			e.res.ProbesResolved++
+		}
 		if e.cfg.OnEvent != nil {
 			e.cfg.OnEvent(Event{At: at, Kind: EvDrop, Station: s.id,
 				Size: df.Size, Probe: df.Probe, Index: df.Index, Retries: s.retries, AC: s.ac})
@@ -1095,16 +1091,12 @@ func (e *Engine) retryFail(s *station, at sim.Time) {
 		s.cw = s.cwMin
 		if nf := s.hol(); nf != nil {
 			nf.HOL = at
-			s.postBO = false
-		} else {
-			s.postBO = true
 		}
 	} else {
 		s.cw = 2*(s.cw+1) - 1
 		if s.cw > s.cwMax {
 			s.cw = s.cwMax
 		}
-		s.postBO = false
 	}
 	s.drawBackoff()
 	// The station senses its ACK timeout before re-contending; fold it

@@ -258,3 +258,36 @@ func TestPropertyDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestSlotsInMatchesDivision pins the reciprocal quotient a frozen
+// countdown decrements by: slotsIn equals d/slot for every PHY profile's
+// slot and a few custom ones, over random d below 2³² and the boundary
+// values around 0, one slot and the last multiples below 2³², and it
+// falls back to division for d or slot beyond that range.
+func TestSlotsInMatchesDivision(t *testing.T) {
+	r := sim.NewRand(5)
+	slots := []sim.Time{1, 2, 3, 7, 1 << 20, 1<<32 - 1, 1 << 32, 1<<40 + 3}
+	for _, p := range []phy.Params{phy.B11(), phy.B11Short(), phy.G54(), phy.A54()} {
+		slots = append(slots, p.Slot)
+	}
+	for _, slot := range slots {
+		inv := reciprocal(slot)
+		if (inv != 0) != (slot >= 2 && slot < 1<<32) {
+			t.Errorf("slot %d: reciprocal %d", slot, inv)
+		}
+		last := (1<<32 - 1) / slot * slot
+		ds := []sim.Time{0, 1, slot - 1, slot, slot + 1, 2*slot - 1, 2 * slot,
+			last - 1, last, last + 1, 1<<32 - 1, 1 << 32, 1<<40 + 12345}
+		for i := 0; i < 20000; i++ {
+			ds = append(ds, sim.Time(r.Uint64()>>32))
+		}
+		for _, d := range ds {
+			if d < 0 {
+				continue
+			}
+			if got, want := slotsIn(d, slot, inv), d/slot; got != want {
+				t.Fatalf("slot %d: slotsIn(%d) = %d, want %d", slot, d, got, want)
+			}
+		}
+	}
+}

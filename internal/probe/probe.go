@@ -472,6 +472,13 @@ func MeasureTrain(l Link, n int, rateBps float64, reps int) (*TrainStats, error)
 	return &TrainStats{N: n, GI: plan.gI, L: plan.link.ProbeSize, Reps: reps, Samples: samples}, nil
 }
 
+// MaxTrainLen bounds the packets of one probing train: 100 times the
+// paper's 1,000-packet trains. A train's samples are sized by its
+// length up front, so the bound turns a typo'd length into an error
+// instead of an out-of-memory crash; longer measurements are
+// steady-state plans (MeasureSteadyState).
+const MaxTrainLen = 100_000
+
 // trainSetup is the shared preparation of a train measurement: defaults
 // resolved, train length and probing rate validated, and the input gap
 // derived from the rate (0 = back to back).
@@ -482,6 +489,9 @@ func (l Link) trainSetup(n int, rateBps float64) (Link, sim.Time, error) {
 	l = l.WithDefaults()
 	if n < 1 {
 		return l, 0, fmt.Errorf("probe: train length %d", n)
+	}
+	if n > MaxTrainLen {
+		return l, 0, fmt.Errorf("probe: train length %d above MaxTrainLen %d; measure longer spans as a steady state", n, MaxTrainLen)
 	}
 	if math.IsNaN(rateBps) || math.IsInf(rateBps, 0) || rateBps < 0 {
 		return l, 0, fmt.Errorf("probe: probing rate must be finite and >= 0 (0 = back to back), got %g", rateBps)
@@ -530,33 +540,22 @@ func (l Link) measureTrainOnce(m *TrainMeter, n int, gI sim.Time, rep int64) (Tr
 		sample.Departures[i] = -1
 		sample.AccessDelays[i] = -1
 	}
-	resolved := 0
-	wantQueue := len(l.Contenders) > 0
-	if wantQueue {
-		sample.QueueAtDepart = make([]float64, 0, n)
-	}
-	cfg.OnDepart = func(e *mac.Engine, f *mac.Frame) {
-		if !f.Probe {
-			return
-		}
-		if wantQueue {
-			sample.QueueAtDepart = append(sample.QueueAtDepart, float64(e.QueueLen(1)))
-		}
-		if f.Index >= 0 && f.Index < n {
-			resolved++
+	var queue []float64
+	if len(l.Contenders) > 0 {
+		queue = make([]float64, 0, n)
+		cfg.OnDepart = func(e *mac.Engine, f *mac.Frame) {
+			if f.Probe {
+				queue = append(queue, float64(e.QueueLen(1)))
+			}
 		}
 	}
-	cfg.OnEvent = func(ev mac.Event) {
-		if ev.Kind == mac.EvDrop && ev.Probe && ev.Index >= 0 && ev.Index < n {
-			resolved++
-		}
-	}
-	cfg.StopWhen = func() bool { return resolved >= n }
+	cfg.StopAfterProbes = n
 	cfg.RecordFrames = func(station int) bool { return station == 0 }
 	res, err := m.run(cfg)
 	if err != nil {
 		return TrainSample{}, err
 	}
+	sample.QueueAtDepart = queue
 	for _, f := range res.Frames[0] {
 		if f.Probe && f.Index >= 0 && f.Index < n {
 			sample.Departures[f.Index] = f.Departed
@@ -567,8 +566,8 @@ func (l Link) measureTrainOnce(m *TrainMeter, n int, gI sim.Time, rep int64) (Tr
 	// Every resolved probe was transmitted (delivered, or carried to the
 	// retry limit and dropped); unresolved probes of a truncated run
 	// never reached the air and must not be charged to cost ledgers.
-	sample.Injected = resolved
-	sample.Truncated = resolved < n
+	sample.Injected = res.ProbesResolved
+	sample.Truncated = res.ProbesResolved < n
 	sample.GO = outputGap(sample.Departures)
 	return sample, nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"csmabw/internal/mac"
@@ -281,6 +282,11 @@ func TestMeasureErrors(t *testing.T) {
 	}
 	if _, err := MeasureTrain(quietLink(1), 2, 1e6, 0); err == nil {
 		t.Error("zero reps accepted")
+	}
+	// A train longer than MaxTrainLen is refused before any sample is
+	// sized by it.
+	if _, err := PlanTrain(quietLink(1), MaxTrainLen+1, 1e6); err == nil || !strings.Contains(err.Error(), "MaxTrainLen") {
+		t.Errorf("PlanTrain accepted a %d-packet train: %v", MaxTrainLen+1, err)
 	}
 	if _, err := MeasureSteadyState(quietLink(1), 0, sim.Second); err == nil {
 		t.Error("zero rate accepted")

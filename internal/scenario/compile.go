@@ -519,6 +519,9 @@ func readProbing(o *Obj, probeSize int) Probing {
 		if packets < 2 {
 			o.Fail("packets", "a train needs at least 2 packets, got %d", packets)
 		}
+		if packets > probe.MaxTrainLen {
+			o.Fail("packets", "a train holds at most %d packets, got %d; longer measurements are steady plans", probe.MaxTrainLen, packets)
+		}
 		if rate > 0 && gap > 0 {
 			o.Fail("gap_ms", "rate_mbps and gap_ms both set; they define the same spacing")
 		}

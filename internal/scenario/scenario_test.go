@@ -143,6 +143,7 @@ func TestSemanticErrors(t *testing.T) {
 	wantErr(t, `{"name": "t", "phy": "n", "probing": {"plan": "train", "packets": 10}}`, "phy: unknown profile")
 	wantErr(t, `{"name": "t", "probing": {"plan": "walk", "packets": 10}}`, "probing.plan")
 	wantErr(t, `{"name": "t", "probing": {"plan": "train", "packets": 1}}`, "probing.packets")
+	wantErr(t, `{"name": "t", "probing": {"plan": "train", "packets": 100001}}`, "probing.packets: a train holds at most 100000 packets")
 	wantErr(t, `{"name": "t", "probing": {"plan": "train", "packets": 10, "rate_mbps": 1, "gap_ms": 2}}`, "probing.gap_ms")
 	wantErr(t, `{"name": "t", "probing": {"plan": "train", "packets": 10, "duration_seconds": 2}}`, "probing.duration_seconds")
 	wantErr(t, `{"name": "t", "probing": {"plan": "steady", "rate_mbps": 0}}`, "probing.rate_mbps")

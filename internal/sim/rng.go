@@ -1,6 +1,9 @@
 package sim
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Rand is a small, fast, seedable pseudo-random generator
 // (xorshift128+ with a splitmix64-initialised state). It exists so that
@@ -125,28 +128,14 @@ func (r *Rand) Intn(n int) int {
 	// Lemire's multiply-shift rejection method: unbiased and division-free
 	// in the common case.
 	un := uint64(n)
-	v := r.Uint64()
-	hi, lo := mul64(v, un)
+	hi, lo := bits.Mul64(r.Uint64(), un)
 	if lo < un {
 		thresh := (-un) % un
 		for lo < thresh {
-			v = r.Uint64()
-			hi, lo = mul64(v, un)
+			hi, lo = bits.Mul64(r.Uint64(), un)
 		}
 	}
 	return int(hi)
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 0xffffffff
-	a0, a1 := a&mask, a>>32
-	b0, b1 := b&mask, b>>32
-	t := a1*b0 + (a0*b0)>>32
-	w1 := t&mask + a0*b1
-	hi = a1*b1 + t>>32 + w1>>32
-	lo = a * b
-	return
 }
 
 // Float64 returns a uniform float64 in [0, 1).
