@@ -64,7 +64,9 @@ func parseArgs(args []string) (*campaignConfig, error) {
 	fs := flag.NewFlagSet("campaign", flag.ContinueOnError)
 	fs.SetOutput(os.Stderr)
 	c := &campaignConfig{}
-	cf := clikit.RegisterCampaign(fs)
+	var path string
+	fs.StringVar(&path, "campaign", "",
+		"declarative campaign file (JSON) naming the estimation jobs to run; scenario paths resolve relative to it")
 	fs.StringVar(&c.out, "out", "", "results log (JSON lines); doubles as the resume checkpoint")
 	fs.BoolVar(&c.resume, "resume", false, "replay an existing results log and run only the missing jobs")
 	fs.BoolVar(&c.reportOnly, "report-only", false, "render the fleet report from an existing -out log without running jobs")
@@ -80,7 +82,7 @@ func parseArgs(args []string) (*campaignConfig, error) {
 	default:
 		return nil, fmt.Errorf("unknown format %q (table|csv|json)", c.format)
 	}
-	if cf.Path == "" {
+	if path == "" {
 		return nil, fmt.Errorf("-campaign is required: a campaign file names the jobs to run")
 	}
 	if c.out == "" {
@@ -89,7 +91,7 @@ func parseArgs(args []string) (*campaignConfig, error) {
 	if c.workers < 0 {
 		return nil, fmt.Errorf("-workers %d must be >= 0 (0 = all cores)", c.workers)
 	}
-	plan, err := cf.Compiled()
+	plan, err := campaign.CompileFile(path)
 	if err != nil {
 		return nil, err
 	}

@@ -48,12 +48,13 @@ type RunResult struct {
 }
 
 // Run executes the plan's pending jobs and returns the complete,
-// compacted campaign log. Determinism contract: every job probes its
-// scenario's link reseeded with Child(index) of the campaign master
-// stream, with the link's own worker pool pinned to 1, so a job's
-// record depends only on the campaign file and seed — never on the
-// fleet's worker count, the completion order, or how many kill/resume
-// cycles the campaign went through. Jobs whose estimator fails are
+// compacted campaign log. The fleet is the only parallelism: each job
+// is one serial estimator call on one worker, with its own engine.
+// Determinism contract: every job probes its scenario's link reseeded
+// with Child(index) of the campaign master stream, so a job's record
+// depends only on the campaign file and seed — never on the fleet's
+// worker count, the completion order, or how many kill/resume cycles
+// the campaign went through. Jobs whose estimator fails are
 // recorded (status "failed", partial cost ledger), not fatal; only
 // infrastructure errors (unwritable log, corrupt checkpoint) abort.
 func Run(p *Plan, cfg RunConfig) (*RunResult, error) {
@@ -111,9 +112,7 @@ func Run(p *Plan, cfg RunConfig) (*RunResult, error) {
 					break
 				}
 			}
-			link := sc.Scenario.Link
-			link.Workers = 1
-			t, err := estimate.GroundTruth(link, estimate.TruthConfig{})
+			t, err := estimate.GroundTruth(sc.Scenario.Link, estimate.TruthConfig{})
 			if err != nil {
 				return nil, fmt.Errorf("campaign: ground truth for %s: %w", path, err)
 			}
@@ -192,7 +191,6 @@ func Run(p *Plan, cfg RunConfig) (*RunResult, error) {
 func runJob(job PlannedJob, master sim.Stream, truthBps float64) Record {
 	link := job.Scenario.Link
 	link.Seed = master.Child(uint64(job.Index)).Seed()
-	link.Workers = 1
 
 	r := Record{
 		Job:       job.Spec.ID,

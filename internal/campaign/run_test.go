@@ -1,17 +1,34 @@
 package campaign
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
+// update rewrites the library campaign's golden log and report instead
+// of comparing against them. After an intentional change to what the
+// estimators compute, run
+//
+//	go test ./internal/campaign -run TestLibraryCampaignGolden -update
+//
+// and commit the rewritten files under testdata with that change.
+var update = flag.Bool("update", false, "rewrite testdata/library.jsonl and testdata/library-report.txt")
+
 // runTiny runs the tiny testdata campaign into a fresh log and returns
 // the final log bytes and the rendered report.
 func runTiny(t *testing.T, workers int, seed int64) (string, string) {
 	t.Helper()
-	p, err := CompileFile("testdata/tiny.json")
+	return runCampaign(t, "testdata/tiny.json", workers, seed)
+}
+
+// runCampaign runs the campaign file at path into a fresh log and
+// returns the final log bytes and the rendered table report.
+func runCampaign(t *testing.T, path string, workers int, seed int64) (string, string) {
+	t.Helper()
+	p, err := CompileFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,5 +267,38 @@ func TestRunRecordsEstimatorFailures(t *testing.T) {
 	}
 	if rowFailed != 4 {
 		t.Errorf("report counts %d failed jobs, want 4", rowFailed)
+	}
+}
+
+// TestLibraryCampaignGolden pins the checked-in campaign library
+// (scenarios/campaigns/library.json: every library spec × the three
+// estimators × three CI targets, 63 jobs) byte for byte: its compacted
+// log and its table report at two workers. CI's campaign library step
+// compares the CLI's log and report with the same two files.
+func TestLibraryCampaignGolden(t *testing.T) {
+	log, report := runCampaign(t, "../../scenarios/campaigns/library.json", 2, 0)
+	for _, f := range []struct{ path, got string }{
+		{"testdata/library.jsonl", log},
+		{"testdata/library-report.txt", report},
+	} {
+		if *update {
+			if err := os.WriteFile(f.path, []byte(f.got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(f.path)
+		if err != nil {
+			t.Fatalf("%v (run with -update to create it)", err)
+		}
+		if f.got == string(want) {
+			continue
+		}
+		got, exp := strings.Split(f.got, "\n"), strings.Split(string(want), "\n")
+		i := 0
+		for i < len(got) && i < len(exp) && got[i] == exp[i] {
+			i++
+		}
+		t.Errorf("%s differs from line %d on (run with -update if the change is intentional)", f.path, i+1)
 	}
 }

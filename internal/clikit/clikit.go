@@ -15,7 +15,6 @@ import (
 	"math"
 	"os"
 
-	"csmabw/internal/campaign"
 	"csmabw/internal/experiments"
 	"csmabw/internal/scenario"
 	"csmabw/internal/sim"
@@ -151,33 +150,6 @@ func (s *ScenarioFlag) Compiled() (*scenario.Compiled, error) {
 		return nil, nil
 	}
 	return scenario.CompileFile(s.Path)
-}
-
-// CampaignFlag holds the shared -campaign knob: a declarative campaign
-// file (internal/campaign) naming a fleet of estimation jobs over
-// scenario specs. The campaign front end registers it; other tools may
-// adopt it the same way -scenario spread.
-type CampaignFlag struct {
-	// Path is the campaign file; empty means no campaign.
-	Path string
-}
-
-// RegisterCampaign installs the -campaign flag on fs and returns the
-// destination struct, populated after fs.Parse.
-func RegisterCampaign(fs *flag.FlagSet) *CampaignFlag {
-	c := &CampaignFlag{}
-	fs.StringVar(&c.Path, "campaign", "",
-		"declarative campaign file (JSON) naming the estimation jobs to run; scenario paths resolve relative to it")
-	return c
-}
-
-// Compiled loads, parses and compiles the campaign file; (nil, nil)
-// when the flag is unset.
-func (c *CampaignFlag) Compiled() (*campaign.Plan, error) {
-	if c.Path == "" {
-		return nil, nil
-	}
-	return campaign.CompileFile(c.Path)
 }
 
 // Scale resolves the preset plus overrides into a Scale, including the

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"csmabw/internal/probe"
-	"csmabw/internal/runner"
 	"csmabw/internal/stats"
 )
 
@@ -67,10 +66,9 @@ func (c AdaptiveConfig) withDefaults() AdaptiveConfig {
 // statistics to first order.
 //
 // Replication k's randomness is a pure function of (l.Seed, k), so the
-// result is byte-identical at any l.Workers setting and the k-th train
-// is the same train no matter how batches are scheduled. The train is
-// planned once, and each batch's workers measure on TrainMeters, each
-// reusing one engine across the trains it runs.
+// k-th train is the same train no matter how the batches fall. The
+// train is planned once, and every batch runs in order on the call's
+// one engine.
 func Adaptive(l probe.Link, cfg AdaptiveConfig) (Estimate, error) {
 	cfg = cfg.withDefaults()
 	if cfg.TrainLen < 2 {
@@ -95,38 +93,21 @@ func Adaptive(l probe.Link, cfg AdaptiveConfig) (Estimate, error) {
 	ld := l.WithDefaults()
 	gI := plan.GI()
 
-	est := Estimate{}
-	tracker := budgetTracker{budget: cfg.Budget}
+	g := ledger{budget: cfg.Budget}
 	var samples []probe.TrainSample
-	for done := 0; done < cfg.MaxReps; {
-		batch := cfg.BatchReps
-		if rem := cfg.MaxReps - done; batch > rem {
-			batch = rem
-		}
+	for len(samples) < cfg.MaxReps {
+		batch := min(cfg.BatchReps, cfg.MaxReps-len(samples))
 		// A shrunk batch is not terminal: the first batch's time forecast
 		// is the pessimistic drain envelope, and real observed spans may
 		// show the budget affords much more. The campaign only stops when
 		// the ledger can no longer buy a single train.
 		var capped Truncation
-		if batch, capped = tracker.allow(est.Cost, batch, 1, cfg.TrainLen, gI); batch == 0 {
-			est.Truncated = capped
+		if batch, capped = g.allow(batch, 1, cfg.TrainLen, gI); batch == 0 {
+			g.est.Truncated = capped
 			break
 		}
-		start := done
-		fresh, err := runner.MapBatches(batch, l.Workers, 0,
-			func() *probe.TrainMeter { return &probe.TrainMeter{} },
-			func(m *probe.TrainMeter, i int) (probe.TrainSample, error) {
-				return plan.MeasureOne(m, start+i)
-			})
-		if err != nil {
-			return est, err
-		}
-		done += batch
-		est.Rounds++
-		for _, s := range fresh {
-			est.Cost.add(s, gI)
-			tracker.note(s, gI)
-			samples = append(samples, s)
+		if samples, err = g.round(plan, len(samples), batch, samples); err != nil {
+			return g.est, err
 		}
 
 		gs := gaps(samples)
@@ -134,24 +115,24 @@ func Adaptive(l probe.Link, cfg AdaptiveConfig) (Estimate, error) {
 			continue
 		}
 		sum := stats.Summarize(gs)
-		est.Value = float64(ld.ProbeSize*8) / sum.Mean
+		g.est.Value = float64(ld.ProbeSize*8) / sum.Mean
 		// First-order propagation: a relative error on E[gO] is the same
 		// relative error on L/E[gO]. A budgeted campaign widens the
 		// half-width by the loss-aware sigma inflation — lossy links must
 		// buy more evidence for the same confidence — which governs both
 		// the stopping rule and the reported CI.
-		est.CI = est.Value * sum.CI95HalfWidth() * inflation(cfg.Budget, &tracker) / sum.Mean
-		if est.CI <= cfg.TargetRel*est.Value {
-			return est, nil
+		g.est.CI = g.est.Value * sum.CI95HalfWidth() * g.inflation() / sum.Mean
+		if g.est.CI <= cfg.TargetRel*g.est.Value {
+			return g.est, nil
 		}
 	}
-	if est.Value == 0 {
+	if g.est.Value == 0 {
 		// The partial Estimate still carries the Cost and Rounds spent,
 		// so budget accounting survives the failed campaign.
-		return est, fmt.Errorf("%w (adaptive: %d replications, none usable)", ErrEstimateFailed, cfg.MaxReps)
+		return g.est, fmt.Errorf("%w (adaptive: %d replications, none usable)", ErrEstimateFailed, g.est.Cost.Trains)
 	}
-	if est.Truncated != TruncatedNone {
-		return est, nil
+	if g.est.Truncated != TruncatedNone {
+		return g.est, nil
 	}
-	return est, ErrTargetNotReached
+	return g.est, ErrTargetNotReached
 }

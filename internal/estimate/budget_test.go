@@ -2,7 +2,9 @@ package estimate
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"csmabw/internal/phy"
@@ -22,8 +24,9 @@ func TestCostChargesInjectedNotNominal(t *testing.T) {
 		Departures: []sim.Time{sim.Millisecond, 3 * sim.Millisecond, -1, -1, -1},
 		Truncated:  true,
 	}
-	var c Cost
-	c.add(s, sim.Millisecond)
+	var g ledger
+	g.charge(s, sim.Millisecond)
+	c := g.est.Cost
 	if c.Packets != 3 {
 		t.Errorf("truncated train charged %d packets, want its 3 injected", c.Packets)
 	}
@@ -32,10 +35,10 @@ func TestCostChargesInjectedNotNominal(t *testing.T) {
 	}
 }
 
-// TestCostTruncatedTrainsEndToEnd drives the ledger through the probe
-// layer: a horizon-truncated measurement must charge exactly the
-// injected counts the samples report, strictly fewer packets than the
-// nominal replication arithmetic claims.
+// TestCostTruncatedTrainsEndToEnd drives the ledger's round through
+// the probe layer: a horizon-truncated measurement must charge exactly
+// the injected counts the samples report, strictly fewer packets than
+// the nominal replication arithmetic claims.
 func TestCostTruncatedTrainsEndToEnd(t *testing.T) {
 	l := probe.Link{
 		WarmUp:    10 * sim.Millisecond,
@@ -43,14 +46,21 @@ func TestCostTruncatedTrainsEndToEnd(t *testing.T) {
 		Seed:      31,
 	}
 	const n, reps = 5, 3
-	ts, err := probe.MeasureTrain(l, n, 8e6, reps)
+	plan, err := probe.PlanTrain(l, n, 8e6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var c Cost
+	var g ledger
+	samples, err := g.round(plan, 0, reps, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := g.est.Cost
+	if len(samples) != reps || c.Trains != reps || g.est.Rounds != 1 {
+		t.Fatalf("round of %d: %d samples, %d trains charged, %d rounds", reps, len(samples), c.Trains, g.est.Rounds)
+	}
 	wantPackets, sawTruncated := 0, false
-	for _, s := range ts.Samples {
-		c.add(s, ts.GI)
+	for _, s := range samples {
 		wantPackets += s.Injected
 		if s.Truncated {
 			sawTruncated = true
@@ -127,7 +137,7 @@ func TestFailedCampaignsCarryCost(t *testing.T) {
 		}
 	})
 	t.Run("topp", func(t *testing.T) {
-		est, err := TOPP(lossyLink(43, 0.99), TOPPConfig{Points: 3, TrainLen: 20, Reps: 3})
+		est, err := TOPP(lossyLink(43, 0.999), TOPPConfig{TrainLen: 20, Reps: 3})
 		if !errors.Is(err, ErrEstimateFailed) {
 			t.Fatalf("err = %v, want ErrEstimateFailed", err)
 		}
@@ -144,6 +154,20 @@ func TestFailedCampaignsCarryCost(t *testing.T) {
 			t.Errorf("failed campaign discarded its cost: %+v", est)
 		}
 	})
+	t.Run("adaptive budget-starved", func(t *testing.T) {
+		// The packet cap stops the campaign long before MaxReps; the
+		// failure reports the replications that actually ran.
+		est, err := Adaptive(lossyLink(45, 0.999), AdaptiveConfig{
+			RateBps: 12e6, TrainLen: 10, BatchReps: 4, MaxReps: 64, Budget: Budget{MaxPackets: 25},
+		})
+		if !errors.Is(err, ErrEstimateFailed) {
+			t.Fatalf("err = %v, want ErrEstimateFailed", err)
+		}
+		want := fmt.Sprintf("adaptive: %d replications, none usable", est.Cost.Trains)
+		if est.Cost.Trains == 0 || est.Cost.Trains >= 64 || !strings.Contains(err.Error(), want) {
+			t.Errorf("ran %d trains, err %q: want it to say %q", est.Cost.Trains, err, want)
+		}
+	})
 }
 
 // --- budget properties -------------------------------------------------------
@@ -157,7 +181,7 @@ func runBudgeted(t *testing.T, k int, l probe.Link, b Budget) Estimate {
 	var err error
 	switch k {
 	case 0:
-		est, err = TOPP(l, TOPPConfig{Points: 6, TrainLen: 40, Reps: 4, Budget: b})
+		est, err = TOPP(l, TOPPConfig{TrainLen: 40, Reps: 4, Budget: b})
 	case 1:
 		est, err = SLoPS(l, SLoPSConfig{TrainLen: 40, Reps: 4, ResolutionBps: 500e3, Budget: b})
 	case 2:
@@ -338,23 +362,5 @@ func TestBudgetValidation(t *testing.T) {
 	}
 	if !(Budget{MaxPackets: 1}).Enabled() || !(Budget{MaxProbeSeconds: 0.1}).Enabled() {
 		t.Error("set cap reports disabled")
-	}
-}
-
-// TestBudgetedWorkerDeterminism: the budget tracker observes samples in
-// replication order regardless of scheduling, so budgeted campaigns
-// stay byte-identical at any worker count.
-func TestBudgetedWorkerDeterminism(t *testing.T) {
-	run := func(workers int) [3]Estimate {
-		l := testLink(20, 2e6)
-		l.Workers = workers
-		var out [3]Estimate
-		for k := 0; k < 3; k++ {
-			out[k] = runBudgeted(t, k, l, Budget{MaxPackets: 600, MaxProbeSeconds: 5})
-		}
-		return out
-	}
-	if run(1) != run(8) {
-		t.Error("budgeted estimates differ between workers=1 and workers=8")
 	}
 }

@@ -26,9 +26,13 @@
 // throughput B — the paper's central point — which is what GroundTruth
 // measures for scoring.
 //
-// Determinism: estimators derive every replication's randomness from
-// (Link.Seed, round, replication index) through sim.Stream, so results
-// are byte-identical at any Link.Workers setting.
+// An estimator call is one serial loop: each round is priced against
+// the budget, planned, and measured on the call's one engine, and each
+// train is charged once to the cost ledger. Parallelism lives with the
+// callers — the campaign fleet and the experiments figures run many
+// calls at once. Every replication's randomness derives from
+// (Link.Seed, round, replication index) through sim.Stream, so a
+// result does not depend on which goroutine ran it.
 package estimate
 
 import (
@@ -38,6 +42,7 @@ import (
 
 	"csmabw/internal/probe"
 	"csmabw/internal/sim"
+	"csmabw/internal/stats"
 )
 
 // Cost is the probing effort an estimate consumed, the currency of the
@@ -50,16 +55,6 @@ type Cost struct {
 	// ProbeSeconds is the cumulative wall-clock time the probing flow
 	// was on the wire.
 	ProbeSeconds float64
-}
-
-// add accumulates the cost of one probing train replication. Packets
-// are charged as probes actually injected on the air — a replication
-// the horizon truncated is only billed for what it sent, never the
-// nominal train length.
-func (c *Cost) add(s probe.TrainSample, gI sim.Time) {
-	c.Trains++
-	c.Packets += s.Injected
-	c.ProbeSeconds += trainSpan(s, gI)
 }
 
 // trainSpan estimates how long one train occupied the path: the span
@@ -180,10 +175,13 @@ func (b Budget) validate() error {
 // without overshooting the budget.
 const timeMargin = 1.5
 
-// budgetTracker enforces a Budget across a campaign: it observes every
-// train's cost and loss, and prices prospective rounds against the
-// remaining allowance.
-type budgetTracker struct {
+// ledger is one estimator call's probing state: the one TrainMeter
+// every round measures on, the Estimate the rounds are charged to, and
+// the budget accounting that prices the next round.
+type ledger struct {
+	meter probe.TrainMeter
+	// est is the verdict so far; round charges its Cost and Rounds.
+	est    Estimate
 	budget Budget
 	// maxSpan is the largest per-train wire time observed so far — the
 	// campaign's own forecast of what the next train may cost.
@@ -193,22 +191,61 @@ type budgetTracker struct {
 	injected, delivered int
 }
 
-// note records one train's observed cost and delivery counts.
-func (t *budgetTracker) note(s probe.TrainSample, gI sim.Time) {
-	if span := trainSpan(s, gI); span > t.maxSpan {
-		t.maxSpan = span
+// round measures replications first..first+reps-1 of plan, in order,
+// on the ledger's meter and appends their samples to into. Only a
+// round measured in full is charged: it counts in Estimate.Rounds, and
+// each of its trains is charged once.
+func (g *ledger) round(plan *probe.TrainPlan, first, reps int, into []probe.TrainSample) ([]probe.TrainSample, error) {
+	if reps < 1 {
+		return into, fmt.Errorf("estimate: %d replications in a round", reps)
 	}
-	t.injected += s.Injected
-	t.delivered += s.Delivered
+	n := len(into)
+	for rep := first; rep < first+reps; rep++ {
+		s, err := plan.MeasureOne(&g.meter, rep)
+		if err != nil {
+			return into, err
+		}
+		into = append(into, s)
+	}
+	g.est.Rounds++
+	for _, s := range into[n:] {
+		g.charge(s, plan.GI())
+	}
+	return into, nil
 }
 
-// lossFrac is the campaign's probe loss fraction p — packets injected
-// but never delivered, over packets injected.
-func (t *budgetTracker) lossFrac() float64 {
-	if t.injected == 0 {
-		return 0
+// charge bills one measured train to the cost ledger and the budget
+// accounting. Packets are charged as probes actually injected on the
+// air — a replication the horizon truncated is only billed for what it
+// sent, never the nominal train length.
+func (g *ledger) charge(s probe.TrainSample, gI sim.Time) {
+	span := trainSpan(s, gI)
+	g.est.Cost.Trains++
+	g.est.Cost.Packets += s.Injected
+	g.est.Cost.ProbeSeconds += span
+	if span > g.maxSpan {
+		g.maxSpan = span
 	}
-	return float64(t.injected-t.delivered) / float64(t.injected)
+	g.injected += s.Injected
+	g.delivered += s.Delivered
+}
+
+// inflation is the loss-aware sigma inflation factor a budgeted
+// campaign applies to its reported confidence half-width, at the
+// campaign's probe loss fraction (packets injected but never
+// delivered, over packets injected). It only engages with a Budget
+// set — the honest-effective-error regime is what Budget opts into —
+// so unbudgeted campaigns report byte-identical CIs to the pre-budget
+// estimators.
+func (g *ledger) inflation() float64 {
+	if !g.budget.Enabled() {
+		return 1
+	}
+	loss := 0.0
+	if g.injected > 0 {
+		loss = float64(g.injected-g.delivered) / float64(g.injected)
+	}
+	return stats.SigmaInflation(loss)
 }
 
 // pessimisticSpan bounds one train's wire time before any train has
@@ -232,17 +269,18 @@ func pessimisticSpan(trainLen int, gI sim.Time) float64 {
 // whole-rounds-only rule would otherwise turn the envelope's pessimism
 // into an immediate empty campaign. The pilot bypasses only the time
 // forecast, never the exact packet cap.
-func (t *budgetTracker) allow(c Cost, want, pilot, trainLen int, gI sim.Time) (int, Truncation) {
-	if !t.budget.Enabled() || want < 1 {
+func (g *ledger) allow(want, pilot, trainLen int, gI sim.Time) (int, Truncation) {
+	if !g.budget.Enabled() || want < 1 {
 		return want, TruncatedNone
 	}
+	c := g.est.Cost
 	n, reason := want, TruncatedNone
-	if max := t.budget.MaxPackets; max > 0 {
+	if max := g.budget.MaxPackets; max > 0 {
 		if byPackets := (max - c.Packets) / trainLen; byPackets < n {
 			n, reason = byPackets, TruncatedPackets
 		}
 	}
-	if max := t.budget.MaxProbeSeconds; max > 0 {
+	if max := g.budget.MaxProbeSeconds; max > 0 {
 		remaining := max - c.ProbeSeconds
 		// Forecast per-train wire time: the campaign's own slowest train
 		// with a safety margin, floored by the nominal input span. Before
@@ -250,17 +288,17 @@ func (t *budgetTracker) allow(c Cost, want, pilot, trainLen int, gI sim.Time) (i
 		// conservative, so the first unit of a time-capped campaign is
 		// admitted on the remaining time alone (a campaign that sends
 		// nothing can estimate nothing).
-		per := timeMargin * t.maxSpan
+		per := timeMargin * g.maxSpan
 		if nominal := (sim.Time(trainLen-1) * gI).Seconds(); per < nominal {
 			per = nominal
 		}
-		if t.maxSpan == 0 {
+		if g.maxSpan == 0 {
 			per = pessimisticSpan(trainLen, gI)
 		}
 		byTime := n
 		if per > 0 {
 			byTime = int(remaining / per)
-			if byTime < pilot && t.maxSpan == 0 && c.Trains == 0 && remaining > 0 {
+			if byTime < pilot && g.maxSpan == 0 && c.Trains == 0 && remaining > 0 {
 				byTime = pilot // first-unit admission under the envelope
 			}
 		}

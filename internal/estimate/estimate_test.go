@@ -23,7 +23,7 @@ func testLink(seed int64, crossBps float64) probe.Link {
 
 // quickTOPP keeps unit tests fast; the acceptance-grade defaults run
 // in the integration suite.
-func quickTOPP() TOPPConfig { return TOPPConfig{Points: 8, TrainLen: 40, Reps: 6} }
+func quickTOPP() TOPPConfig { return TOPPConfig{TrainLen: 40, Reps: 6} }
 
 func TestGroundTruthIdleLinkNearCapacity(t *testing.T) {
 	tr, err := GroundTruth(testLink(1, 0), TruthConfig{Duration: 2 * sim.Second})
@@ -79,7 +79,7 @@ func TestTOPPTracksGroundTruth(t *testing.T) {
 	if est.Cost.Trains == 0 || est.Cost.Packets == 0 || est.Cost.ProbeSeconds <= 0 {
 		t.Errorf("TOPP cost not accounted: %+v", est.Cost)
 	}
-	if est.Rounds != 8 {
+	if est.Rounds != toppPoints {
 		t.Errorf("TOPP rounds = %d, want one per sweep point", est.Rounds)
 	}
 }
@@ -152,52 +152,38 @@ func TestAdaptiveBudgetExhausted(t *testing.T) {
 	}
 }
 
-// TestAdaptiveAllocBound pins Adaptive's engine reuse: each batch
-// measures on per-worker TrainMeters, so a train pays for its sample
-// and an engine Reset, not for a freshly built engine (about 78
-// allocations per train).
-func TestAdaptiveAllocBound(t *testing.T) {
+// TestEstimatorAllocBound pins the one engine per estimator call:
+// every round measures on the call's TrainMeter, so a train pays for
+// its sample and an engine Reset, not for a freshly built engine (about
+// 55 allocations more). One train per round makes an engine per round
+// as costly as an engine per train.
+func TestEstimatorAllocBound(t *testing.T) {
 	l := testLink(10, 1.5e6)
 	l.Contenders = append(l.Contenders, probe.Flow{RateBps: 1e6, Size: 576})
-	l.Workers = 1
-	// An unreachable target runs the whole replication budget.
-	const trains = 64
-	cfg := AdaptiveConfig{RateBps: 12e6, TrainLen: 50, TargetRel: 1e-6, MaxReps: trains}
-	var est Estimate
-	allocs := testing.AllocsPerRun(1, func() {
-		est, _ = Adaptive(l, cfg)
-	})
-	if est.Cost.Trains != trains {
-		t.Fatalf("ran %d trains, want %d", est.Cost.Trains, trains)
+	cases := []struct {
+		name string
+		run  func() (Estimate, error)
+	}{
+		{"topp", func() (Estimate, error) { return TOPP(l, TOPPConfig{TrainLen: 50, Reps: 1}) }},
+		{"slops", func() (Estimate, error) {
+			return SLoPS(l, SLoPSConfig{TrainLen: 50, Reps: 1, ResolutionBps: 50e3})
+		}},
+		// An unreachable target runs the whole replication budget.
+		{"adaptive", func() (Estimate, error) {
+			return Adaptive(l, AdaptiveConfig{RateBps: 12e6, TrainLen: 50, TargetRel: 1e-6, BatchReps: 1, MaxReps: 64})
+		}},
 	}
-	if per := allocs / trains; per > 40 {
-		t.Fatalf("%.1f allocations per train, want <= 40", per)
-	}
-}
-
-// TestEstimatorsWorkerDeterminism: every estimator derives randomness
-// purely from (seed, round, replication), so the result must be
-// byte-identical at any worker count.
-func TestEstimatorsWorkerDeterminism(t *testing.T) {
-	run := func(workers int) [3]Estimate {
-		l := testLink(8, 2e6)
-		l.Workers = workers
-		topp, err := TOPP(l, quickTOPP())
-		if err != nil {
-			t.Fatal(err)
-		}
-		sl, err := SLoPS(l, SLoPSConfig{Reps: 4, TrainLen: 40, ResolutionBps: 1e6})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ad, err := Adaptive(l, AdaptiveConfig{RateBps: 12e6, TargetRel: 0.1, MaxReps: 64})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return [3]Estimate{topp, sl, ad}
-	}
-	if run(1) != run(8) {
-		t.Error("estimates differ between workers=1 and workers=8")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var est Estimate
+			allocs := testing.AllocsPerRun(1, func() { est, _ = c.run() })
+			if est.Cost.Trains < 8 || est.Rounds != est.Cost.Trains {
+				t.Fatalf("ran %d trains in %d rounds, want at least 8 rounds of one train", est.Cost.Trains, est.Rounds)
+			}
+			if per := allocs / float64(est.Cost.Trains); per > 40 {
+				t.Errorf("%.1f allocations per train, want <= 40", per)
+			}
+		})
 	}
 }
 
@@ -208,11 +194,14 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("%s accepted", name)
 		}
 	}
-	check("TOPP two points", func() (Estimate, error) {
-		return TOPP(l, TOPPConfig{Points: 2})
+	check("TOPP negative reps", func() (Estimate, error) {
+		return TOPP(l, TOPPConfig{Reps: -1})
 	})
 	check("SLoPS tiny train", func() (Estimate, error) {
 		return SLoPS(l, SLoPSConfig{TrainLen: 4})
+	})
+	check("SLoPS negative reps", func() (Estimate, error) {
+		return SLoPS(l, SLoPSConfig{Reps: -1})
 	})
 	check("adaptive negative rate", func() (Estimate, error) {
 		return Adaptive(l, AdaptiveConfig{RateBps: -1})

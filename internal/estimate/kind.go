@@ -85,15 +85,23 @@ func (c JobConfig) targetOrDefault() float64 {
 	return c.TargetRel
 }
 
+// maxTOPPReps bounds the target-scaled trains per TOPP sweep point (a
+// round holds them all): a thousand times the default 10, reached near
+// a 0.0016 target.
+const maxTOPPReps = 10_000
+
 // RunKind runs the named estimator on the link under the job
 // configuration. The error contract is the union of the per-kind ones:
 // ErrEstimateFailed (with the partial Estimate's cost ledger) when no
 // usable value emerged, ErrTargetNotReached (adaptive) when the
 // replication budget ran out first — both of which a fleet scheduler
 // records rather than fails on — and hard errors for invalid
-// configuration. Determinism: every kind derives its randomness purely
-// from (l.Seed, round/replication index), so a job's result is
-// byte-identical at any worker count and any scheduling order.
+// configuration, including a TOPP target that needs more than
+// maxTOPPReps trains per sweep point. A job runs serially on the
+// calling goroutine and one engine; the callers that run many jobs own
+// the parallelism. Every kind derives its randomness purely from
+// (l.Seed, round/replication index), so a job's result is
+// byte-identical on any worker and in any scheduling order.
 func RunKind(l probe.Link, k Kind, cfg JobConfig) (Estimate, error) {
 	if err := cfg.validate(); err != nil {
 		return Estimate{}, err
@@ -106,14 +114,17 @@ func RunKind(l probe.Link, k Kind, cfg JobConfig) (Estimate, error) {
 			reps = 10
 		}
 		// The n = (z sigma / eps)^2 law relative to the 0.05 anchor:
-		// halving the target quadruples the per-point replications.
-		scaled := int(math.Ceil(float64(reps) * (0.05 / target) * (0.05 / target)))
-		if scaled < 3 {
-			scaled = 3
+		// halving the target quadruples the per-point replications. The
+		// bound is checked in float: past int64 the conversion to int is
+		// implementation-defined (MinInt64 on amd64).
+		scaled := math.Ceil(float64(reps) * (0.05 / target) * (0.05 / target))
+		if scaled > maxTOPPReps {
+			return Estimate{}, fmt.Errorf("estimate: TOPP at CI target %g needs %.3g trains per sweep point, above %d",
+				target, scaled, maxTOPPReps)
 		}
 		return TOPP(l, TOPPConfig{
 			TrainLen: cfg.TrainLen,
-			Reps:     scaled,
+			Reps:     max(int(scaled), 3),
 			Budget:   cfg.Budget,
 		})
 	case KindSLoPS:

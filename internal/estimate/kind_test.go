@@ -1,6 +1,7 @@
 package estimate
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -57,6 +58,22 @@ func TestRunKindValidates(t *testing.T) {
 	for _, cfg := range cases {
 		if _, err := RunKind(l, KindAdaptive, cfg); err == nil {
 			t.Errorf("RunKind accepted invalid config %+v", cfg)
+		}
+	}
+}
+
+// TestRunKindBoundsTOPPReps: a TOPP target tight enough to need more
+// than maxTOPPReps trains per sweep point fails before any train is
+// sent, naming the target — including a target whose count is past
+// int64, which a conversion before the bound would wrap.
+func TestRunKindBoundsTOPPReps(t *testing.T) {
+	for _, target := range []float64{1e-6, 1e-11} {
+		est, err := RunKind(probe.Link{Seed: 1}, KindTOPP, JobConfig{TargetRel: target})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("CI target %g", target)) {
+			t.Errorf("target %g: err = %v, want an error naming the target", target, err)
+		}
+		if est.Cost.Trains != 0 {
+			t.Errorf("target %g: sent %d trains", target, est.Cost.Trains)
 		}
 	}
 }

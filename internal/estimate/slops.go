@@ -74,8 +74,9 @@ func (c SLoPSConfig) withDefaults() SLoPSConfig {
 // round count is bounded by ceil(log2(bracket/resolution)), so the
 // search always terminates in a known number of rate probings.
 //
-// Round r derives its randomness from sim.NewStream(l.Seed).Child(r),
-// so the result is identical at any l.Workers setting.
+// Round r's replications derive their randomness from
+// sim.NewStream(l.Seed).Child(r) and run in order on the call's one
+// engine.
 func SLoPS(l probe.Link, cfg SLoPSConfig) (Estimate, error) {
 	ld := l.WithDefaults()
 	cfg = cfg.withDefaults()
@@ -101,44 +102,44 @@ func SLoPS(l probe.Link, cfg SLoPSConfig) (Estimate, error) {
 	}
 
 	root := sim.NewStream(l.Seed)
-	est := Estimate{}
-	tracker := budgetTracker{budget: cfg.Budget}
+	g := ledger{budget: cfg.Budget}
+	var samples []probe.TrainSample
 	classified := false
 	for round := 0; round < slopsMaxRounds && hi-lo > cfg.ResolutionBps; round++ {
 		mid := (lo + hi) / 2
 		li := l
 		li.Seed = root.Child(uint64(round)).Seed()
 		gI := sim.FromSeconds(float64(ld.ProbeSize*8) / mid)
-		if reps, reason := tracker.allow(est.Cost, cfg.Reps, cfg.Reps, cfg.TrainLen, gI); reps < cfg.Reps {
+		if reps, reason := g.allow(cfg.Reps, cfg.Reps, cfg.TrainLen, gI); reps < cfg.Reps {
 			// Whole rounds only: a bisection step classified on a partial
 			// replication set could flip the search's direction relative
 			// to the unbudgeted campaign, breaking the prefix property
 			// the CI-monotonicity contract rests on.
-			est.Truncated = reason
+			g.est.Truncated = reason
 			break
 		}
-		ts, err := probe.MeasureTrain(li, cfg.TrainLen, mid, cfg.Reps)
+		plan, err := probe.PlanTrain(li, cfg.TrainLen, mid)
 		if err != nil {
-			return est, err
+			return g.est, err
 		}
-		est.Rounds++
+		if samples, err = g.round(plan, 0, cfg.Reps, samples[:0]); err != nil {
+			return g.est, err
+		}
 		truncated := 0
 		var deltas []float64
-		for _, s := range ts.Samples {
-			est.Cost.add(s, ts.GI)
-			tracker.note(s, ts.GI)
+		for _, s := range samples {
 			if s.Truncated {
 				// A train the horizon cut short is overload evidence in
 				// itself: the queue never drained.
 				truncated++
 				continue
 			}
-			if d, ok := owdTrendDelta(s.Departures, ts.GI); ok {
+			if d, ok := owdTrendDelta(s.Departures, gI); ok {
 				deltas = append(deltas, d)
 			}
 		}
 		switch {
-		case truncated*2 >= len(ts.Samples):
+		case truncated*2 >= len(samples):
 			// Half the trains never resolved: unambiguous overload.
 			classified = true
 			hi = mid
@@ -157,11 +158,11 @@ func SLoPS(l probe.Link, cfg SLoPSConfig) (Estimate, error) {
 	if !classified {
 		// The partial Estimate still carries the Cost and Rounds the
 		// failed campaign spent, so budget accounting survives.
-		return est, fmt.Errorf("%w (SLoPS: no train produced a delay trend)", ErrEstimateFailed)
+		return g.est, fmt.Errorf("%w (SLoPS: no train produced a delay trend)", ErrEstimateFailed)
 	}
-	est.Value = (lo + hi) / 2
-	est.CI = (hi - lo) / 2
-	return est, nil
+	g.est.Value = (lo + hi) / 2
+	g.est.CI = (hi - lo) / 2
+	return g.est, nil
 }
 
 // owdTrendDelta summarizes one train's delay trend as the difference

@@ -14,11 +14,12 @@ import (
 // point counts as unsaturated.
 const toppTol = 0.08
 
+// toppPoints is the number of sweep rates, spread evenly over the
+// probing-rate bracket (see bracket).
+const toppPoints = 10
+
 // TOPPConfig tunes the rate-sweep estimator.
 type TOPPConfig struct {
-	// Points is the number of sweep rates, spread evenly over the
-	// probing-rate bracket (see bracket; default 10).
-	Points int
 	// TrainLen is the packets per train (default 50).
 	TrainLen int
 	// Reps is the train replications per sweep rate (default 10).
@@ -31,9 +32,6 @@ type TOPPConfig struct {
 
 // withDefaults fills the zero-value knobs.
 func (c TOPPConfig) withDefaults() TOPPConfig {
-	if c.Points == 0 {
-		c.Points = 10
-	}
 	if c.TrainLen == 0 {
 		c.TrainLen = 50
 	}
@@ -53,8 +51,9 @@ func (c TOPPConfig) withDefaults() TOPPConfig {
 // curve with smaller RMSE, which on contended CSMA/CA links is the
 // plateau.
 //
-// Sweep point i derives its randomness from sim.NewStream(l.Seed).
-// Child(i), so the result is identical at any l.Workers setting.
+// Sweep point i is one round: its replications derive their randomness
+// from sim.NewStream(l.Seed).Child(i) and run in order on the call's
+// one engine.
 func TOPP(l probe.Link, cfg TOPPConfig) (Estimate, error) {
 	ld := l.WithDefaults()
 	cfg = cfg.withDefaults()
@@ -62,66 +61,50 @@ func TOPP(l probe.Link, cfg TOPPConfig) (Estimate, error) {
 	if err != nil {
 		return Estimate{}, err
 	}
-	if cfg.Points < 3 {
-		return Estimate{}, fmt.Errorf("estimate: TOPP needs >= 3 sweep points, got %d", cfg.Points)
-	}
 	if err := cfg.Budget.validate(); err != nil {
 		return Estimate{}, err
 	}
 
 	root := sim.NewStream(l.Seed)
-	est := Estimate{}
-	tracker := budgetTracker{budget: cfg.Budget}
+	g := ledger{budget: cfg.Budget}
 	var ri, ro []float64
-	for i := 0; i < cfg.Points; i++ {
-		rate := lo + (hi-lo)*float64(i)/float64(cfg.Points-1)
+	var samples []probe.TrainSample
+	for i := 0; i < toppPoints; i++ {
+		rate := lo + (hi-lo)*float64(i)/float64(toppPoints-1)
 		li := l
 		li.Seed = root.Child(uint64(i)).Seed()
 		gI := sim.FromSeconds(float64(ld.ProbeSize*8) / rate)
-		reps, reason := tracker.allow(est.Cost, cfg.Reps, 1, cfg.TrainLen, gI)
+		reps, reason := g.allow(cfg.Reps, 1, cfg.TrainLen, gI)
 		if reps == 0 {
-			est.Truncated = reason
+			g.est.Truncated = reason
 			break
 		}
 		if reason != TruncatedNone {
 			// A shrunk round still runs — a partial replication set at
 			// this rate is a usable sweep point — but the cap constrained
 			// the campaign's evidence, which the verdict must disclose.
-			est.Truncated = reason
+			g.est.Truncated = reason
 		}
-		ts, err := probe.MeasureTrain(li, cfg.TrainLen, rate, reps)
+		plan, err := probe.PlanTrain(li, cfg.TrainLen, rate)
 		if err != nil {
-			return est, err
+			return g.est, err
 		}
-		est.Rounds++
-		for _, s := range ts.Samples {
-			est.Cost.add(s, ts.GI)
-			tracker.note(s, ts.GI)
+		if samples, err = g.round(plan, 0, reps, samples[:0]); err != nil {
+			return g.est, err
 		}
+		ts := probe.TrainStats{L: ld.ProbeSize, Samples: samples}
 		out, err := ts.RateEstimate()
 		switch {
 		case errors.Is(err, probe.ErrNoEstimate):
 			// No usable dispersion at this rate: skip the point.
 		case err != nil:
-			return est, err
+			return g.est, err
 		default:
 			ri = append(ri, rate)
 			ro = append(ro, out)
 		}
 	}
-	return toppRegress(est, ri, ro, inflation(cfg.Budget, &tracker))
-}
-
-// inflation is the loss-aware sigma inflation factor a budgeted
-// campaign applies to its reported confidence half-width. It only
-// engages with a Budget set — the honest-effective-error regime is what
-// Budget opts into — so unbudgeted campaigns report byte-identical CIs
-// to the pre-budget estimators.
-func inflation(b Budget, t *budgetTracker) float64 {
-	if !b.Enabled() {
-		return 1
-	}
-	return stats.SigmaInflation(t.lossFrac())
+	return toppRegress(g.est, ri, ro, g.inflation())
 }
 
 // toppRegress inverts the measured rate-response curve: the FIFO-model

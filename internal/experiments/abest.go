@@ -104,7 +104,7 @@ func scaledAbestEffort(sc Scale) abestEffort {
 		return r
 	}
 	return abestEffort{
-		TOPP:     estimate.TOPPConfig{Points: 10, TrainLen: 50, Reps: reps(20, 3)},
+		TOPP:     estimate.TOPPConfig{TrainLen: 50, Reps: reps(20, 3)},
 		SLoPS:    estimate.SLoPSConfig{TrainLen: 60, Reps: reps(25, 3)},
 		Adaptive: estimate.AdaptiveConfig{RateBps: 12e6, TrainLen: 100, BatchReps: reps(25, 4), MaxReps: 4 * reps(1, 64)},
 		Truth:    estimate.TruthConfig{Duration: 4 * sim.FromSeconds(sc.SteadySeconds)},
@@ -158,7 +158,7 @@ func abRun(k int, l probe.Link, cfg abestEffort) (abOutcome, error) {
 // from root: the probe against one probe-sized contender at crossBps
 // (none at 0), on seed root.Child(u).
 func (p AbestParams) link(root sim.Stream, u int, crossBps float64) probe.Link {
-	l := probe.Link{ProbeSize: p.PacketSize, Seed: root.Child(uint64(u)).Seed(), Workers: 1}
+	l := probe.Link{ProbeSize: p.PacketSize, Seed: root.Child(uint64(u)).Seed()}
 	if crossBps > 0 {
 		l.Contenders = []probe.Flow{{RateBps: crossBps, Size: p.PacketSize}}
 	}

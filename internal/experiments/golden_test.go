@@ -48,10 +48,10 @@ var goldenAllocs = map[string]uint64{
 	"hidden":           972,
 	"edca-transient":   600,
 	"rate-anomaly":     759,
-	"abest-accuracy":   9217,
-	"abest-frontier":   1575,
-	"abest-robust":     9262,
-	"abest-budget":     4075,
+	"abest-accuracy":   5331,
+	"abest-frontier":   1048,
+	"abest-robust":     5336,
+	"abest-budget":     2519,
 	"selection-regret": 11827,
 	"failover-lag":     58761,
 }

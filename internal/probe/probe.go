@@ -139,10 +139,12 @@ type Link struct {
 	// Seed drives all randomness. Replication r uses an independent
 	// derived stream.
 	Seed int64
-	// Workers bounds the goroutines replicating train measurements;
-	// 0 or negative means GOMAXPROCS. Because every replication's
-	// randomness is derived purely from (Seed, replication index), the
-	// aggregated statistics are identical at any worker count.
+	// Workers bounds the goroutines MeasureTrain (so also MeasurePair
+	// and the csmabw facade) replicates on; 0 or negative means
+	// GOMAXPROCS. Nothing else reads it: figures, estimators and
+	// campaigns run on their callers' pools. Every replication's
+	// randomness derives purely from (Seed, replication index), so the
+	// statistics are identical at any worker count.
 	Workers int
 }
 

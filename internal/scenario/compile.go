@@ -71,8 +71,9 @@ type Compiled struct {
 	Name string
 	// Description is the spec's documentation string.
 	Description string
-	// Link is the measured cell. Link.Workers is left 0; the caller's
-	// scale decides the worker pool.
+	// Link is the measured cell. Link.Workers is left 0: only
+	// probe.MeasureTrain reads it, and the figure drivers, estimators
+	// and campaign fleet run on their callers' worker pools.
 	Link probe.Link
 	// StationNames labels the cell's stations for tool output: index 0
 	// is the probing station, 1.. the contenders.
