@@ -39,6 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"csmabw/internal/probe"
 	"csmabw/internal/sim"
@@ -192,20 +193,22 @@ type ledger struct {
 }
 
 // round measures replications first..first+reps-1 of plan, in order,
-// on the ledger's meter and appends their samples to into. Only a
-// round measured in full is charged: it counts in Estimate.Rounds, and
-// each of its trains is charged once.
+// on the ledger's meter and appends their samples to into, measuring
+// into the samples past len(into) that into's storage still holds: an
+// estimator that passes back samples[:0] reuses the last round's
+// samples instead of allocating new ones. Only a round measured in full
+// is charged: it counts in Estimate.Rounds, and each of its trains is
+// charged once.
 func (g *ledger) round(plan *probe.TrainPlan, first, reps int, into []probe.TrainSample) ([]probe.TrainSample, error) {
 	if reps < 1 {
 		return into, fmt.Errorf("estimate: %d replications in a round", reps)
 	}
 	n := len(into)
-	for rep := first; rep < first+reps; rep++ {
-		s, err := plan.MeasureOne(&g.meter, rep)
-		if err != nil {
-			return into, err
+	into = slices.Grow(into, reps)[:n+reps]
+	for i := range into[n:] {
+		if err := plan.MeasureInto(&g.meter, first+i, &into[n+i]); err != nil {
+			return into[:n+i], err
 		}
-		into = append(into, s)
 	}
 	g.est.Rounds++
 	for _, s := range into[n:] {

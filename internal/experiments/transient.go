@@ -227,13 +227,12 @@ func FigKS(id string, p TransientParams, sc Scale, opt KSOptions) (*Figure, erro
 		return nil, err
 	}
 	delays := ts[0].DelaysByIndex()
-	tail := stats.Tail(delays, opt.TailFrom)
-	if len(tail) == 0 {
+	// The steady-state pool is large (reps × tail indices) and every
+	// packet index tests against it: copy and sort it once.
+	tailECDF := stats.TailECDF(delays, opt.TailFrom)
+	if tailECDF.Len() == 0 {
 		return nil, fmt.Errorf("experiments: empty steady-state pool (TailFrom=%d)", opt.TailFrom)
 	}
-	// The steady-state pool is large (reps × tail indices) and
-	// every packet index tests against it: sort it once.
-	tailECDF := stats.NewECDF(tail)
 	ksS := Series{Name: "KS value"}
 	thrS := Series{Name: "threshold 95% CI"}
 	if opt.Packets > p.TrainLen {

@@ -28,17 +28,11 @@ func (a *frameArena) next() *Frame {
 	return f
 }
 
-// reset rewinds the arena to reuse every slab, zeroing the consumed
-// frames so the next run starts from the same all-zero state a fresh
-// slab provides. Callers must have dropped every Frame pointer from the
-// previous run first — Engine.Reset documents that the prior Result is
-// invalidated.
+// reset rewinds the arena to reuse every slab. The frames keep the
+// previous run's values: the engine writes each field of a frame it
+// takes before reading it (see Engine.pumpStation). Callers must have
+// dropped every Frame pointer from the previous run first —
+// Engine.Reset documents that the prior Result is invalidated.
 func (a *frameArena) reset() {
-	for i := 0; i < a.slab; i++ {
-		clear(a.slabs[i])
-	}
-	if a.slab < len(a.slabs) {
-		clear(a.slabs[a.slab][:a.used])
-	}
 	a.slab, a.used = 0, 0
 }

@@ -370,7 +370,7 @@ type station struct {
 
 	power    float64        // received power at the common receiver, relative dB
 	loss     phy.ErrorModel // resolved error model for this station's uplink
-	rng      *sim.Rand
+	rng      sim.Rand       // backoff draws
 	frameSeq int64
 
 	// EDCA state, resolved once at engine construction. For a
@@ -457,11 +457,14 @@ type Engine struct {
 	sched     []ScheduledEvent
 	nextEv    int
 	topoOwned *Topology
+	// seeds is the run's root generator, seeded from Config.Seed: each
+	// station's backoff stream and then chrng are split from it.
+	seeds sim.Rand
 	// chrng drives channel randomness (frame-error trials). It is a
 	// separate stream from the stations' backoff generators, and it is
 	// never advanced on a perfect channel, so perfect-channel runs make
 	// exactly the pre-extension draw sequence.
-	chrng *sim.Rand
+	chrng sim.Rand
 
 	// Event-driven bookkeeping: nActive counts stations satisfying
 	// station.active(); pendAt holds each station's next arrival
@@ -542,7 +545,7 @@ func (e *Engine) init(cfg Config) error {
 			return err
 		}
 	}
-	base := sim.NewRand(cfg.Seed)
+	e.seeds.Seed(cfg.Seed)
 	nSt := len(cfg.Stations)
 	e.cfg = cfg
 	e.phy = cfg.Phy
@@ -573,17 +576,13 @@ func (e *Engine) init(cfg Config) error {
 				e.lossy = true
 			}
 		}
-		// Rebuild the station in place, keeping its FIFO backing array
-		// and its generator object; the generator is reseeded below with
-		// exactly the draw Split would have made, in station order.
+		// Rebuild the station in place, keeping its FIFO backing array;
+		// its generator is reseeded with exactly the draw Split would
+		// have made, in station order.
 		s := e.stations[i]
 		if s == nil {
 			s = &station{}
 			e.stations[i] = s
-		}
-		rng := s.rng
-		if rng == nil {
-			rng = &sim.Rand{}
 		}
 		*s = station{
 			id:      i,
@@ -592,10 +591,9 @@ func (e *Engine) init(cfg Config) error {
 			backoff: -1,
 			power:   sc.PowerDB,
 			loss:    loss,
-			rng:     rng,
 			queue:   s.queue[:0],
 		}
-		base.SplitInto(uint64(i)+1, rng)
+		e.seeds.SplitInto(uint64(i)+1, &s.rng)
 		if err := e.resolveEDCA(s, sc); err != nil {
 			return fmt.Errorf("mac: station %d (%s): %w", i, sc.Name, err)
 		}
@@ -605,10 +603,7 @@ func (e *Engine) init(cfg Config) error {
 	}
 	// Derived after the station loop so the stations' substreams stay
 	// identical to the pre-extension engine.
-	if e.chrng == nil {
-		e.chrng = &sim.Rand{}
-	}
-	base.SplitInto(0xC11A17, e.chrng)
+	e.seeds.SplitInto(0xC11A17, &e.chrng)
 	e.res.Frames = resize(e.res.Frames, nSt)
 	for i := range e.res.Frames {
 		e.res.Frames[i] = e.res.Frames[i][:0]
@@ -626,8 +621,14 @@ func (e *Engine) init(cfg Config) error {
 		e.entryScratch = make([]clusterEntry, 0, nSt)
 		e.candScratch = make([]clusterCand, 0, nSt)
 	}
-	// Prime each station's pending arrival.
-	e.pendAt = resize(e.pendAt, nSt)
+	// Prime each station's pending arrival. Every pump writes pendAt, so
+	// its array fills whole 64-byte cache lines: two engines built on one
+	// goroutine and then run on two would otherwise share a line of it,
+	// and each pump would stall on the other core's writes.
+	if cap(e.pendAt) < nSt {
+		e.pendAt = make([]sim.Time, nSt, (nSt+7)&^7)
+	}
+	e.pendAt = e.pendAt[:nSt]
 	e.nextAt = sim.MaxTime
 	for i, s := range e.stations {
 		e.pendAt[i] = s.advancePending()
@@ -733,6 +734,10 @@ func (e *Engine) pumpStation(s *station, now sim.Time) {
 	wasActive := s.active()
 	for e.pendAt[s.id] <= now {
 		a := s.pending
+		// The arena hands out frames of earlier runs without clearing
+		// them, so every field is written before it is read: the
+		// arrival's fields here, HOL here or when the frame reaches the
+		// head of its queue, Departed and Retries when it is delivered.
 		f := e.arena.next()
 		f.ID = int64(s.id)<<40 | s.frameSeq
 		f.Station = s.id

@@ -185,6 +185,35 @@ func TestResetRunAllocBound(t *testing.T) {
 	}
 }
 
+// TestResetIgnoresStaleFrames: Reset rewinds the frame arena without
+// clearing it, so each frame a run takes still holds an earlier run's
+// values. With every arena frame poisoned between runs, a reused
+// engine must still reproduce a fresh one frame for frame: the engine
+// writes every field of a frame before reading or delivering it.
+func TestResetIgnoresStaleFrames(t *testing.T) {
+	for _, cfg := range []Config{hotScenario(5, false), scheduledHotScenario(6)} {
+		fresh, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Run()
+		for _, slab := range e.arena.slabs {
+			for i := range slab {
+				slab[i] = Frame{ID: -1, Station: -1, Size: -1, Probe: true, Index: -1,
+					Arrived: -1, HOL: -1, Departed: -1, Retries: -1}
+			}
+		}
+		if err := e.Reset(cfg); err != nil {
+			t.Fatal(err)
+		}
+		compareResults(t, "poisoned arena", fresh, e.Run())
+	}
+}
+
 // scheduledHotScenario is hotScenario carrying a station-parameter
 // event schedule — channel-wide FER, one station's rate, a power bump —
 // that keeps the run on a nil (full-mesh) topology, whose hot path the

@@ -225,30 +225,29 @@ func (r *Result) SwitchLag(from int) int {
 	return len(r.Epochs) - from
 }
 
-// Meter is the per-worker measurement arena: it reuses one simulation
-// engine across every path probe a worker executes. The zero value is
-// ready; a nil meter runs each probe on a fresh engine.
+// Meter is the per-worker measurement arena: one simulation engine, and
+// the plan, rebased schedule and sample of a path probe, reused across
+// every probe a worker executes, so a warm meter's Run allocates only
+// its Result, whatever the number of epochs. The zero value is ready; a
+// nil meter runs each probe on a fresh engine.
 type Meter struct {
-	tm probe.TrainMeter
+	tm     probe.TrainMeter
+	plan   probe.TrainPlan
+	sched  []mac.ScheduledEvent
+	sample probe.TrainSample
 }
 
-// rebased returns the path's schedule shifted onto an epoch's local
-// timeline: events at or before the epoch's start collapse to instant
-// 0 (applied, in order, before the first transmission — the cumulative
-// channel state), later ones keep their offset into the epoch.
-func rebased(sched []mac.ScheduledEvent, start sim.Time) []mac.ScheduledEvent {
-	if len(sched) == 0 {
-		return nil
+// rebase appends to dst the path's schedule shifted onto an epoch's
+// local timeline: events at or before the epoch's start collapse to
+// instant 0 (applied, in order, before the first transmission — the
+// cumulative channel state), later ones keep their offset into the
+// epoch.
+func rebase(dst, sched []mac.ScheduledEvent, start sim.Time) []mac.ScheduledEvent {
+	for _, ev := range sched {
+		ev.At = max(ev.At-start, 0)
+		dst = append(dst, ev)
 	}
-	out := make([]mac.ScheduledEvent, len(sched))
-	for i, ev := range sched {
-		ev.At -= start
-		if ev.At < 0 {
-			ev.At = 0
-		}
-		out[i] = ev
-	}
-	return out
+	return dst
 }
 
 // measOf reduces a train sample to the selection metrics.
@@ -298,36 +297,40 @@ func Run(cfg Config, rep int, m *Meter) (*Result, error) {
 	nP := len(cfg.Paths)
 	epochDur := sim.FromSeconds(cfg.EpochSeconds)
 	var tm *probe.TrainMeter
-	if m != nil {
+	if m == nil {
+		m = &Meter{} // storage for the probes; tm stays nil
+	} else {
 		tm = &m.tm
 	}
 
 	ema := make([]Meas, nP)
 	uses := make([]int, nP)
+	meas := make([]Meas, cfg.Epochs*nP)
+	scores := make([]float64, cfg.Epochs*nP)
 	sel := -1
 	res := &Result{Epochs: make([]Epoch, 0, cfg.Epochs)}
 	for k := 0; k < cfg.Epochs; k++ {
 		start := sim.Time(k) * epochDur
-		ep := Epoch{Meas: make([]Meas, nP), Scores: make([]float64, nP)}
+		lo, hi := k*nP, (k+1)*nP
+		ep := Epoch{Meas: meas[lo:hi:hi], Scores: scores[lo:hi:hi]}
 		for p := 0; p < nP; p++ {
 			l := cfg.Paths[p]
-			l.Schedule = rebased(cfg.Paths[p].Schedule, start)
+			m.sched = rebase(m.sched[:0], l.Schedule, start)
+			l.Schedule = m.sched
 			// Independent randomness per (path, epoch, replication):
 			// the probing trains sample each epoch's channel afresh.
-			l.Seed = cfg.Paths[p].Seed + int64(k)*1_000_003 + int64(p)*7919
-			plan, err := probe.PlanTrain(l, cfg.TrainLen, cfg.RateBps)
-			if err != nil {
+			l.Seed += int64(k)*1_000_003 + int64(p)*7919
+			if err := m.plan.Init(l, cfg.TrainLen, cfg.RateBps); err != nil {
 				return nil, fmt.Errorf("pathsel: path %d epoch %d: %w", p, k, err)
 			}
 			size := l.ProbeSize
 			if size == 0 {
 				size = 1500
 			}
-			s, err := plan.MeasureOne(tm, rep)
-			if err != nil {
+			if err := m.plan.MeasureInto(tm, rep, &m.sample); err != nil {
 				return nil, fmt.Errorf("pathsel: path %d epoch %d: %w", p, k, err)
 			}
-			ep.Meas[p] = measOf(s, float64(size*8))
+			ep.Meas[p] = measOf(m.sample, float64(size*8))
 			if k == 0 {
 				ema[p] = ep.Meas[p]
 			} else {

@@ -64,6 +64,26 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
+// TestWarmMeterAllocsFlatInEpochs: every path probe plans, rebases its
+// schedule and measures into the meter's storage, so a warm meter's Run
+// allocates only its Result (the Result, its epochs, their measurements
+// and scores, and the EMA and use counts), the same at 6 as at 12
+// epochs.
+func TestWarmMeterAllocsFlatInEpochs(t *testing.T) {
+	fer := 0.3
+	degrading := quietPath(5)
+	degrading.Contenders = []probe.Flow{{RateBps: 1e6, Size: 1000}}
+	degrading.Schedule = []mac.ScheduledEvent{{At: 1200 * sim.Millisecond, Target: -1, SetFER: &fer}}
+	for _, epochs := range []int{6, 12} {
+		cfg := fastCfg(quietPath(3), degrading)
+		cfg.Epochs = epochs
+		var m Meter
+		if got := testing.AllocsPerRun(3, func() { mustRun(t, cfg, 1, &m) }); got != 6 {
+			t.Errorf("%d epochs: a warm meter's Run allocates %.1f, want 6", epochs, got)
+		}
+	}
+}
+
 func TestSelectsCleanerPath(t *testing.T) {
 	// Path 0 saturates its channel with a heavy contender; path 1 is
 	// idle. Every policy should settle on path 1.

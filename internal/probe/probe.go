@@ -65,23 +65,6 @@ type Flow struct {
 	DataRateBps float64
 }
 
-// Source realises the flow over [0, end) as a lazy pull-based
-// generator: arrivals are drawn only as the simulation consumes them,
-// so a replication that stops early never generates the tail. The draw
-// order is identical to the eager schedules the engine used to take.
-// An idle (zero-rate) flow yields an exhausted source and draws nothing
-// from r.
-func (f Flow) Source(r *sim.Rand, end sim.Time) traffic.Source {
-	if f.RateBps == 0 {
-		return traffic.FromSchedule(nil)
-	}
-	if f.OnMean > 0 && f.OffMean > 0 {
-		duty := float64(f.OnMean) / float64(f.OnMean+f.OffMean)
-		return traffic.NewOnOff(r, f.RateBps/duty, f.Size, f.OnMean, f.OffMean, 0, end)
-	}
-	return traffic.NewPoisson(r, f.RateBps, f.Size, 0, end)
-}
-
 // Link is the measured WLAN scenario.
 type Link struct {
 	// Phy is the PHY profile (defaults to phy.B11 when zero Name).
@@ -295,23 +278,6 @@ type TrainStats struct {
 	Samples []TrainSample
 }
 
-// scenario builds the mac.Config for one replication. The probing train
-// starts WarmUp plus an exponential offset after time zero — the
-// paper's "Poisson spacing between probing sequences" that guarantees
-// the trains sample the cross-traffic process in random phase.
-func (l Link) scenario(n int, gI sim.Time, rep int64) mac.Config {
-	r := sim.NewRand(l.Seed).Split(uint64(rep) + 0x5eed)
-	start := l.WarmUp + r.ExpTime(50*sim.Millisecond)
-
-	// Horizon: enough for the train to drain even under saturation.
-	// A probe packet's service rarely exceeds ~20ms even with several
-	// saturated contenders; 40ms/packet is a generous envelope.
-	drain := sim.Time(n)*gI + sim.Time(n)*40*sim.Millisecond + 200*sim.Millisecond
-	end := start + drain
-
-	return l.MACConfig(traffic.NewTrain(n, gI, l.ProbeSize, start), r, l.Seed^(rep+1)*0x9e3779b9, end)
-}
-
 // MACConfig assembles the engine configuration of one run of the cell
 // the link describes, with engine seed seed, over [0, end): station 0
 // is the probing station, which sends probe merged with the FIFO cross
@@ -324,14 +290,67 @@ func (l Link) scenario(n int, gI sim.Time, rep int64) mac.Config {
 // perfect single collision domain. l must be validated and have its
 // defaults applied.
 func (l Link) MACConfig(probe traffic.Source, r *sim.Rand, seed int64, end sim.Time) mac.Config {
-	station0 := []traffic.Source{probe}
+	return l.assemble(&cellGen{}, probe, r, seed, end)
+}
+
+// cellGen is the storage one run of a cell is assembled into: each
+// cross flow's generator and source, station 0's merge of the probe
+// with its FIFO flows, the station configs and the contenders' names.
+// A TrainMeter keeps one and reassembles it for every replication;
+// MACConfig builds into a fresh one.
+type cellGen struct {
+	flows    []flowGen
+	station0 []traffic.Source
+	merge    traffic.MergeSource
+	stations []mac.StationConfig
+	names    []string
+}
+
+// flowGen is one cross flow's generator and the storage of its source.
+type flowGen struct {
+	rng     sim.Rand
+	poisson traffic.PoissonSource
+	onOff   traffic.OnOffSource
+}
+
+// assemble is MACConfig building into g: the returned config refers to
+// g's storage until g is assembled again.
+func (l Link) assemble(g *cellGen, probe traffic.Source, r *sim.Rand, seed int64, end sim.Time) mac.Config {
+	nF := len(l.FIFOCross)
+	g.flows = resize(g.flows, nF+len(l.Contenders))
+	g.station0 = append(g.station0[:0], probe)
 	for fi, f := range l.FIFOCross {
-		station0 = append(station0, f.Source(r.Split(uint64(fi)+100), end))
+		g.station0 = append(g.station0, g.flows[fi].source(f, r, uint64(fi)+100, end))
 	}
-	cfg := mac.Config{
-		Phy:     l.Phy,
-		Seed:    seed,
-		Horizon: end,
+	src0 := probe
+	if len(g.station0) > 1 {
+		g.merge.Init(g.station0)
+		src0 = &g.merge
+	}
+	g.stations = append(g.stations[:0], mac.StationConfig{
+		Name:     "probe",
+		Source:   src0,
+		PowerDB:  l.ProbePowerDB,
+		AC:       l.ProbeAC,
+		DataRate: l.ProbeDataRateBps,
+	})
+	for ci, f := range l.Contenders {
+		for k := len(g.names); k <= ci; k++ {
+			g.names = append(g.names, fmt.Sprintf("contender-%d", k))
+		}
+		g.stations = append(g.stations, mac.StationConfig{
+			Name:     g.names[ci],
+			Source:   g.flows[nF+ci].source(f, r, uint64(ci)+200, end),
+			PowerDB:  f.PowerDB,
+			AC:       f.AC,
+			DataRate: f.DataRateBps,
+		})
+	}
+	return mac.Config{
+		Phy:      l.Phy,
+		Stations: g.stations,
+		Seed:     seed,
+		Horizon:  end,
 		Channel: mac.Channel{
 			Topology:           l.Topology,
 			Loss:               l.Loss,
@@ -340,62 +359,75 @@ func (l Link) MACConfig(probe traffic.Source, r *sim.Rand, seed int64, end sim.T
 		RTSThreshold: l.RTSThreshold,
 		Schedule:     l.Schedule,
 	}
-	cfg.Stations = []mac.StationConfig{{
-		Name:     "probe",
-		Source:   traffic.MergeSources(station0...),
-		PowerDB:  l.ProbePowerDB,
-		AC:       l.ProbeAC,
-		DataRate: l.ProbeDataRateBps,
-	}}
-	for ci, f := range l.Contenders {
-		cfg.Stations = append(cfg.Stations, mac.StationConfig{
-			Name:     contenderName(ci),
-			Source:   f.Source(r.Split(uint64(ci)+200), end),
-			PowerDB:  f.PowerDB,
-			AC:       f.AC,
-			DataRate: f.DataRateBps,
-		})
-	}
-	return cfg
 }
 
-// contenderNames are the station names of the first contenders,
-// formatted once rather than once per contender per train; 16 covers
-// every cell in the scenario library (dense-stadium has 12).
-var contenderNames = func() []string {
-	names := make([]string, 16)
-	for ci := range names {
-		names[ci] = fmt.Sprintf("contender-%d", ci)
+// source realises flow f over [0, end) as a lazy pull-based generator
+// on r's substream label: arrivals are drawn only as the simulation
+// consumes them, so a replication that stops early never generates the
+// tail. The draw order is identical to the eager schedules the engine
+// used to take. An idle (zero-rate) flow yields an exhausted source and
+// draws nothing from its substream.
+func (g *flowGen) source(f Flow, r *sim.Rand, label uint64, end sim.Time) traffic.Source {
+	r.SplitInto(label, &g.rng)
+	switch {
+	case f.RateBps == 0:
+		return traffic.FromSchedule(nil)
+	case f.OnMean > 0 && f.OffMean > 0:
+		duty := float64(f.OnMean) / float64(f.OnMean+f.OffMean)
+		g.onOff.Init(&g.rng, f.RateBps/duty, f.Size, f.OnMean, f.OffMean, 0, end)
+		return &g.onOff
+	default:
+		g.poisson.Init(&g.rng, f.RateBps, f.Size, 0, end)
+		return &g.poisson
 	}
-	return names
-}()
+}
 
-// contenderName is the station name of contender ci.
-func contenderName(ci int) string {
-	if ci < len(contenderNames) {
-		return contenderNames[ci]
+// resize returns s with length n, reusing its storage when it is large
+// enough; the caller overwrites every element.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	return fmt.Sprintf("contender-%d", ci)
+	return s[:n]
 }
 
 // TrainMeter is a per-worker measurement context: it owns one
 // mac.Engine that is Reset — arenas, station state and scratch reused —
-// between the train replications measured through it, so a replication
-// allocates almost nothing beyond its own TrainSample. A meter must
-// only be used serially (one per worker goroutine; runner.MapBatches
-// builds exactly that), and reuse never changes a measured value: a
-// Reset engine is byte-identical to a fresh one. The zero value is
-// ready to use.
+// between the train replications measured through it, and every other
+// piece of a replication's scaffolding: the generators, the train and
+// cross-traffic sources, the station configs and the queue-sampling
+// hook. A replication on a warm meter allocates only the sample it
+// returns (MeasureOne), or nothing when it reuses one (MeasureInto). A
+// meter must only be used serially (one per worker goroutine;
+// runner.MapBatches builds exactly that), and reuse never changes a
+// measured value: a Reset engine is byte-identical to a fresh one. The
+// zero value is ready to use; copy a meter only before its first use,
+// since its hook is bound to it then.
 type TrainMeter struct {
 	eng *mac.Engine
+	// root is seeded from the link's seed; rng, split from it per
+	// replication, draws the train's start and the cross flows'
+	// substreams.
+	root, rng sim.Rand
+	train     traffic.TrainSource
+	cell      cellGen
+	// queue collects the first contender's queue length at each probe
+	// departure of the run in progress; hook, bound to the meter on its
+	// first use, appends to it.
+	queue []float64
+	hook  func(*mac.Engine, *mac.Frame)
+}
+
+// sampleQueue is the OnDepart hook behind TrainSample.QueueAtDepart.
+func (m *TrainMeter) sampleQueue(e *mac.Engine, f *mac.Frame) {
+	if f.Probe {
+		m.queue = append(m.queue, float64(e.QueueLen(1)))
+	}
 }
 
 // run executes cfg on the meter's reused engine, constructing it on
-// first use. A nil meter falls back to a fresh engine per call.
+// first use.
 func (m *TrainMeter) run(cfg mac.Config) (*mac.Result, error) {
-	if m == nil {
-		return mac.Run(cfg)
-	}
 	if m.eng == nil {
 		e, err := mac.New(cfg)
 		if err != nil {
@@ -427,11 +459,23 @@ type TrainPlan struct {
 // back; a NaN, negative or infinite rate is an error. The returned plan
 // is immutable and safe to share across worker goroutines.
 func PlanTrain(l Link, n int, rateBps float64) (*TrainPlan, error) {
-	l, gI, err := l.trainSetup(n, rateBps)
-	if err != nil {
+	p := &TrainPlan{}
+	if err := p.Init(l, n, rateBps); err != nil {
 		return nil, err
 	}
-	return &TrainPlan{link: l, n: n, gI: gI}, nil
+	return p, nil
+}
+
+// Init plans into p what PlanTrain plans into fresh storage, for callers
+// that plan many short measurements in turn. It must not run while p
+// is measuring; on error p is unchanged.
+func (p *TrainPlan) Init(l Link, n int, rateBps float64) error {
+	l, gI, err := l.trainSetup(n, rateBps)
+	if err != nil {
+		return err
+	}
+	*p = TrainPlan{link: l, n: n, gI: gI}
+	return nil
 }
 
 // GI returns the plan's input gap — the nominal spacing the probing
@@ -442,9 +486,23 @@ func (p *TrainPlan) GI() sim.Time { return p.gI }
 // MeasureOne runs replication rep of the plan on meter m, reusing m's
 // engine across calls; a nil meter uses a fresh engine. The sample is a
 // pure function of (plan, rep) — the meter is an arena, never state
-// that leaks between replications.
+// that leaks between replications. It is MeasureInto a zero sample.
 func (p *TrainPlan) MeasureOne(m *TrainMeter, rep int) (TrainSample, error) {
-	return p.link.measureTrainOnce(m, p.n, p.gI, int64(rep))
+	var s TrainSample
+	if err := p.MeasureInto(m, rep, &s); err != nil {
+		return TrainSample{}, err
+	}
+	return s, nil
+}
+
+// MeasureInto is MeasureOne writing the sample into s, whose slices it
+// reuses when they hold at least the train's length, so a caller that
+// reduces each sample before measuring the next allocates nothing on a
+// warm meter. s then equals MeasureOne's sample, except that a cell
+// without contenders leaves a used sample's QueueAtDepart empty rather
+// than nil, keeping its storage. On error s holds no measurement.
+func (p *TrainPlan) MeasureInto(m *TrainMeter, rep int, s *TrainSample) error {
+	return p.link.measureInto(m, p.n, p.gI, int64(rep), s)
 }
 
 // MeasureTrain sends reps independent replications of an n-packet train
@@ -512,17 +570,22 @@ func (l Link) trainSetup(n int, rateBps float64) (Link, sim.Time, error) {
 // worker pool plan once with PlanTrain and measure with MeasureOne on
 // per-worker meters instead, which skips the engine construction.
 func MeasureTrainOne(l Link, n int, rateBps float64, rep int) (TrainSample, error) {
-	l, gI, err := l.trainSetup(n, rateBps)
-	if err != nil {
+	var p TrainPlan
+	if err := p.Init(l, n, rateBps); err != nil {
 		return TrainSample{}, err
 	}
-	return l.measureTrainOnce(nil, n, gI, int64(rep))
+	return p.MeasureOne(nil, rep)
 }
 
-// measureTrainOnce runs replication rep of the n-packet train on meter
-// m (nil for a fresh engine). It is a pure function of (l, n, gI, rep)
-// — the determinism unit the worker pool relies on; the meter only
-// changes where the engine's memory comes from.
+// measureInto runs replication rep of the n-packet train on meter m
+// (nil for a fresh one) and writes its sample into s. It is a pure
+// function of (l, n, gI, rep) — the determinism unit the worker pool
+// relies on; the meter and s only change where the memory comes from.
+//
+// The probing train starts WarmUp plus an exponential offset after time
+// zero — the paper's "Poisson spacing between probing sequences" that
+// guarantees the trains sample the cross-traffic process in random
+// phase.
 //
 // The run stops the instant the train is fully resolved — every probe
 // packet delivered or dropped by the retry limit — instead of grinding
@@ -532,46 +595,58 @@ func MeasureTrainOne(l Link, n int, rateBps float64, rep int) (TrainSample, erro
 // Cross-traffic stations' frames are not retained at all (the sample
 // never reads them), and a run that hits the horizon with unresolved
 // probes is flagged Truncated.
-func (l Link) measureTrainOnce(m *TrainMeter, n int, gI sim.Time, rep int64) (TrainSample, error) {
-	cfg := l.scenario(n, gI, rep)
-	sample := TrainSample{
-		Departures:   make([]sim.Time, n),
-		AccessDelays: make([]float64, n),
+func (l Link) measureInto(m *TrainMeter, n int, gI sim.Time, rep int64, s *TrainSample) error {
+	if m == nil {
+		m = &TrainMeter{}
 	}
-	for i := range sample.Departures {
-		sample.Departures[i] = -1
-		sample.AccessDelays[i] = -1
+	m.root.Seed(l.Seed)
+	m.root.SplitInto(uint64(rep)+0x5eed, &m.rng)
+	start := l.WarmUp + m.rng.ExpTime(50*sim.Millisecond)
+	// Horizon: enough for the train to drain even under saturation.
+	// A probe packet's service rarely exceeds ~20ms even with several
+	// saturated contenders; 40ms/packet is a generous envelope.
+	end := start + sim.Time(n)*gI + sim.Time(n)*40*sim.Millisecond + 200*sim.Millisecond
+	m.train.Init(n, gI, l.ProbeSize, start)
+	cfg := l.assemble(&m.cell, &m.train, &m.rng, l.Seed^(rep+1)*0x9e3779b9, end)
+
+	s.Departures = resize(s.Departures, n)
+	s.AccessDelays = resize(s.AccessDelays, n)
+	for i := range s.Departures {
+		s.Departures[i] = -1
+		s.AccessDelays[i] = -1
 	}
-	var queue []float64
+	m.queue = s.QueueAtDepart[:0]
 	if len(l.Contenders) > 0 {
-		queue = make([]float64, 0, n)
-		cfg.OnDepart = func(e *mac.Engine, f *mac.Frame) {
-			if f.Probe {
-				queue = append(queue, float64(e.QueueLen(1)))
-			}
+		if cap(m.queue) < n {
+			m.queue = make([]float64, 0, n)
 		}
+		if m.hook == nil {
+			m.hook = m.sampleQueue
+		}
+		cfg.OnDepart = m.hook
 	}
 	cfg.StopAfterProbes = n
 	cfg.RecordFrames = func(station int) bool { return station == 0 }
 	res, err := m.run(cfg)
+	s.QueueAtDepart, m.queue = m.queue, nil
 	if err != nil {
-		return TrainSample{}, err
+		return err
 	}
-	sample.QueueAtDepart = queue
+	s.Delivered = 0
 	for _, f := range res.Frames[0] {
 		if f.Probe && f.Index >= 0 && f.Index < n {
-			sample.Departures[f.Index] = f.Departed
-			sample.AccessDelays[f.Index] = f.AccessDelay().Seconds()
-			sample.Delivered++
+			s.Departures[f.Index] = f.Departed
+			s.AccessDelays[f.Index] = f.AccessDelay().Seconds()
+			s.Delivered++
 		}
 	}
 	// Every resolved probe was transmitted (delivered, or carried to the
 	// retry limit and dropped); unresolved probes of a truncated run
 	// never reached the air and must not be charged to cost ledgers.
-	sample.Injected = res.ProbesResolved
-	sample.Truncated = res.ProbesResolved < n
-	sample.GO = outputGap(sample.Departures)
-	return sample, nil
+	s.Injected = res.ProbesResolved
+	s.Truncated = res.ProbesResolved < n
+	s.GO = outputGap(s.Departures)
+	return nil
 }
 
 // outputGap computes (d_last - d_first)/(count-1) over delivered probes.

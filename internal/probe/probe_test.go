@@ -2,6 +2,7 @@ package probe
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -567,6 +568,108 @@ func TestMeterReuseMatchesFreshEngines(t *testing.T) {
 	}
 }
 
+// allocCells are the cells the warm-meter allocation contract covers:
+// every contender count the engine's per-station state and the
+// meter's station names must absorb, FIFO cross-traffic (station 0's
+// merged source), on/off and idle flows, a channel schedule and a
+// hidden topology.
+func allocCells() map[string]Link {
+	flows := func(k int) []Flow {
+		out := make([]Flow, k)
+		for i := range out {
+			out[i] = Flow{RateBps: 3e6 / float64(k), Size: 1000}
+		}
+		return out
+	}
+	fer := 0.2
+	cells := map[string]Link{
+		"fifo-cross": {FIFOCross: []Flow{{RateBps: 1e6, Size: 500}, {RateBps: 5e5, Size: 1000}}, Contenders: flows(1)},
+		"onoff-idle": {Contenders: []Flow{{RateBps: 2e6, Size: 1500, OnMean: 20 * sim.Millisecond, OffMean: 30 * sim.Millisecond}, {}}},
+		"schedule": {Contenders: flows(2), Schedule: []mac.ScheduledEvent{
+			{At: 520 * sim.Millisecond, Target: -1, SetFER: &fer}}},
+		"hidden": {Contenders: flows(2), Topology: mac.NewTopology(3).Connect(0, 1).Connect(0, 2)},
+	}
+	for _, k := range []int{0, 1, 4, 12, 20} {
+		cells[fmt.Sprintf("%d-contenders", k)] = Link{Contenders: flows(k)}
+	}
+	return cells
+}
+
+// TestWarmMeterAllocs pins what a replication on a warm meter costs the
+// heap: MeasureOne allocates exactly its sample's slices (Departures
+// and AccessDelays, plus QueueAtDepart when the cell has contenders),
+// and MeasureInto into a used sample allocates nothing, on its own
+// meter and on one meter that every cell shares in turn. Each reused
+// sample must equal the fresh-engine sample of the same replication.
+func TestWarmMeterAllocs(t *testing.T) {
+	const n, rate, reps = 30, 4e6, 4
+	cells := allocCells()
+	shared := &TrainMeter{}
+	sharedSamples := map[string]*TrainSample{}
+	plans := map[string]*TrainPlan{}
+	for name, l := range cells {
+		plan, err := PlanTrain(l, n, rate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans[name] = plan
+		m, s := &TrainMeter{}, &TrainSample{}
+		sharedSamples[name] = &TrainSample{}
+		// One pass over the replications warms both meters and samples.
+		for rep := 0; rep < reps; rep++ {
+			if err := plan.MeasureInto(m, rep, s); err != nil {
+				t.Fatal(err)
+			}
+			if err := plan.MeasureInto(shared, rep, sharedSamples[name]); err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := MeasureTrainOne(l, n, rate, rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(*s, fresh) || !reflect.DeepEqual(*sharedSamples[name], fresh) {
+				t.Fatalf("%s rep %d: reused sample %+v\nfresh %+v", name, rep, *s, fresh)
+			}
+		}
+		want := 2.0
+		if len(l.Contenders) > 0 {
+			want = 3
+		}
+		one := testing.AllocsPerRun(3, func() {
+			for rep := 0; rep < reps; rep++ {
+				if _, err := plan.MeasureOne(m, rep); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}) / reps
+		if one != want {
+			t.Errorf("%s: MeasureOne allocates %.2f per replication on a warm meter, want %.0f", name, one, want)
+		}
+		into := testing.AllocsPerRun(3, func() {
+			for rep := 0; rep < reps; rep++ {
+				if err := plan.MeasureInto(m, rep, s); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if into != 0 {
+			t.Errorf("%s: MeasureInto into a used sample allocates %.2f per %d replications, want 0", name, into, reps)
+		}
+	}
+	all := testing.AllocsPerRun(3, func() {
+		for name, plan := range plans {
+			for rep := 0; rep < reps; rep++ {
+				if err := plan.MeasureInto(shared, rep, sharedSamples[name]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	})
+	if all != 0 {
+		t.Errorf("one meter shared by every cell: MeasureInto allocates %.2f per pass, want 0", all)
+	}
+}
+
 // TestMeterRecoversFromBadConfig: a failed measurement through a meter
 // must not poison later measurements on the same meter.
 func TestMeterRecoversFromBadConfig(t *testing.T) {
@@ -613,8 +716,11 @@ func TestMeterRecoversFromBadConfig(t *testing.T) {
 }
 
 // BenchmarkTrainReplication times the replication unit itself: one
-// 200-packet train measured end to end on a fresh engine, the body the
-// dense figures execute tens of thousands of times. Compare allocs/op
+// 200-packet train measured end to end, the body the dense figures
+// execute tens of thousands of times. "fresh" builds an engine and the
+// run's scaffolding per replication (MeasureTrainOne); "warm" measures
+// on one meter, as the figure drivers' workers do, and allocates only
+// the sample (3 allocs/op on this one-contender cell). Compare allocs/op
 // with the packet count (the train plus the consumed cross-traffic):
 // the ratio must stay far below one allocation per packet.
 func BenchmarkTrainReplication(b *testing.B) {
@@ -622,11 +728,29 @@ func BenchmarkTrainReplication(b *testing.B) {
 		Contenders: []Flow{{RateBps: 4e6, Size: 1500}},
 		Seed:       11,
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := MeasureTrainOne(l, 200, 5e6, i); err != nil {
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := MeasureTrainOne(l, 200, 5e6, i); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		plan, err := PlanTrain(l, 200, 5e6)
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
+		m := &TrainMeter{}
+		if _, err := plan.MeasureOne(m, 0); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := plan.MeasureOne(m, i); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -27,14 +27,21 @@ func splitmix64(x *uint64) uint64 {
 // NewRand returns a generator seeded from seed. Two generators built from
 // the same seed produce identical streams.
 func NewRand(seed int64) *Rand {
-	x := uint64(seed)
 	r := &Rand{}
+	r.Seed(seed)
+	return r
+}
+
+// Seed reseeds r in place: afterwards r produces exactly NewRand(seed)'s
+// stream, whatever it held before. Engines and meters that keep their
+// generators across replications reseed them instead of allocating.
+func (r *Rand) Seed(seed int64) {
+	x := uint64(seed)
 	r.s0 = splitmix64(&x)
 	r.s1 = splitmix64(&x)
 	if r.s0 == 0 && r.s1 == 0 {
 		r.s1 = 1 // xorshift state must be nonzero
 	}
-	return r
 }
 
 // Split derives an independent generator for a labelled sub-stream
@@ -53,12 +60,7 @@ func (r *Rand) Split(label uint64) *Rand {
 // It consumes exactly the same parent state as Split, so a reseeded
 // generator is byte-identical to a freshly Split one.
 func (r *Rand) SplitInto(label uint64, dst *Rand) {
-	x := r.Uint64() ^ (label * 0x9e3779b97f4a7c15)
-	dst.s0 = splitmix64(&x)
-	dst.s1 = splitmix64(&x)
-	if dst.s0 == 0 && dst.s1 == 0 {
-		dst.s1 = 1
-	}
+	dst.Seed(int64(r.Uint64() ^ (label * 0x9e3779b97f4a7c15)))
 }
 
 // Stream is a position in a deterministic tree of RNG substreams. It is
@@ -93,13 +95,8 @@ func (s Stream) Child(i uint64) Stream {
 // Rand materialises a generator at this stream position. Every call
 // returns an identical, independent copy.
 func (s Stream) Rand() *Rand {
-	x := s.key
 	r := &Rand{}
-	r.s0 = splitmix64(&x)
-	r.s1 = splitmix64(&x)
-	if r.s0 == 0 && r.s1 == 0 {
-		r.s1 = 1
-	}
+	r.Seed(int64(s.key))
 	return r
 }
 

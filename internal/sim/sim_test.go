@@ -79,6 +79,22 @@ func TestRandSplitIndependence(t *testing.T) {
 	}
 }
 
+// TestRandSeedInPlace: reseeding a generator in place, fresh or after
+// it has been drawn from and split, yields exactly NewRand's stream.
+func TestRandSeedInPlace(t *testing.T) {
+	var r Rand
+	for _, seed := range []int64{0, 1, -7, 1 << 40} {
+		r.Seed(seed)
+		want := NewRand(seed)
+		for i := 0; i < 100; i++ {
+			if got, w := r.Uint64(), want.Uint64(); got != w {
+				t.Fatalf("seed %d step %d: %d, NewRand gives %d", seed, i, got, w)
+			}
+		}
+		r.Split(3).Uint64() // leave r used before the next reseed
+	}
+}
+
 func TestRandIntnRange(t *testing.T) {
 	r := NewRand(3)
 	for n := 1; n <= 33; n++ {

@@ -137,7 +137,19 @@ type ECDF struct {
 // equal numbers have equal bits, so the result is the one
 // sort.Float64s gives, which orders every other input.
 func NewECDF(xs []float64) *ECDF {
-	s := append([]float64(nil), xs...)
+	return sortedECDF(append([]float64(nil), xs...))
+}
+
+// TailECDF is NewECDF(Tail(reps, from)) built from one concatenation:
+// the pool is copied once, straight into the ECDF's storage, and sorted
+// there. An empty pool gives an empty ECDF.
+func TailECDF(reps [][]float64, from int) *ECDF {
+	return sortedECDF(Tail(reps, from))
+}
+
+// sortedECDF sorts s in place, as NewECDF describes, and wraps it; the
+// ECDF owns s.
+func sortedECDF(s []float64) *ECDF {
 	if len(s) < radixMin || !radixSort(s) {
 		sort.Float64s(s)
 	}

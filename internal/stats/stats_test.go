@@ -170,6 +170,46 @@ func TestNewECDFRadixMatchesSort(t *testing.T) {
 	}
 }
 
+// TestTailECDF: the pool ECDF built from one concatenation holds the
+// bits NewECDF(Tail(...)) holds — empty, small, radix-sorted and
+// sort-fallback pools alike — and allocates one pool copy fewer.
+func TestTailECDF(t *testing.T) {
+	r := sim.NewRand(8)
+	for _, c := range []struct {
+		rows     int
+		negative bool // refuses the radix sort
+	}{{0, false}, {3, false}, {400, false}, {400, true}} {
+		reps := make([][]float64, c.rows)
+		for i := range reps {
+			reps[i] = make([]float64, 20-i%7)
+			for j := range reps[i] {
+				reps[i][j] = r.Exp(1e-3)
+			}
+		}
+		if c.negative {
+			reps[1][12] = -1
+		}
+		want := NewECDF(Tail(reps, 10)).sorted
+		got := TailECDF(reps, 10).sorted
+		if len(got) != len(want) {
+			t.Fatalf("%+v: %d pooled values, want %d", c, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%+v: value %d is %g, want %g", c, i, got[i], want[i])
+			}
+		}
+		if c.rows == 0 {
+			continue
+		}
+		two := testing.AllocsPerRun(3, func() { NewECDF(Tail(reps, 10)) })
+		one := testing.AllocsPerRun(3, func() { TailECDF(reps, 10) })
+		if one != two-1 {
+			t.Errorf("%+v: TailECDF allocates %.0f, NewECDF(Tail) %.0f; want one fewer", c, one, two)
+		}
+	}
+}
+
 func TestECDFInterpolated(t *testing.T) {
 	e := NewECDF([]float64{0, 10})
 	// F(0)=0.5, F(10)=1, linear in between.

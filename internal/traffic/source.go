@@ -29,10 +29,18 @@ type Source interface {
 }
 
 // FromSchedule wraps a materialized schedule as a Source. The slice is
-// not copied; callers must not mutate it while the source is live.
+// not copied; callers must not mutate it while the source is live. An
+// empty schedule yields one shared exhausted source, which Next never
+// writes, so idle flows cost no allocation.
 func FromSchedule(sched []Arrival) Source {
+	if len(sched) == 0 {
+		return exhausted
+	}
 	return &sliceSource{sched: sched}
 }
+
+// exhausted is the source of every empty schedule.
+var exhausted = &sliceSource{}
 
 type sliceSource struct {
 	sched []Arrival
@@ -67,10 +75,15 @@ func Collect(src Source) []Arrival {
 // fixed-size packets at rateBps over [start, end), drawing each
 // exponential gap from r only when the next arrival is pulled.
 func NewPoisson(r *sim.Rand, rateBps float64, size int, start, end sim.Time) Source {
-	return &poissonSource{r: r, mean: gapFor(rateBps, size), size: size, t: start, end: end}
+	p := &PoissonSource{}
+	p.Init(r, rateBps, size, start, end)
+	return p
 }
 
-type poissonSource struct {
+// PoissonSource is NewPoisson's source. Its zero value is inert; Init
+// (re)starts it, so a caller that runs many replications keeps one and
+// reinitialises it per run instead of allocating.
+type PoissonSource struct {
 	r    *sim.Rand
 	mean sim.Time
 	size int
@@ -78,8 +91,14 @@ type poissonSource struct {
 	end  sim.Time
 }
 
+// Init starts p as NewPoisson(r, rateBps, size, start, end), discarding
+// whatever p held before.
+func (p *PoissonSource) Init(r *sim.Rand, rateBps float64, size int, start, end sim.Time) {
+	*p = PoissonSource{r: r, mean: gapFor(rateBps, size), size: size, t: start, end: end}
+}
+
 // Next implements Source, drawing one exponential gap per pull.
-func (p *poissonSource) Next() (Arrival, bool) {
+func (p *PoissonSource) Next() (Arrival, bool) {
 	p.t += p.r.ExpTime(p.mean)
 	if p.t >= p.end {
 		return Arrival{}, false
@@ -113,16 +132,14 @@ func (c *cbrSource) Next() (Arrival, bool) {
 // NewTrain is the lazy form of Train: n probe packets with input gap gI
 // starting at start, indexed 0..n-1.
 func NewTrain(n int, gI sim.Time, size int, start sim.Time) Source {
-	if n <= 0 {
-		panic(fmt.Sprintf("traffic: train length %d must be positive", n))
-	}
-	if gI < 0 {
-		panic(fmt.Sprintf("traffic: negative input gap %v", gI))
-	}
-	return &trainSource{n: n, gI: gI, size: size, start: start}
+	t := &TrainSource{}
+	t.Init(n, gI, size, start)
+	return t
 }
 
-type trainSource struct {
+// TrainSource is NewTrain's source; like PoissonSource, Init restarts
+// it in place.
+type TrainSource struct {
 	n     int
 	gI    sim.Time
 	size  int
@@ -130,8 +147,20 @@ type trainSource struct {
 	i     int
 }
 
+// Init starts t as NewTrain(n, gI, size, start), panicking on the same
+// invalid arguments.
+func (t *TrainSource) Init(n int, gI sim.Time, size int, start sim.Time) {
+	if n <= 0 {
+		panic(fmt.Sprintf("traffic: train length %d must be positive", n))
+	}
+	if gI < 0 {
+		panic(fmt.Sprintf("traffic: negative input gap %v", gI))
+	}
+	*t = TrainSource{n: n, gI: gI, size: size, start: start}
+}
+
 // Next implements Source, emitting the indexed probe packets.
-func (t *trainSource) Next() (Arrival, bool) {
+func (t *TrainSource) Next() (Arrival, bool) {
 	if t.i >= t.n {
 		return Arrival{}, false
 	}
@@ -145,14 +174,14 @@ func (t *trainSource) Next() (Arrival, bool) {
 // burst and silence lengths from r in the same order the eager
 // generator does.
 func NewOnOff(r *sim.Rand, peakBps float64, size int, onMean, offMean, start, end sim.Time) Source {
-	if onMean <= 0 || offMean < 0 {
-		panic(fmt.Sprintf("traffic: on/off means %v/%v", onMean, offMean))
-	}
-	return &onOffSource{r: r, gap: gapFor(peakBps, size), size: size,
-		onMean: onMean, offMean: offMean, t: start, end: end}
+	s := &OnOffSource{}
+	s.Init(r, peakBps, size, onMean, offMean, start, end)
+	return s
 }
 
-type onOffSource struct {
+// OnOffSource is NewOnOff's source; like PoissonSource, Init restarts
+// it in place.
+type OnOffSource struct {
 	r       *sim.Rand
 	gap     sim.Time
 	size    int
@@ -164,9 +193,19 @@ type onOffSource struct {
 	inOn    bool
 }
 
+// Init starts s as NewOnOff(r, peakBps, size, onMean, offMean, start,
+// end), panicking on the same invalid means.
+func (s *OnOffSource) Init(r *sim.Rand, peakBps float64, size int, onMean, offMean, start, end sim.Time) {
+	if onMean <= 0 || offMean < 0 {
+		panic(fmt.Sprintf("traffic: on/off means %v/%v", onMean, offMean))
+	}
+	*s = OnOffSource{r: r, gap: gapFor(peakBps, size), size: size,
+		onMean: onMean, offMean: offMean, t: start, end: end}
+}
+
 // Next implements Source, advancing the burst/silence phases as
 // needed to reach the next packet.
-func (s *onOffSource) Next() (Arrival, bool) {
+func (s *OnOffSource) Next() (Arrival, bool) {
 	for {
 		if !s.inOn {
 			if s.t >= s.end {
@@ -222,21 +261,33 @@ func MergeSources(srcs ...Source) Source {
 	if len(srcs) == 1 {
 		return srcs[0]
 	}
-	m := &mergeSource{srcs: srcs,
-		heads: make([]Arrival, len(srcs)), live: make([]bool, len(srcs))}
+	m := &MergeSource{}
+	m.Init(srcs)
 	return m
 }
 
-type mergeSource struct {
+// MergeSource is the merge MergeSources builds over two or more
+// sources; Init restarts it in place, reusing its per-input storage.
+type MergeSource struct {
 	srcs   []Source
 	heads  []Arrival
 	live   []bool
 	primed bool
 }
 
+// Init starts m as the merge of srcs, in input order. m keeps srcs, not
+// a copy: the caller must not change it while m is live.
+func (m *MergeSource) Init(srcs []Source) {
+	n := len(srcs)
+	if cap(m.heads) < n {
+		m.heads, m.live = make([]Arrival, n), make([]bool, n)
+	}
+	*m = MergeSource{srcs: srcs, heads: m.heads[:n], live: m.live[:n]}
+}
+
 // Next implements Source: the earliest head among the live inputs,
 // input order breaking ties.
-func (m *mergeSource) Next() (Arrival, bool) {
+func (m *MergeSource) Next() (Arrival, bool) {
 	if !m.primed {
 		for i, s := range m.srcs {
 			m.heads[i], m.live[i] = s.Next()

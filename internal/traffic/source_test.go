@@ -102,6 +102,50 @@ func TestFromScheduleRoundTrip(t *testing.T) {
 	}
 }
 
+// TestInitMatchesNew: each in-place Init yields the arrivals of its
+// New* form, on a zero source and on one re-initialised after it was
+// drained under other arguments.
+func TestInitMatchesNew(t *testing.T) {
+	end := 2 * sim.Second
+	on, off := 20*sim.Millisecond, 30*sim.Millisecond
+	var (
+		p  PoissonSource
+		o  OnOffSource
+		tr TrainSource
+		m  MergeSource
+	)
+	for round, seed := range []int64{3, 4} {
+		rate := 2e6 * float64(round+1)
+		var r sim.Rand
+		r.Seed(seed)
+		p.Init(&r, rate, 1000, 0, end)
+		check(t, "poisson", &p, NewPoisson(sim.NewRand(seed), rate, 1000, 0, end))
+		r.Seed(seed)
+		o.Init(&r, 4*rate, 500, on, off, 0, end)
+		check(t, "onoff", &o, NewOnOff(sim.NewRand(seed), 4*rate, 500, on, off, 0, end))
+		tr.Init(10*(round+1), sim.Millisecond, 1500, 0)
+		check(t, "train", &tr, NewTrain(10*(round+1), sim.Millisecond, 1500, 0))
+		// Merges of three and then two inputs: Init must shrink its
+		// per-input storage as well as grow it.
+		inputs := func() []Source {
+			return []Source{NewTrain(10, sim.Millisecond, 1500, 0), NewCBR(rate, 576, 0, 40*sim.Millisecond),
+				NewCBR(1e6, 1500, 0, 30*sim.Millisecond)}[:3-round]
+		}
+		m.Init(inputs())
+		check(t, "merge", &m, MergeSources(inputs()...))
+	}
+}
+
+// check drains both sources and fails unless they yield the same
+// non-empty arrivals.
+func check(t *testing.T, name string, got, want Source) {
+	t.Helper()
+	g, w := Collect(got), Collect(want)
+	if len(w) == 0 || !reflect.DeepEqual(g, w) {
+		t.Fatalf("%s: Init yields %d arrivals, its New form %d (or they differ)", name, len(g), len(w))
+	}
+}
+
 func TestSourceConstructorPanics(t *testing.T) {
 	cases := []func(){
 		func() { NewTrain(0, 0, 100, 0) },
