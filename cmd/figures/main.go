@@ -53,7 +53,8 @@ func parseArgs(args []string) (*figConfig, error) {
 	fs.SetOutput(os.Stderr)
 	only := fs.String("only", "", "comma-separated figure ids to run (default: all)")
 	out := fs.String("out", "figures-out", "directory for CSV output")
-	common := clikit.Register(fs, clikit.Defaults{})
+	common := clikit.Register(fs, 0)
+	scenFlag := clikit.RegisterScenario(fs)
 	if err := fs.Parse(args); err != nil {
 		return nil, clikit.ParseError(err)
 	}
@@ -61,7 +62,7 @@ func parseArgs(args []string) (*figConfig, error) {
 	if err != nil {
 		return nil, err
 	}
-	scen, err := common.Scenario()
+	scen, err := scenFlag.Compiled()
 	if err != nil {
 		return nil, err
 	}

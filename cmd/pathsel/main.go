@@ -63,7 +63,7 @@ func parseArgs(args []string) (*pathselConfig, error) {
 	fs.Float64Var(&p.Hysteresis, "hysteresis", p.Hysteresis, "failover margin for the regret figure (the lag figure sweeps its own)")
 	fs.Float64Var(&p.Explore, "explore", p.Explore, "UCB exploration coefficient (score points)")
 	fs.IntVar(&p.DegradeEpoch, "degrade-epoch", p.DegradeEpoch, "decision round at which the scheduled degradation surfaces")
-	common := clikit.Register(fs, clikit.Defaults{Seed: p.Seed})
+	common := clikit.Register(fs, p.Seed)
 	if err := fs.Parse(args); err != nil {
 		return nil, clikit.ParseError(err)
 	}
@@ -99,9 +99,6 @@ func parseArgs(args []string) (*pathselConfig, error) {
 			return nil, err
 		}
 		p.Upstreams = ups
-	}
-	if common.Scen.Path != "" {
-		return nil, fmt.Errorf("pathsel takes its cells via -paths, not -scenario")
 	}
 	return c, nil
 }

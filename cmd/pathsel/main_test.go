@@ -51,8 +51,8 @@ func TestParseArgs(t *testing.T) {
 			frag: "at least 2"},
 		{name: "missing spec", args: []string{"-paths", "no-such.json,also-missing.json"},
 			frag: "no-such.json"},
-		{name: "scenario flag rejected", args: []string{"-scenario", "../../scenarios/paper-baseline.json"},
-			frag: "-paths"},
+		// Cells come from -paths; -scenario is not a pathsel flag.
+		{name: "scenario flag rejected", args: []string{"-scenario", "../../scenarios/paper-baseline.json"}},
 		{name: "unknown figure", args: []string{"-fig", "throughput"}, frag: "regret|lag"},
 		{name: "unknown policy", args: []string{"-policy", "greedy"}, frag: "ema|last|ucb|all"},
 		{name: "non-finite alpha", args: []string{"-alpha", "NaN"}, frag: "-alpha"},

@@ -1,10 +1,12 @@
 // Package clikit is the shared command-line harness for the cmd/
-// tools. Every experiment front end takes the same knobs — a scale
-// preset with fine-grained overrides, a seed, a worker count for the
-// replication engine, and an output format — and before this package
-// existed each tool re-implemented them. A tool registers the common
-// flags next to its own, resolves them into an experiments.Scale, and
-// emits figures through Emit.
+// tools. Every figure front end takes the same knobs — a scale preset
+// whose replications, sweep points and steady-state duration a
+// positive -reps, -points or -seconds replaces, a seed, a worker count
+// for the replication engine, and an output format. A tool registers
+// them with Register next to its own flags, resolves them into an
+// experiments.Scale, and emits figures through Emit; a tool that takes
+// a cell from a scenario spec also registers -scenario with
+// RegisterScenario.
 package clikit
 
 import (
@@ -20,20 +22,6 @@ import (
 	"csmabw/internal/sim"
 )
 
-// Defaults are the per-tool defaults for the common flags.
-type Defaults struct {
-	// Scale is the default preset name; empty means "default".
-	Scale string
-	// Seed is the tool's default seed (figure drivers have paper seeds).
-	Seed int64
-	// Points overrides the preset's sweep-point default when positive.
-	Points int
-	// Reps overrides the preset's replication default when positive.
-	Reps int
-	// Seconds overrides the preset's steady-state duration when positive.
-	Seconds float64
-}
-
 // Flags holds the parsed common flags.
 type Flags struct {
 	ScaleName string
@@ -44,28 +32,20 @@ type Flags struct {
 	Seed      int64
 	Format    string
 
-	// Scen holds the shared -scenario flag; Scenario resolves it.
-	Scen *ScenarioFlag
-
-	fs       *flag.FlagSet
-	defScale string
+	fs *flag.FlagSet
 }
 
-// Register installs the common flags on fs with the given defaults and
-// returns the destination struct, populated after fs.Parse.
-func Register(fs *flag.FlagSet, def Defaults) *Flags {
-	if def.Scale == "" {
-		def.Scale = "default"
-	}
-	f := &Flags{fs: fs, defScale: def.Scale}
-	fs.StringVar(&f.ScaleName, "scale", def.Scale, "experiment scale preset: tiny, default or paper")
-	fs.IntVar(&f.Reps, "reps", def.Reps, "replications per point (0 = preset value)")
-	fs.IntVar(&f.Points, "points", def.Points, "sweep points (0 = preset value)")
-	fs.Float64Var(&f.Seconds, "seconds", def.Seconds, "steady-state duration per point (0 = preset value)")
+// Register installs the common flags on fs, with seed as the default of
+// -seed, and returns the destination struct, populated after fs.Parse.
+func Register(fs *flag.FlagSet, seed int64) *Flags {
+	f := &Flags{fs: fs}
+	fs.StringVar(&f.ScaleName, "scale", "default", "experiment scale preset: tiny, default or paper")
+	fs.IntVar(&f.Reps, "reps", 0, "replications per point (0 = preset value)")
+	fs.IntVar(&f.Points, "points", 0, "sweep points (0 = preset value)")
+	fs.Float64Var(&f.Seconds, "seconds", 0, "steady-state duration per point (0 = preset value)")
 	fs.IntVar(&f.Workers, "workers", 0, "worker goroutines for replications (0 = all cores); results are identical at any count")
-	fs.Int64Var(&f.Seed, "seed", def.Seed, "random seed")
+	fs.Int64Var(&f.Seed, "seed", seed, "random seed")
 	fs.StringVar(&f.Format, "format", "table", "output format: table, csv or json")
-	f.Scen = RegisterScenario(fs)
 	return f
 }
 
@@ -88,12 +68,6 @@ func Passed(fs *flag.FlagSet, name string) bool {
 		}
 	})
 	return set
-}
-
-// Scenario compiles the -scenario spec file; (nil, nil) when the flag
-// is unset.
-func (f *Flags) Scenario() (*scenario.Compiled, error) {
-	return f.Scen.Compiled()
 }
 
 // ScenarioSeed resolves the seed precedence against a compiled
@@ -133,9 +107,7 @@ type ScenarioFlag struct {
 }
 
 // RegisterScenario installs the -scenario flag on fs and returns the
-// destination struct, populated after fs.Parse. Tools that use
-// Register get this for free; only front ends with fully hand-rolled
-// flag sets call it directly.
+// destination struct, populated after fs.Parse.
 func RegisterScenario(fs *flag.FlagSet) *ScenarioFlag {
 	s := &ScenarioFlag{}
 	fs.StringVar(&s.Path, "scenario", "",
@@ -153,11 +125,8 @@ func (s *ScenarioFlag) Compiled() (*scenario.Compiled, error) {
 }
 
 // Scale resolves the preset plus overrides into a Scale, including the
-// worker-pool bound. Tool defaults (Defaults.Reps etc.) shape the
-// tool's own default preset only — naming any other preset (`-scale
-// paper`) yields that preset unmodified, and naming the default preset
-// explicitly behaves exactly like omitting the flag. Flags the user
-// passed on the command line always win. It also rejects an unknown
+// worker-pool bound: a positive -reps, -points or -seconds replaces the
+// preset's value, and zero keeps it. It also rejects an unknown
 // -format here, before a potentially expensive run whose output could
 // not be rendered.
 func (f *Flags) Scale() (experiments.Scale, error) {
@@ -196,21 +165,13 @@ func (f *Flags) Scale() (experiments.Scale, error) {
 	default:
 		return sc, fmt.Errorf("unknown scale %q (tiny|default|paper)", f.ScaleName)
 	}
-	set := map[string]bool{}
-	f.fs.Visit(func(fl *flag.Flag) { set[fl.Name] = true })
-	// A positive override applies when the user passed the flag, or when
-	// it is a tool default and the selected preset is the tool's own
-	// default one.
-	override := func(name string, v float64) bool {
-		return v > 0 && (set[name] || f.ScaleName == f.defScale)
-	}
-	if override("reps", float64(f.Reps)) {
+	if f.Reps > 0 {
 		sc.Reps = f.Reps
 	}
-	if override("points", float64(f.Points)) {
+	if f.Points > 0 {
 		sc.SweepPoints = f.Points
 	}
-	if override("seconds", f.Seconds) {
+	if f.Seconds > 0 {
 		sc.SteadySeconds = f.Seconds
 	}
 	sc.Workers = f.Workers

@@ -9,10 +9,10 @@ import (
 	"csmabw/internal/experiments"
 )
 
-func parse(t *testing.T, def Defaults, args ...string) *Flags {
+func parse(t *testing.T, args ...string) *Flags {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	f := Register(fs, def)
+	f := Register(fs, 17)
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func TestScalePresets(t *testing.T) {
 		"default": experiments.Default(),
 		"paper":   experiments.Paper(),
 	} {
-		f := parse(t, Defaults{}, "-scale", name)
+		f := parse(t, "-scale", name)
 		sc, err := f.Scale()
 		if err != nil {
 			t.Fatal(err)
@@ -34,14 +34,14 @@ func TestScalePresets(t *testing.T) {
 			t.Errorf("%s: %+v, want %+v", name, sc, want)
 		}
 	}
-	f := parse(t, Defaults{}, "-scale", "huge")
+	f := parse(t, "-scale", "huge")
 	if _, err := f.Scale(); err == nil {
 		t.Error("unknown preset accepted")
 	}
 }
 
 func TestScaleOverrides(t *testing.T) {
-	f := parse(t, Defaults{}, "-reps", "7", "-points", "3", "-seconds", "0.25", "-workers", "4")
+	f := parse(t, "-reps", "7", "-points", "3", "-seconds", "0.25", "-workers", "4")
 	sc, err := f.Scale()
 	if err != nil {
 		t.Fatal(err)
@@ -50,42 +50,35 @@ func TestScaleOverrides(t *testing.T) {
 		t.Errorf("overrides not applied: %+v", sc)
 	}
 	// Zero-valued overrides leave the preset untouched.
-	f = parse(t, Defaults{})
+	f = parse(t)
 	sc, _ = f.Scale()
 	if sc.Reps != experiments.Default().Reps {
 		t.Errorf("preset reps clobbered: %+v", sc)
 	}
 }
 
+// TestToolDefaults pins the one per-tool default: Register's seed is
+// the default of -seed, and an explicit -seed replaces it.
 func TestToolDefaults(t *testing.T) {
-	f := parse(t, Defaults{Seed: 17, Reps: 400, Points: 10, Seconds: 2})
-	if f.Seed != 17 {
-		t.Errorf("seed default = %d", f.Seed)
+	if f := parse(t); f.Seed != 17 {
+		t.Errorf("seed default = %d, want 17", f.Seed)
 	}
-	sc, err := f.Scale()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc.Reps != 400 || sc.SweepPoints != 10 || sc.SteadySeconds != 2 {
-		t.Errorf("tool defaults not applied: %+v", sc)
+	if f := parse(t, "-seed", "5"); f.Seed != 5 {
+		t.Errorf("explicit -seed 5 read %d", f.Seed)
 	}
 }
 
 func TestExplicitScaleBeatsToolDefaults(t *testing.T) {
-	// An explicit -scale must not be clobbered back to the tool's
-	// defaults: naming the paper preset means paper-scale statistics.
-	def := Defaults{Seed: 17, Reps: 200, Points: 10, Seconds: 2}
-	f := parse(t, def, "-scale", "paper")
-	sc, err := f.Scale()
+	// An explicit -scale yields the preset it names, unmodified.
+	sc, err := parse(t, "-scale", "paper").Scale()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sc != withWorkers(experiments.Paper(), 0) {
-		t.Errorf("-scale paper clobbered by tool defaults: %+v", sc)
+		t.Errorf("-scale paper: %+v", sc)
 	}
-	// ...but flags the user passed still win over the preset.
-	f = parse(t, def, "-scale", "paper", "-reps", "7")
-	sc, err = f.Scale()
+	// ...but a positive override still replaces the preset's value.
+	sc, err = parse(t, "-scale", "paper", "-reps", "7").Scale()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +86,11 @@ func TestExplicitScaleBeatsToolDefaults(t *testing.T) {
 		t.Errorf("explicit -reps with -scale paper: %+v", sc)
 	}
 	// Naming the default preset explicitly must equal omitting the flag.
-	implicit, err := parse(t, def).Scale()
+	implicit, err := parse(t).Scale()
 	if err != nil {
 		t.Fatal(err)
 	}
-	explicit, err := parse(t, def, "-scale", "default").Scale()
+	explicit, err := parse(t, "-scale", "default").Scale()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,14 +125,14 @@ func TestRenderFormats(t *testing.T) {
 		t.Error("unknown format accepted")
 	}
 	var b strings.Builder
-	f := parse(t, Defaults{}, "-format", "csv")
+	f := parse(t, "-format", "csv")
 	if err := f.Emit(&b, fig); err != nil || !strings.Contains(b.String(), "1,3") {
 		t.Errorf("emit: %v %q", err, b.String())
 	}
 }
 
 func TestScaleRejectsBadFormatEarly(t *testing.T) {
-	f := parse(t, Defaults{}, "-format", "yaml")
+	f := parse(t, "-format", "yaml")
 	if _, err := f.Scale(); err == nil {
 		t.Error("unknown format not rejected before the run")
 	}
@@ -164,14 +157,14 @@ func TestScaleRejectsNonFiniteAndNegative(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			f := parse(t, Defaults{}, c.args...)
+			f := parse(t, c.args...)
 			if _, err := f.Scale(); err == nil {
 				t.Errorf("Scale() accepted %v", c.args)
 			}
 		})
 	}
 	// Zero stays the documented "use the preset" sentinel.
-	f := parse(t, Defaults{}, "-seconds", "0", "-reps", "0", "-points", "0")
+	f := parse(t, "-seconds", "0", "-reps", "0", "-points", "0")
 	if _, err := f.Scale(); err != nil {
 		t.Errorf("zero sentinel rejected: %v", err)
 	}

@@ -86,14 +86,14 @@ func Adaptive(l probe.Link, cfg AdaptiveConfig) (Estimate, error) {
 	if err := cfg.Budget.validate(); err != nil {
 		return Estimate{}, err
 	}
-	plan, err := probe.PlanTrain(l, cfg.TrainLen, cfg.RateBps)
+	g := ledger{budget: cfg.Budget}
+	err := g.plan.Init(l, cfg.TrainLen, cfg.RateBps)
 	if err != nil {
 		return Estimate{}, err
 	}
 	ld := l.WithDefaults()
-	gI := plan.GI()
+	gI := g.plan.GI()
 
-	g := ledger{budget: cfg.Budget}
 	var samples []probe.TrainSample
 	for len(samples) < cfg.MaxReps {
 		batch := min(cfg.BatchReps, cfg.MaxReps-len(samples))
@@ -106,7 +106,7 @@ func Adaptive(l probe.Link, cfg AdaptiveConfig) (Estimate, error) {
 			g.est.Truncated = capped
 			break
 		}
-		if samples, err = g.round(plan, len(samples), batch, samples); err != nil {
+		if samples, err = g.round(len(samples), batch, samples); err != nil {
 			return g.est, err
 		}
 

@@ -46,12 +46,11 @@ func TestCostTruncatedTrainsEndToEnd(t *testing.T) {
 		Seed:      31,
 	}
 	const n, reps = 5, 3
-	plan, err := probe.PlanTrain(l, n, 8e6)
-	if err != nil {
+	var g ledger
+	if err := g.plan.Init(l, n, 8e6); err != nil {
 		t.Fatal(err)
 	}
-	var g ledger
-	samples, err := g.round(plan, 0, reps, nil)
+	samples, err := g.round(0, reps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

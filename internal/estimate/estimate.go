@@ -176,10 +176,12 @@ func (b Budget) validate() error {
 // without overshooting the budget.
 const timeMargin = 1.5
 
-// ledger is one estimator call's probing state: the one TrainMeter
-// every round measures on, the Estimate the rounds are charged to, and
-// the budget accounting that prices the next round.
+// ledger is one estimator call's probing state: the one TrainPlan each
+// round plans into with Init and the one TrainMeter it measures on, the
+// Estimate the rounds are charged to, and the budget accounting that
+// prices the next round.
 type ledger struct {
+	plan  probe.TrainPlan
 	meter probe.TrainMeter
 	// est is the verdict so far; round charges its Cost and Rounds.
 	est    Estimate
@@ -192,27 +194,27 @@ type ledger struct {
 	injected, delivered int
 }
 
-// round measures replications first..first+reps-1 of plan, in order,
-// on the ledger's meter and appends their samples to into, measuring
-// into the samples past len(into) that into's storage still holds: an
-// estimator that passes back samples[:0] reuses the last round's
-// samples instead of allocating new ones. Only a round measured in full
-// is charged: it counts in Estimate.Rounds, and each of its trains is
-// charged once.
-func (g *ledger) round(plan *probe.TrainPlan, first, reps int, into []probe.TrainSample) ([]probe.TrainSample, error) {
+// round measures replications first..first+reps-1 of the ledger's
+// plan, in order, on its meter and appends their samples to into,
+// measuring into the samples past len(into) that into's storage still
+// holds: an estimator that passes back samples[:0] reuses the last
+// round's samples instead of allocating new ones. Only a round measured
+// in full is charged: it counts in Estimate.Rounds, and each of its
+// trains is charged once.
+func (g *ledger) round(first, reps int, into []probe.TrainSample) ([]probe.TrainSample, error) {
 	if reps < 1 {
 		return into, fmt.Errorf("estimate: %d replications in a round", reps)
 	}
 	n := len(into)
 	into = slices.Grow(into, reps)[:n+reps]
 	for i := range into[n:] {
-		if err := plan.MeasureInto(&g.meter, first+i, &into[n+i]); err != nil {
+		if err := g.plan.MeasureInto(&g.meter, first+i, &into[n+i]); err != nil {
 			return into[:n+i], err
 		}
 	}
 	g.est.Rounds++
 	for _, s := range into[n:] {
-		g.charge(s, plan.GI())
+		g.charge(s, g.plan.GI())
 	}
 	return into, nil
 }

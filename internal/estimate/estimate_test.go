@@ -153,13 +153,13 @@ func TestAdaptiveBudgetExhausted(t *testing.T) {
 }
 
 // TestEstimatorAllocBound pins the one engine per estimator call and
-// the reused samples: every round measures on the call's TrainMeter,
-// which allocates nothing per train beyond the sample, and TOPP and
-// SLoPS measure each round into the last round's samples, so a train
-// pays for a few allocations of its round (a plan, a sweep point), not
-// for a freshly built engine (about 55 allocations more) or a fresh
-// sample. One train per round makes an engine per round as costly as
-// an engine per train.
+// the reused plan and samples: every round plans into the call's
+// TrainPlan and measures on its TrainMeter, which allocates nothing per
+// train beyond the sample, and TOPP and SLoPS measure each round into
+// the last round's samples, so a train pays for a few allocations of
+// its round (a sweep point), not for a freshly built engine (about 55
+// allocations more) or a fresh sample. One train per round makes an
+// engine per round as costly as an engine per train.
 func TestEstimatorAllocBound(t *testing.T) {
 	l := testLink(10, 1.5e6)
 	l.Contenders = append(l.Contenders, probe.Flow{RateBps: 1e6, Size: 576})

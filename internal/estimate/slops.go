@@ -109,7 +109,10 @@ func SLoPS(l probe.Link, cfg SLoPSConfig) (Estimate, error) {
 		mid := (lo + hi) / 2
 		li := l
 		li.Seed = root.Child(uint64(round)).Seed()
-		gI := sim.FromSeconds(float64(ld.ProbeSize*8) / mid)
+		if err := g.plan.Init(li, cfg.TrainLen, mid); err != nil {
+			return g.est, err
+		}
+		gI := g.plan.GI()
 		if reps, reason := g.allow(cfg.Reps, cfg.Reps, cfg.TrainLen, gI); reps < cfg.Reps {
 			// Whole rounds only: a bisection step classified on a partial
 			// replication set could flip the search's direction relative
@@ -118,11 +121,7 @@ func SLoPS(l probe.Link, cfg SLoPSConfig) (Estimate, error) {
 			g.est.Truncated = reason
 			break
 		}
-		plan, err := probe.PlanTrain(li, cfg.TrainLen, mid)
-		if err != nil {
-			return g.est, err
-		}
-		if samples, err = g.round(plan, 0, cfg.Reps, samples[:0]); err != nil {
+		if samples, err = g.round(0, cfg.Reps, samples[:0]); err != nil {
 			return g.est, err
 		}
 		truncated := 0

@@ -73,8 +73,10 @@ func TOPP(l probe.Link, cfg TOPPConfig) (Estimate, error) {
 		rate := lo + (hi-lo)*float64(i)/float64(toppPoints-1)
 		li := l
 		li.Seed = root.Child(uint64(i)).Seed()
-		gI := sim.FromSeconds(float64(ld.ProbeSize*8) / rate)
-		reps, reason := g.allow(cfg.Reps, 1, cfg.TrainLen, gI)
+		if err := g.plan.Init(li, cfg.TrainLen, rate); err != nil {
+			return g.est, err
+		}
+		reps, reason := g.allow(cfg.Reps, 1, cfg.TrainLen, g.plan.GI())
 		if reps == 0 {
 			g.est.Truncated = reason
 			break
@@ -85,11 +87,7 @@ func TOPP(l probe.Link, cfg TOPPConfig) (Estimate, error) {
 			// the campaign's evidence, which the verdict must disclose.
 			g.est.Truncated = reason
 		}
-		plan, err := probe.PlanTrain(li, cfg.TrainLen, rate)
-		if err != nil {
-			return g.est, err
-		}
-		if samples, err = g.round(plan, 0, reps, samples[:0]); err != nil {
+		if samples, err = g.round(0, reps, samples[:0]); err != nil {
 			return g.est, err
 		}
 		ts := probe.TrainStats{L: ld.ProbeSize, Samples: samples}

@@ -22,37 +22,15 @@ import (
 	"csmabw/internal/sim"
 )
 
-// AbestParams configures the estimator-accuracy experiments.
-type AbestParams struct {
-	// CrossRates are the contending cross-traffic levels swept by the
-	// accuracy figure, bit/s.
-	CrossRates []float64
-	// Targets are the adaptive controller's relative CI95 targets swept
-	// by the frontier figure.
-	Targets []float64
-	// CrossBps is the fixed cross-load of the frontier and robustness
-	// figures.
-	CrossBps   float64
-	PacketSize int
-	Seed       int64
-	// BudgetPackets are the hard probe-packet caps swept by the budget
-	// figure, from starved to comfortable.
-	BudgetPackets []int
-}
+// DefaultAbest is the estimator figures' cell: 1500-byte probes and no
+// contender of its own, on seed 51. Figure k of accuracy, frontier,
+// robust and budget draws its units from sim.NewStream(Seed+k).
+func DefaultAbest() probe.Link { return probe.Link{ProbeSize: 1500, Seed: 51} }
 
-// DefaultAbest places the sweeps around the paper's Fig. 2/3 operating
-// points: cross-loads from idle to past the saturation knee, and CI
-// targets from sloppy to tight.
-func DefaultAbest() AbestParams {
-	return AbestParams{
-		CrossRates:    []float64{0, 1e6, 2e6, 3e6, 4e6, 5e6},
-		Targets:       []float64{0.20, 0.10, 0.05, 0.025},
-		CrossBps:      2.5e6,
-		PacketSize:    1500,
-		Seed:          51,
-		BudgetPackets: []int{300, 600, 1200, 2400},
-	}
-}
+// abCrossBps is the fixed moderate cross-load of the frontier,
+// robustness and budget figures, around the paper's Fig. 2/3 operating
+// points.
+const abCrossBps = 2.5e6
 
 // estimatorSet indexes the estimators the abest figures dispatch
 // through abRun. Index 0 is the ground-truth measurement.
@@ -154,17 +132,6 @@ func abRun(k int, l probe.Link, cfg abestEffort) (abOutcome, error) {
 	return abOutcome{e, true}, nil
 }
 
-// link is the estimators' cell for unit u of a figure whose units draw
-// from root: the probe against one probe-sized contender at crossBps
-// (none at 0), on seed root.Child(u).
-func (p AbestParams) link(root sim.Stream, u int, crossBps float64) probe.Link {
-	l := probe.Link{ProbeSize: p.PacketSize, Seed: root.Child(uint64(u)).Seed()}
-	if crossBps > 0 {
-		l.Contenders = []probe.Flow{{RateBps: crossBps, Size: p.PacketSize}}
-	}
-	return l
-}
-
 // relErr is |v-truth| as a percentage of truth.
 func relErr(v, truth float64) float64 {
 	rel := 100 * (v - truth) / truth
@@ -174,19 +141,18 @@ func relErr(v, truth float64) float64 {
 	return rel
 }
 
-// AbestAccuracy sweeps the contending cross-load and scores every
-// estimator against the measured ground truth at that load — the
-// estimator-layer rendering of the paper's Fig. 16 comparison, with
-// whole closed-loop tools in place of single dispersion measurements.
-// Unit u runs estimator u%abEstimators at cross level u/abEstimators.
-func AbestAccuracy(p AbestParams, sc Scale) (*Figure, error) {
-	if len(p.CrossRates) == 0 {
-		return nil, fmt.Errorf("experiments: abest-accuracy needs cross rates")
-	}
+// AbestAccuracy sweeps the contending cross-load from idle to past the
+// saturation knee (0 to 5 Mb/s) and scores every estimator against the
+// measured ground truth at that load — the estimator-layer rendering
+// of the paper's Fig. 16 comparison, with whole closed-loop tools in
+// place of single dispersion measurements. Unit u runs estimator
+// u%abEstimators at cross level u/abEstimators.
+func AbestAccuracy(cell probe.Link, sc Scale) (*Figure, error) {
+	crossRates := []float64{0, 1e6, 2e6, 3e6, 4e6, 5e6}
 	cfg := scaledAbestEffort(sc)
-	root := sim.NewStream(p.Seed)
-	outs, err := mapUnits(len(p.CrossRates)*abEstimators, sc, nil, func(_ struct{}, u int) (abOutcome, error) {
-		return abRun(u%abEstimators, p.link(root, u, p.CrossRates[u/abEstimators]), cfg)
+	root := sim.NewStream(cell.Seed)
+	outs, err := mapUnits(len(crossRates)*abEstimators, sc, nil, func(_ struct{}, u int) (abOutcome, error) {
+		return abRun(u%abEstimators, crossCell(&cell, root.Child(uint64(u)).Seed(), crossRates[u/abEstimators]), cfg)
 	})
 	if err != nil {
 		return nil, err
@@ -199,7 +165,7 @@ func AbestAccuracy(p AbestParams, sc Scale) (*Figure, error) {
 	}
 	for k := 0; k < abEstimators; k++ {
 		s := Series{Name: abName(k)}
-		for i, cr := range p.CrossRates {
+		for i, cr := range crossRates {
 			if o := outs[i*abEstimators+k]; o.ok {
 				s.X = append(s.X, cr/1e6)
 				s.Y = append(s.Y, o.Value/1e6)
@@ -210,26 +176,23 @@ func AbestAccuracy(p AbestParams, sc Scale) (*Figure, error) {
 	return fig, nil
 }
 
-// AbestFrontier sweeps the adaptive controller's confidence target and
-// plots the probing cost it pays against the accuracy it delivers —
-// the cost/accuracy frontier a deployed tool navigates when choosing
-// how long to keep probing. Unit 0 measures ground truth; unit i+1
-// runs the controller at target i.
-func AbestFrontier(p AbestParams, sc Scale) (*Figure, error) {
-	for _, t := range p.Targets {
-		if t <= 0 || t >= 1 {
-			return nil, fmt.Errorf("experiments: CI target %g outside (0,1)", t)
-		}
-	}
+// AbestFrontier sweeps the adaptive controller's confidence target
+// from sloppy to tight (20% to 2.5%) and plots the probing cost it pays
+// against the accuracy it delivers — the cost/accuracy frontier a
+// deployed tool navigates when choosing how long to keep probing. Unit
+// 0 measures ground truth; unit i+1 runs the controller at target i.
+func AbestFrontier(cell probe.Link, sc Scale) (*Figure, error) {
+	targets := []float64{0.20, 0.10, 0.05, 0.025}
 	cfg := scaledAbestEffort(sc)
-	root := sim.NewStream(p.Seed + 1)
-	outs, err := mapUnits(1+len(p.Targets), sc, nil, func(_ struct{}, u int) (abOutcome, error) {
+	root := sim.NewStream(cell.Seed + 1)
+	outs, err := mapUnits(1+len(targets), sc, nil, func(_ struct{}, u int) (abOutcome, error) {
+		l := crossCell(&cell, root.Child(uint64(u)).Seed(), abCrossBps)
 		if u == 0 {
-			return abRun(abTruth, p.link(root, u, p.CrossBps), cfg)
+			return abRun(abTruth, l, cfg)
 		}
 		c := cfg
-		c.Adaptive.TargetRel = p.Targets[u-1]
-		return abRun(abAdaptive, p.link(root, u, p.CrossBps), c)
+		c.Adaptive.TargetRel = targets[u-1]
+		return abRun(abAdaptive, l, c)
 	})
 	if err != nil {
 		return nil, err
@@ -240,7 +203,7 @@ func AbestFrontier(p AbestParams, sc Scale) (*Figure, error) {
 	}
 	errS := Series{Name: "relative error (%)"}
 	costS := Series{Name: "probe packets"}
-	for i, t := range p.Targets {
+	for i, t := range targets {
 		o := outs[i+1]
 		if !o.ok {
 			continue
@@ -260,35 +223,30 @@ func AbestFrontier(p AbestParams, sc Scale) (*Figure, error) {
 	}, nil
 }
 
-// AbestBudget sweeps a hard probe-packet cap across every estimator
-// and plots, against the budget, both the measured relative error and
-// the effective confidence half-width (epsilon_eff) each truncated
-// campaign reports — the accuracy-vs-budget frontier a deployed tool
-// navigates when its probing allowance, not its confidence target,
-// decides when to stop. Honest reporting is the point: the epsilon_eff
-// curve must widen as the budget starves, never pretend the target was
-// met. Unit 0 measures ground truth; unit 1 + b*3 + (k-1) runs
-// estimator k under cap b.
-func AbestBudget(p AbestParams, sc Scale) (*Figure, error) {
-	if len(p.BudgetPackets) == 0 {
-		return nil, fmt.Errorf("experiments: abest-budget needs packet caps")
-	}
-	for _, b := range p.BudgetPackets {
-		if b <= 0 {
-			return nil, fmt.Errorf("experiments: abest-budget cap %d must be positive", b)
-		}
-	}
+// AbestBudget sweeps a hard probe-packet cap, from starved to
+// comfortable (300 to 2,400 packets), across every estimator and plots,
+// against the budget, both the measured relative error and the
+// effective confidence half-width (epsilon_eff) each truncated campaign
+// reports — the accuracy-vs-budget frontier a deployed tool navigates
+// when its probing allowance, not its confidence target, decides when
+// to stop. Honest reporting is the point: the epsilon_eff curve must
+// widen as the budget starves, never pretend the target was met. Unit
+// 0 measures ground truth; unit 1 + b*3 + (k-1) runs estimator k under
+// cap b.
+func AbestBudget(cell probe.Link, sc Scale) (*Figure, error) {
+	caps := []int{300, 600, 1200, 2400}
 	cfg := scaledAbestEffort(sc)
 	const tools = abEstimators - 1 // every estimator except ground truth
-	root := sim.NewStream(p.Seed + 3)
-	outs, err := mapUnits(1+len(p.BudgetPackets)*tools, sc, nil, func(_ struct{}, u int) (abOutcome, error) {
+	root := sim.NewStream(cell.Seed + 3)
+	outs, err := mapUnits(1+len(caps)*tools, sc, nil, func(_ struct{}, u int) (abOutcome, error) {
+		l := crossCell(&cell, root.Child(uint64(u)).Seed(), abCrossBps)
 		if u == 0 {
-			return abRun(abTruth, p.link(root, u, p.CrossBps), cfg)
+			return abRun(abTruth, l, cfg)
 		}
-		budget := estimate.Budget{MaxPackets: p.BudgetPackets[(u-1)/tools]}
+		budget := estimate.Budget{MaxPackets: caps[(u-1)/tools]}
 		c := cfg
 		c.TOPP.Budget, c.SLoPS.Budget, c.Adaptive.Budget = budget, budget, budget
-		return abRun(1+(u-1)%tools, p.link(root, u, p.CrossBps), c)
+		return abRun(1+(u-1)%tools, l, c)
 	})
 	if err != nil {
 		return nil, err
@@ -306,7 +264,7 @@ func AbestBudget(p AbestParams, sc Scale) (*Figure, error) {
 	for k := 1; k <= tools; k++ {
 		errS := Series{Name: abName(k) + " error (%)"}
 		epsS := Series{Name: abName(k) + " eps_eff (%)"}
-		for b, cap := range p.BudgetPackets {
+		for b, cap := range caps {
 			o := outs[1+b*tools+(k-1)]
 			if !o.ok {
 				continue
@@ -358,15 +316,12 @@ func abScenarios() []abScenario {
 // each scenario's own ground truth. Unit u runs estimator
 // u%abEstimators on scenario u/abEstimators; the x-axis is the
 // scenario index in abScenarios order.
-func AbestRobust(p AbestParams, sc Scale) (*Figure, error) {
-	if p.CrossBps <= 0 {
-		return nil, fmt.Errorf("experiments: abest-robust needs positive cross-load, got %g", p.CrossBps)
-	}
+func AbestRobust(cell probe.Link, sc Scale) (*Figure, error) {
 	cfg := scaledAbestEffort(sc)
 	scenarios := abScenarios()
-	root := sim.NewStream(p.Seed + 2)
+	root := sim.NewStream(cell.Seed + 2)
 	outs, err := mapUnits(len(scenarios)*abEstimators, sc, nil, func(_ struct{}, u int) (abOutcome, error) {
-		return abRun(u%abEstimators, scenarios[u/abEstimators].apply(p.link(root, u, p.CrossBps)), cfg)
+		return abRun(u%abEstimators, scenarios[u/abEstimators].apply(crossCell(&cell, root.Child(uint64(u)).Seed(), abCrossBps)), cfg)
 	})
 	if err != nil {
 		return nil, err

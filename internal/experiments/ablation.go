@@ -2,56 +2,43 @@ package experiments
 
 import (
 	"csmabw/internal/mac"
-	"csmabw/internal/phy"
+	"csmabw/internal/probe"
 	"csmabw/internal/sim"
 	"csmabw/internal/stats"
 	"csmabw/internal/traffic"
 )
 
-// AblationParams configures the immediate-access ablation of the
-// paper's Fig. 6 transient: the same probing scenario run with standard
-// DCF and with immediate access disabled, showing that the first-packet
-// acceleration is the mechanism behind the access-delay transient.
-type AblationParams struct {
-	ProbeRateBps float64
-	CrossRateBps float64
-	TrainLen     int
-	PacketSize   int
-	Seed         int64
+// DefaultAblation is the Figure-6 cell of the immediate-access
+// ablation: 1500-byte probes against one 4 Mb/s contender, on seed 66.
+func DefaultAblation() probe.Link {
+	return probe.Link{ProbeSize: 1500, Contenders: []probe.Flow{{RateBps: 4e6, Size: 1500}}, Seed: 66}
 }
 
-// DefaultAblation mirrors the Fig. 6 scenario.
-func DefaultAblation() AblationParams {
-	return AblationParams{
-		ProbeRateBps: 5e6,
-		CrossRateBps: 4e6,
-		TrainLen:     60,
-		PacketSize:   1500,
-		Seed:         66,
+// AblationImmediateAccess returns the per-index mean access delay of a
+// 60-packet train at 5 Mb/s on the cell, with and without the 802.11
+// immediate-access rule, over sc.Reps replications each: the first-
+// packet acceleration of standard DCF is the mechanism behind the
+// paper's Fig. 6 transient. The unit of work is one (variant,
+// replication) pair: units 0..Reps-1 are standard DCF, units
+// Reps..2*Reps-1 the ablated variant, and replication rep of both
+// variants draws from sim.NewStream(cell.Seed).Child(rep).
+func AblationImmediateAccess(cell probe.Link, sc Scale) (*Figure, error) {
+	const probeBps, trainLen = 5e6, 60
+	if err := cell.Validate(); err != nil {
+		return nil, err
 	}
-}
-
-// AblationImmediateAccess returns the per-index mean access delay with
-// and without the 802.11 immediate-access rule, over sc.Reps
-// replications each. The unit of work is one (variant, replication)
-// pair: units 0..Reps-1 are standard DCF, units Reps..2*Reps-1 the
-// ablated variant.
-func AblationImmediateAccess(p AblationParams, sc Scale) (*Figure, error) {
-	runOne := func(disable bool, rep int) ([]float64, error) {
-		r := sim.NewRand(p.Seed + int64(rep))
-		start := 500*sim.Millisecond + r.ExpTime(50*sim.Millisecond)
-		gI := sim.FromSeconds(float64(p.PacketSize*8) / p.ProbeRateBps)
-		end := start + sim.Time(p.TrainLen)*(gI+20*sim.Millisecond)
-		cfg := mac.Config{
-			Phy:                    phy.B11(),
-			Seed:                   p.Seed ^ int64(rep)*7919,
-			DisableImmediateAccess: disable,
-			Horizon:                end,
-			Stations: []mac.StationConfig{
-				{Arrivals: traffic.Train(p.TrainLen, gI, p.PacketSize, start)},
-				{Arrivals: traffic.Poisson(r.Split(1), p.CrossRateBps, p.PacketSize, 0, end)},
-			},
-		}
+	l := cell.WithDefaults()
+	gI := sim.FromSeconds(float64(l.ProbeSize*8) / probeBps)
+	root := sim.NewStream(l.Seed)
+	rows, err := mapUnits(2*sc.Reps, sc, nil, func(_ struct{}, u int) ([]float64, error) {
+		s := root.Child(uint64(u % sc.Reps))
+		r := s.Rand()
+		start := l.WarmUp + r.ExpTime(50*sim.Millisecond)
+		end := start + trainLen*(gI+20*sim.Millisecond)
+		cfg := l.MACConfig(traffic.NewTrain(trainLen, gI, l.ProbeSize, start), r, s.Child(0).Seed(), end)
+		cfg.DisableImmediateAccess = u >= sc.Reps
+		cfg.StopAfterProbes = trainLen
+		cfg.RecordFrames = func(station int) bool { return station == 0 }
 		res, err := mac.Run(cfg)
 		if err != nil {
 			return nil, err
@@ -61,9 +48,6 @@ func AblationImmediateAccess(p AblationParams, sc Scale) (*Figure, error) {
 			row = append(row, f.AccessDelay().Seconds())
 		}
 		return row, nil
-	}
-	rows, err := mapUnits(2*sc.Reps, sc, nil, func(_ struct{}, u int) ([]float64, error) {
-		return runOne(u >= sc.Reps, u%sc.Reps)
 	})
 	if err != nil {
 		return nil, err

@@ -48,33 +48,11 @@ func EDCATransient(cells []probe.Link, sc Scale) (*Figure, error) {
 		func(l probe.Link) string { return fmt.Sprintf("probe %s", l.ProbeAC) }, sc)
 }
 
-// RateAnomalyParams configures the heterogeneous-rate bias experiment:
-// a short-train dispersion estimate next to the actual saturated share
-// as the contender's modulation rate degrades.
-type RateAnomalyParams struct {
-	// ContenderRates are the contender's data rates in bit/s, one
-	// x-axis point each (the probe stays at the PHY rate).
-	ContenderRates []float64
-	// SatProbeBps is the saturating probe rate used for both the train
-	// input rate and the steady-state share measurement.
-	SatProbeBps  float64
-	TrainLen     int
-	CrossRateBps float64
-	PacketSize   int
-	Seed         int64
-}
-
-// DefaultRateAnomaly degrades one saturated contender through the
-// 802.11b rate ladder (11, 5.5, 2, 1 Mb/s).
-func DefaultRateAnomaly() RateAnomalyParams {
-	return RateAnomalyParams{
-		ContenderRates: []float64{11e6, 5.5e6, 2e6, 1e6},
-		SatProbeBps:    10e6,
-		TrainLen:       20,
-		CrossRateBps:   4.5e6,
-		PacketSize:     1500,
-		Seed:           32,
-	}
+// DefaultRateAnomaly is the cell of the heterogeneous-rate bias
+// experiment: 1500-byte probes against one 4.5 Mb/s contender, on seed
+// 32.
+func DefaultRateAnomaly() probe.Link {
+	return probe.Link{ProbeSize: 1500, Contenders: []probe.Flow{{RateBps: 4.5e6, Size: 1500}}, Seed: 32}
 }
 
 // RateAnomaly measures the 802.11 performance-anomaly bias of
@@ -82,24 +60,25 @@ func DefaultRateAnomaly() RateAnomalyParams {
 // airtime, so one slow contender drags every station's carried rate
 // toward its own — and a short probing train, already biased high by
 // the access-delay transient, now overestimates a share that has
-// quietly collapsed. For each contender data rate the figure plots the
-// short-train dispersion estimate next to the probe's actual
-// steady-state carried rate at the same saturating offered rate; the
-// widening gap toward the slow end is the compounded bias. Point i
-// measures both on seed Seed+1117i.
-func RateAnomaly(p RateAnomalyParams, sc Scale) (*Figure, error) {
-	points := make([]point, len(p.ContenderRates))
-	for i, r := range p.ContenderRates {
-		if r <= 0 {
-			return nil, fmt.Errorf("experiments: non-positive contender rate %g", r)
-		}
-		points[i] = point{probe.Link{
-			ProbeSize:  p.PacketSize,
-			Contenders: []probe.Flow{{RateBps: p.CrossRateBps, Size: p.PacketSize, DataRateBps: r}},
-			Seed:       p.Seed + int64(i)*1117,
-		}, p.SatProbeBps}
+// quietly collapsed. As the cell's first contender degrades through
+// the 802.11b rate ladder (11, 5.5, 2, 1 Mb/s; the probe stays at the
+// PHY rate), the figure plots the 20-packet-train dispersion estimate
+// next to the probe's actual steady-state carried rate, both at a
+// saturating 10 Mb/s; the widening gap toward the slow end is the
+// compounded bias. Point i measures both on seed cell.Seed+1117i.
+func RateAnomaly(cell probe.Link, sc Scale) (*Figure, error) {
+	const probeBps, trainLen = 10e6, 20
+	ladder := []float64{11e6, 5.5e6, 2e6, 1e6}
+	if len(cell.Contenders) == 0 {
+		return nil, fmt.Errorf("experiments: rate-anomaly needs a contender to slow down")
 	}
-	ts, err := trains(points, p.TrainLen, sc)
+	points := make([]point, len(ladder))
+	for i, r := range ladder {
+		l := unitLink(&cell, cell.Seed+int64(i)*1117)
+		l.Contenders[0].DataRateBps = r
+		points[i] = point{l, probeBps}
+	}
+	ts, err := trains(points, trainLen, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -107,14 +86,14 @@ func RateAnomaly(p RateAnomalyParams, sc Scale) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	x := mbps(p.ContenderRates)
+	x := mbps(ladder)
 	return &Figure{
 		ID:     "rate-anomaly",
 		Title:  "Dispersion estimate vs carried share under the 802.11 rate anomaly",
 		XLabel: "contender data rate (Mb/s)",
 		YLabel: "probe rate (Mb/s)",
 		Series: []Series{
-			rateCurve(fmt.Sprintf("%d-packet train estimate", p.TrainLen), x, ts),
+			rateCurve(fmt.Sprintf("%d-packet train estimate", trainLen), x, ts),
 			curve("steady-state carried rate", x, ss, probeRate),
 		},
 	}, nil

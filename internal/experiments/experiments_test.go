@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
+
+	"csmabw/internal/probe"
 )
 
 func TestSweep(t *testing.T) {
@@ -61,7 +64,7 @@ func TestFigureTable(t *testing.T) {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"fig01", "fig04", "fig06", "fig07", "fig08", "fig09", "fig10", "fig13", "fig15", "fig16", "fig17",
+	want := []string{"fig01", "fig04", "fig06", "fig07", "ablation-ia", "fig08", "fig09", "fig10", "fig13", "fig15", "fig16", "fig17",
 		"fer-rrc", "fer-transient", "hidden", "edca-transient", "rate-anomaly",
 		"abest-accuracy", "abest-frontier", "abest-robust", "abest-budget",
 		"selection-regret", "failover-lag"}
@@ -246,11 +249,9 @@ func TestFig16Shape(t *testing.T) {
 }
 
 func TestAblationImmediateAccess(t *testing.T) {
-	p := DefaultAblation()
-	p.TrainLen = 40
 	sc := Tiny()
 	sc.Reps = 60
-	fig, err := AblationImmediateAccess(p, sc)
+	fig, err := AblationImmediateAccess(DefaultAblation(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,6 +279,70 @@ func TestFig17Shape(t *testing.T) {
 	for i, n := range names {
 		if fig.Series[i].Name != n {
 			t.Errorf("series %d = %q, want %q", i, fig.Series[i].Name, n)
+		}
+	}
+}
+
+// TestFiguresUseTheirCell renders each figure that takes a bare cell on
+// its default cell, on that cell reseeded, and on that cell with 5%
+// frame loss: each change must change the figure, so a driver that
+// rebuilds its link from constants fails.
+func TestFiguresUseTheirCell(t *testing.T) {
+	figs := []struct {
+		id  string
+		def func() probe.Link
+		run func(probe.Link, Scale) (*Figure, error)
+	}{
+		{"hidden", DefaultHidden, HiddenTerminal},
+		{"rate-anomaly", DefaultRateAnomaly, RateAnomaly},
+		{"abest-accuracy", DefaultAbest, AbestAccuracy},
+		{"abest-frontier", DefaultAbest, AbestFrontier},
+		{"abest-robust", DefaultAbest, AbestRobust},
+		{"abest-budget", DefaultAbest, AbestBudget},
+		{"ablation-ia", DefaultAblation, AblationImmediateAccess},
+	}
+	for _, f := range figs {
+		f := f
+		t.Run(f.id, func(t *testing.T) {
+			t.Parallel()
+			render := func(cell probe.Link) string {
+				t.Helper()
+				fig, err := f.run(cell, Tiny())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return fig.CSV()
+			}
+			want := render(f.def())
+			reseeded, lossy := f.def(), f.def()
+			reseeded.Seed++
+			lossy.Loss.FER = 0.05
+			if render(reseeded) == want {
+				t.Error("figure ignores its cell's seed")
+			}
+			if render(lossy) == want {
+				t.Error("figure ignores its cell's frame-error rate")
+			}
+		})
+	}
+}
+
+// TestInvalidSweepLevelsError pins that a contender sweep rejects a
+// negative or non-finite level with an error naming the bad value's
+// field, instead of plotting the idle cell at that level or panicking.
+func TestInvalidSweepLevelsError(t *testing.T) {
+	for _, bad := range []float64{-2e6, math.NaN(), math.Inf(1)} {
+		p := DefaultFig16()
+		p.CrossRates = []float64{0, bad}
+		if _, err := Fig16PacketPair(p, tiny()); err == nil || !strings.Contains(err.Error(), "Contenders[0].RateBps") {
+			t.Errorf("fig16 at level %g: error %v, want one naming Contenders[0].RateBps", bad, err)
+		}
+	}
+	for _, bad := range []float64{-0.1, math.NaN(), math.Inf(1)} {
+		p := DefaultFig10()
+		p.CrossLoads = []float64{0.5, bad}
+		if _, err := Fig10TransientDuration(p, tiny()); err == nil || !strings.Contains(err.Error(), "CrossLoads[1]") {
+			t.Errorf("fig10 at load %g: error %v, want one naming CrossLoads[1]", bad, err)
 		}
 	}
 }

@@ -76,38 +76,22 @@ func FERTransient(cells []probe.Link, sc Scale) (*Figure, error) {
 	return meanDelays("fer-transient", "Mean access delay vs probe packet number under frame loss", cells, p.TrainLen, p.ProbeRateBps, 150, ferCurve, sc)
 }
 
-// HiddenParams configures the classic hidden-terminal experiment: the
-// probing station and one contender send to the common receiver, swept
-// over the contender's offered rate, with the stations either in one
-// collision domain or hidden from each other.
-type HiddenParams struct {
-	ProbeRateBps float64
-	MaxCrossBps  float64
-	PacketSize   int
-	RTSThreshold int // payload threshold for the RTS/CTS variant
-	Seed         int64
-}
-
-// DefaultHidden probes at 5 Mb/s against a contender swept to 6 Mb/s.
-func DefaultHidden() HiddenParams {
-	return HiddenParams{
-		ProbeRateBps: 5e6,
-		MaxCrossBps:  6e6,
-		PacketSize:   1500,
-		RTSThreshold: 256,
-		Seed:         23,
-	}
-}
+// DefaultHidden is the cell of the classic hidden-terminal experiment:
+// 1500-byte probes and no contender of its own, on seed 23.
+func DefaultHidden() probe.Link { return probe.Link{ProbeSize: 1500, Seed: 23} }
 
 // HiddenTerminal measures the aggregate carried rate (probe plus
-// contender) against the contender's offered rate for a single
-// collision domain, a hidden pair, and a hidden pair using RTS/CTS.
-// Hidden terminals collide without ever sensing each other, collapsing
-// the aggregate as load grows; RTS/CTS shortens the vulnerable window
-// to the handshake and recovers part of the loss. Point
-// u = variant·points + i runs on seed Seed+131u.
-func HiddenTerminal(p HiddenParams, sc Scale) (*Figure, error) {
-	rates := sweep(0.5e6, p.MaxCrossBps, sc.SweepPoints)
+// contender) of the probe at 5 Mb/s against the contender's offered
+// rate, swept from 0.5 to 6 Mb/s, for a single collision domain, a
+// hidden pair, and a hidden pair using RTS/CTS for payloads of 256
+// bytes or more. Hidden terminals collide without ever sensing each
+// other, collapsing the aggregate as load grows; RTS/CTS shortens the
+// vulnerable window to the handshake and recovers part of the loss.
+// Each variant imposes its hearing graph and RTS threshold on the
+// cell. Point u = variant·points + i is crossCell(cell, cell.Seed+131u,
+// rate i).
+func HiddenTerminal(cell probe.Link, sc Scale) (*Figure, error) {
+	rates := sweep(0.5e6, 6e6, sc.SweepPoints)
 	variants := []struct {
 		name string
 		topo *mac.Topology // shared read-only by the variant's points
@@ -115,18 +99,14 @@ func HiddenTerminal(p HiddenParams, sc Scale) (*Figure, error) {
 	}{
 		{"single collision domain", nil, 0},
 		{"hidden terminals", mac.HiddenPair(), 0},
-		{"hidden terminals + RTS/CTS", mac.HiddenPair(), p.RTSThreshold},
+		{"hidden terminals + RTS/CTS", mac.HiddenPair(), 256},
 	}
 	var points []point
 	for _, v := range variants {
 		for _, r := range rates {
-			points = append(points, point{probe.Link{
-				ProbeSize:    p.PacketSize,
-				Contenders:   []probe.Flow{{RateBps: r, Size: p.PacketSize}},
-				Seed:         p.Seed + int64(len(points))*131,
-				Topology:     v.topo,
-				RTSThreshold: v.rts,
-			}, p.ProbeRateBps})
+			l := crossCell(&cell, cell.Seed+int64(len(points))*131, r)
+			l.Topology, l.RTSThreshold = v.topo, v.rts
+			points = append(points, point{l, 5e6})
 		}
 	}
 	pts, err := steady(points, sc)

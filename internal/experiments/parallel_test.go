@@ -111,22 +111,6 @@ func TestSteadyMatchesMeasureSteadyState(t *testing.T) {
 	}
 }
 
-// TestAblationDeterministic covers the one driver outside the registry.
-func TestAblationDeterministic(t *testing.T) {
-	run := func(workers int) string {
-		sc := Tiny()
-		sc.Workers = workers
-		fig, err := AblationImmediateAccess(DefaultAblation(), sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fig.CSV()
-	}
-	if run(1) != run(8) {
-		t.Error("ablation output differs between worker counts")
-	}
-}
-
 // TestInvalidScaleErrors ensures an invalid Scale reaches the drivers
 // as an error, not a panic, even though sweeps are built before
 // mapUnits checks the Scale.

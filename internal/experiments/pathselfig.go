@@ -11,10 +11,11 @@ import (
 
 // PathselParams configures the multi-upstream path-selection
 // experiments. The fixture is a forwarder with three candidate
-// upstream cells: a clean path that degrades hard at a scheduled
-// instant (the time-varying channel under test), a lightly-loaded
-// backup that becomes the best choice after the event, and a
-// saturated decoy that is never worth selecting.
+// upstream cells of 1500-byte probes: a clean path whose probing
+// station's frame-error rate jumps to 70% at a scheduled instant (the
+// time-varying channel under test), a backup against a 0.5 Mb/s
+// contender that becomes the best choice after the event, and a decoy
+// against a saturating 6 Mb/s contender that is never worth selecting.
 type PathselParams struct {
 	// Policies are the selection policies compared, in plotting order.
 	Policies []pathsel.Policy
@@ -39,15 +40,6 @@ type PathselParams struct {
 	// DegradeEpoch is the decision round at whose start the clean
 	// path's scheduled degradation fires.
 	DegradeEpoch int
-	// DegradeFER is the frame-error rate the degradation imposes on
-	// the clean path's probing station.
-	DegradeFER float64
-	// BackupCrossBps and DecoyCrossBps load the backup and decoy
-	// paths' contending stations.
-	BackupCrossBps float64
-	DecoyCrossBps  float64
-	// PacketSize is the probe and cross-traffic payload in bytes.
-	PacketSize int
 	// Seed roots all randomness.
 	Seed int64
 	// Upstreams, when non-empty, replaces the built-in three-path
@@ -62,21 +54,17 @@ type PathselParams struct {
 // half-second grid with the clean path collapsing at epoch 6.
 func DefaultPathsel() PathselParams {
 	return PathselParams{
-		Policies:       []pathsel.Policy{pathsel.PolicyEMA, pathsel.PolicyLast, pathsel.PolicyUCB},
-		Epochs:         12,
-		EpochSeconds:   0.5,
-		TrainLen:       16,
-		RateBps:        6e6,
-		Alpha:          0.4,
-		Hysteresis:     0.1,
-		HystSweep:      []float64{0, 0.1, 0.25, 0.5, 1},
-		Explore:        5,
-		DegradeEpoch:   6,
-		DegradeFER:     0.7,
-		BackupCrossBps: 5e5,
-		DecoyCrossBps:  6e6,
-		PacketSize:     1500,
-		Seed:           29,
+		Policies:     []pathsel.Policy{pathsel.PolicyEMA, pathsel.PolicyLast, pathsel.PolicyUCB},
+		Epochs:       12,
+		EpochSeconds: 0.5,
+		TrainLen:     16,
+		RateBps:      6e6,
+		Alpha:        0.4,
+		Hysteresis:   0.1,
+		HystSweep:    []float64{0, 0.1, 0.25, 0.5, 1},
+		Explore:      5,
+		DegradeEpoch: 6,
+		Seed:         29,
 	}
 }
 
@@ -91,9 +79,9 @@ func (p PathselParams) paths() []probe.Link {
 		return p.Upstreams
 	}
 	warm := 50 * sim.Millisecond
-	fer := p.DegradeFER
+	fer := 0.7
 	degrading := probe.Link{
-		ProbeSize: p.PacketSize,
+		ProbeSize: 1500,
 		WarmUp:    warm,
 		Seed:      p.Seed,
 		Schedule: []mac.ScheduledEvent{{
@@ -103,16 +91,16 @@ func (p PathselParams) paths() []probe.Link {
 		}},
 	}
 	backup := probe.Link{
-		ProbeSize:  p.PacketSize,
+		ProbeSize:  1500,
 		WarmUp:     warm,
 		Seed:       p.Seed + 977,
-		Contenders: []probe.Flow{{RateBps: p.BackupCrossBps, Size: p.PacketSize}},
+		Contenders: []probe.Flow{{RateBps: 5e5, Size: 1500}},
 	}
 	decoy := probe.Link{
-		ProbeSize:  p.PacketSize,
+		ProbeSize:  1500,
 		WarmUp:     warm,
 		Seed:       p.Seed + 2*977,
-		Contenders: []probe.Flow{{RateBps: p.DecoyCrossBps, Size: p.PacketSize}},
+		Contenders: []probe.Flow{{RateBps: 6e6, Size: 1500}},
 	}
 	return []probe.Link{degrading, backup, decoy}
 }

@@ -64,6 +64,9 @@ func Registry() []Entry {
 		cellEntry("fig07", DefaultFig6, lowerTransient, func(p TransientParams, sc Scale) (*Figure, error) {
 			return Fig7Histograms(p, sc, p.TrainLen/2-1, 30)
 		}),
+		// The mechanism behind fig06/fig07's transient: the same train
+		// with and without the first packet's immediate access.
+		{ID: "ablation-ia", Run: func(sc Scale) (*Figure, error) { return AblationImmediateAccess(DefaultAblation(), sc) }},
 		cellEntry("fig08", DefaultFig8, lowerTransient, func(p TransientParams, sc Scale) (*Figure, error) {
 			return FigKS("fig08", p, sc, DefaultKSOptions(p.TrainLen))
 		}),

@@ -188,7 +188,7 @@ func TestFig16CellKeepsContenders(t *testing.T) {
 	p := DefaultFig16()
 	p.Cell = compileScenario(t, "dense-stadium").Link
 	for i, cr := range p.CrossRates {
-		l := p.levelLink(i)
+		l := crossCell(&p.Cell, p.Cell.Seed+int64(i)*61, cr)
 		if len(l.Contenders) != 12 {
 			t.Fatalf("level %d: %d contenders, want 12", i, len(l.Contenders))
 		}

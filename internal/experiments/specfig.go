@@ -45,15 +45,24 @@ func sweepPoints(cell *probe.Link, rates []float64, base, stride int64) []point 
 	return points
 }
 
-// sweptContender is the cell's first contender carrying a swept rate,
-// or a probe-sized Poisson contender when the cell has none.
-func sweptContender(cell *probe.Link, rateBps float64) probe.Flow {
-	if len(cell.Contenders) == 0 {
-		return probe.Flow{RateBps: rateBps, Size: cell.WithDefaults().ProbeSize}
+// crossCell is the cell of one contender level, on its own unitLink
+// copy on seed: the cell's first contender carries rateBps and the
+// others keep theirs, and a cell without contenders gains a
+// probe-sized Poisson one at any nonzero level. At level zero the
+// first contender stays in the cell as an idle flow, so a hearing
+// graph and station-targeted events still fit, and a cell without
+// contenders stays without. Every figure that sweeps a contender sets
+// its levels here, so a negative or non-finite level reaches
+// Link.Validate as the contender's rate.
+func crossCell(cell *probe.Link, seed int64, rateBps float64) probe.Link {
+	l := unitLink(cell, seed)
+	switch {
+	case len(l.Contenders) > 0:
+		l.Contenders[0].RateBps = rateBps
+	case rateBps != 0:
+		l.Contenders = []probe.Flow{{RateBps: rateBps, Size: cell.WithDefaults().ProbeSize}}
 	}
-	f := cell.Contenders[0]
-	f.RateBps = rateBps
-	return f
+	return l
 }
 
 // TransientParamsFromCompiled converts a train-plan scenario into the

@@ -11,8 +11,7 @@ import (
 // (Figures 13 and 15): dispersion-based curves L/E[gO] vs ri for trains
 // of a few packets, compared with the steady-state response.
 type TrainRRCParams struct {
-	TrainLens   []int // paper: 3, 10, 50
-	MaxProbeBps float64
+	TrainLens []int // paper: 3, 10, 50
 	// Cell is the measured link — channel, topology, EDCA, contending
 	// and FIFO cross flows — and Cell.Seed is the figure seed. Every
 	// point measures a copy on its own seed.
@@ -23,8 +22,7 @@ type TrainRRCParams struct {
 // no FIFO cross-traffic.
 func DefaultFig13() TrainRRCParams {
 	return TrainRRCParams{
-		TrainLens:   []int{3, 10, 50},
-		MaxProbeBps: 10e6,
+		TrainLens: []int{3, 10, 50},
 		Cell: probe.Link{
 			ProbeSize:  1500,
 			Contenders: []probe.Flow{{RateBps: 4e6, Size: 1500}},
@@ -45,11 +43,11 @@ func DefaultFig15() TrainRRCParams {
 
 // TrainRRC produces the dispersion-inferred rate response L/E[gO] for
 // each configured train length, plus the steady-state curve measured
-// with long constant-rate probing. Steady point i runs on seed
-// Cell.Seed+37i, and point i of the n-packet trains on
-// Cell.Seed+1000n+i.
+// with long constant-rate probing, as the probing rate sweeps from
+// 0.5 to 10 Mb/s. Steady point i runs on seed Cell.Seed+37i, and point
+// i of the n-packet trains on Cell.Seed+1000n+i.
 func TrainRRC(id string, p TrainRRCParams, sc Scale) (*Figure, error) {
-	rates := sweep(0.5e6, p.MaxProbeBps, sc.SweepPoints)
+	rates := sweep(0.5e6, 10e6, sc.SweepPoints)
 	x := mbps(rates)
 	ss, err := steady(sweepPoints(&p.Cell, rates, 0, 37), sc)
 	if err != nil {
@@ -88,14 +86,10 @@ func rateCurve(name string, x []float64, byPoint []probe.TrainStats) Series {
 
 // Fig16Params configures the packet-pair experiment of Figure 16.
 type Fig16Params struct {
-	CrossRates  []float64 // swept contending cross-traffic rates, bit/s
-	SaturateBps float64   // probing rate used to measure the actual response
+	CrossRates []float64 // swept contending cross-traffic rates, bit/s
 	// Cell is the measured link the sweep runs over, and Cell.Seed is
-	// the figure seed. Each level sets the first contender's rate to
-	// the swept one and keeps the other contenders; at the zero level
-	// that station stays in the cell as an idle flow, so a hearing graph
-	// and station-targeted events still fit. A cell without contenders
-	// gets a probe-sized one per nonzero level.
+	// the figure seed. Level i is crossCell(Cell, Cell.Seed+61i, the
+	// level's rate): the first contender sweeps and the others stay.
 	Cell probe.Link
 }
 
@@ -105,34 +99,20 @@ func DefaultFig16() Fig16Params {
 	for r := 0.0; r <= 10e6; r += 1e6 {
 		rates = append(rates, r)
 	}
-	return Fig16Params{CrossRates: rates, SaturateBps: 12e6, Cell: probe.Link{ProbeSize: 1500, Seed: 16}}
-}
-
-// levelLink is the cell of sweep level i, on seed Cell.Seed+61i.
-func (p Fig16Params) levelLink(i int) probe.Link {
-	cr := p.CrossRates[i]
-	l := unitLink(&p.Cell, p.Cell.Seed+int64(i)*61)
-	switch {
-	case len(l.Contenders) > 0:
-		l.Contenders[0].RateBps = cr
-	case cr > 0:
-		l.Contenders = []probe.Flow{sweptContender(&p.Cell, cr)}
-	}
-	return l
+	return Fig16Params{CrossRates: rates, Cell: probe.Link{ProbeSize: 1500, Seed: 16}}
 }
 
 // Fig16PacketPair compares, for each cross-traffic level, the actual
-// achievable throughput (fluid response, measured with a saturating
-// long flow) against the packet-pair dispersion inference: a 2-packet
-// train sent back to back on the same cell, levelLink(i) at level i.
-// The pair overestimates everywhere except at zero cross-traffic
-// (Section 7.3).
+// achievable throughput (fluid response, measured with a 12 Mb/s
+// saturating long flow) against the packet-pair dispersion inference:
+// a 2-packet train sent back to back on the same cell. The pair
+// overestimates everywhere except at zero cross-traffic (Section 7.3).
 func Fig16PacketPair(p Fig16Params, sc Scale) (*Figure, error) {
 	saturate := make([]point, len(p.CrossRates))
 	pair := make([]point, len(p.CrossRates))
-	for i := range p.CrossRates {
-		l := p.levelLink(i)
-		saturate[i], pair[i] = point{l, p.SaturateBps}, point{l, 0}
+	for i, cr := range p.CrossRates {
+		l := crossCell(&p.Cell, p.Cell.Seed+int64(i)*61, cr)
+		saturate[i], pair[i] = point{l, 12e6}, point{l, 0}
 	}
 	ss, err := steady(saturate, sc)
 	if err != nil {
@@ -157,20 +137,16 @@ func Fig16PacketPair(p Fig16Params, sc Scale) (*Figure, error) {
 
 // Fig17Params configures the MSER-corrected measurement of Figure 17.
 type Fig17Params struct {
-	TrainLen    int // paper: 20
-	MSERBatch   int // paper: MSER-2
-	MaxProbeBps float64
+	TrainLen int // paper: 20
 	// Cell is the measured link, and Cell.Seed is the figure seed.
 	Cell probe.Link
 }
 
-// DefaultFig17 matches the paper's 20-packet trains with MSER-2
-// against one 4 Mb/s contender.
+// DefaultFig17 matches the paper's 20-packet trains against one 4 Mb/s
+// contender.
 func DefaultFig17() Fig17Params {
 	return Fig17Params{
-		TrainLen:    20,
-		MSERBatch:   2,
-		MaxProbeBps: 10e6,
+		TrainLen: 20,
 		Cell: probe.Link{
 			ProbeSize:  1500,
 			Contenders: []probe.Flow{{RateBps: 4e6, Size: 1500}},
@@ -180,12 +156,14 @@ func DefaultFig17() Fig17Params {
 }
 
 // Fig17MSER compares the raw 20-packet-train rate response against the
-// MSER-m corrected one and the steady-state curve (Section 7.4: the
-// corrected curve approaches steady state without longer trains). Point
-// i measures both on seed Cell.Seed+41i; points whose trains were
-// entirely dropped are skipped, as in the paper's ensembles.
+// MSER-2 corrected one and the steady-state curve (Section 7.4: the
+// corrected curve approaches steady state without longer trains), as
+// the probing rate sweeps from 1 to 10 Mb/s. Point i measures both on
+// seed Cell.Seed+41i; points whose trains were entirely dropped are
+// skipped, as in the paper's ensembles.
 func Fig17MSER(p Fig17Params, sc Scale) (*Figure, error) {
-	rates := sweep(1e6, p.MaxProbeBps, sc.SweepPoints)
+	const mserBatch = 2 // the paper's MSER-2
+	rates := sweep(1e6, 10e6, sc.SweepPoints)
 	points := sweepPoints(&p.Cell, rates, 0, 41)
 	ss, err := steady(points, sc)
 	if err != nil {
@@ -197,12 +175,12 @@ func Fig17MSER(p Fig17Params, sc Scale) (*Figure, error) {
 	}
 	steadyS := Series{Name: "steady state"}
 	raw := Series{Name: fmt.Sprintf("train of %d packets", p.TrainLen)}
-	corrected := Series{Name: fmt.Sprintf("train of %d packets (MSER-%d)", p.TrainLen, p.MSERBatch)}
+	corrected := Series{Name: fmt.Sprintf("train of %d packets (MSER-%d)", p.TrainLen, mserBatch)}
 	for i, r := range rates {
 		// MSER correction applied to the ensemble: the per-position mean
 		// gap series locates the transient, every train is truncated
 		// there, and the remainder averaged (Section 7.4).
-		rawBps, corrBps, ok := core.TrainRates(ts[i].InterDepartureGaps(), ts[i].L, p.MSERBatch)
+		rawBps, corrBps, ok := core.TrainRates(ts[i].InterDepartureGaps(), ts[i].L, mserBatch)
 		if !ok {
 			continue
 		}

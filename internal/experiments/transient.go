@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"csmabw/internal/probe"
 	"csmabw/internal/stats"
@@ -271,51 +272,46 @@ func FigKS(id string, p TransientParams, sc Scale, opt KSOptions) (*Figure, erro
 
 // Fig10Params configures the transient-duration study of Figure 10.
 type Fig10Params struct {
-	ProbeLoadErlang float64   // paper: 1 Erlang
-	CrossLoads      []float64 // swept offered cross loads, Erlangs
-	TrainLen        int
-	Tolerances      []float64 // paper: 0.1 and 0.01
+	CrossLoads []float64 // swept offered cross loads, Erlangs
+	TrainLen   int
 	// Cell is the measured link the load sweep runs over, and Cell.Seed
-	// is the figure seed. Each point overrides the first contender's
-	// rate with the swept cross load, adding a probe-sized contender if
-	// the cell has none.
+	// is the figure seed. Load li is crossCell(Cell, Cell.Seed+977·li,
+	// the load's rate).
 	Cell probe.Link
 }
 
-// DefaultFig10 mirrors the paper: probe at 1 Erlang, cross loads up to
-// 1 Erlang, tolerances 0.1 and 0.01.
+// DefaultFig10 mirrors the paper: cross loads up to 1 Erlang.
 func DefaultFig10() Fig10Params {
 	loads := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}
 	return Fig10Params{
-		ProbeLoadErlang: 1.0,
-		CrossLoads:      loads,
-		TrainLen:        500,
-		Tolerances:      []float64{0.1, 0.01},
-		Cell:            probe.Link{ProbeSize: 1500, Seed: 10},
+		CrossLoads: loads,
+		TrainLen:   500,
+		Cell:       probe.Link{ProbeSize: 1500, Seed: 10},
 	}
 }
 
 // Fig10TransientDuration estimates, for each offered cross load, the
 // first probe packet whose mean access delay lies (and stays) within
-// each tolerance of the steady-state mean. Load li is a cell of its own
-// on seed Cell.Seed+977·li.
+// each of the paper's tolerances, 0.1 and 0.01, of the steady-state
+// mean, probing at 1 Erlang. Load li is a cell of its own on seed
+// Cell.Seed+977·li.
 func Fig10TransientDuration(p Fig10Params, sc Scale) (*Figure, error) {
+	tolerances := []float64{0.1, 0.01}
 	cell := p.Cell.WithDefaults()
 	cells := make([]probe.Link, len(p.CrossLoads))
 	for li, load := range p.CrossLoads {
-		cells[li] = unitLink(&p.Cell, p.Cell.Seed+int64(li)*977)
-		if len(cells[li].Contenders) == 0 {
-			cells[li].Contenders = make([]probe.Flow, 1)
+		if !(load >= 0) || math.IsInf(load, 0) {
+			return nil, fmt.Errorf("experiments: fig10: CrossLoads[%d]: must be finite and >= 0, got %g", li, load)
 		}
-		cells[li].Contenders[0] = sweptContender(&p.Cell, traffic.RateForLoad(cell.Phy, load, cell.ProbeSize))
+		cells[li] = crossCell(&p.Cell, p.Cell.Seed+int64(li)*977, traffic.RateForLoad(cell.Phy, load, cell.ProbeSize))
 	}
-	probeRate := traffic.RateForLoad(cell.Phy, p.ProbeLoadErlang, cell.ProbeSize)
+	probeRate := traffic.RateForLoad(cell.Phy, 1, cell.ProbeSize)
 	byLoad, err := trains(at(cells, probeRate), p.TrainLen, sc)
 	if err != nil {
 		return nil, err
 	}
-	series := make([]Series, len(p.Tolerances))
-	for ti, tol := range p.Tolerances {
+	series := make([]Series, len(tolerances))
+	for ti, tol := range tolerances {
 		series[ti] = Series{Name: fmt.Sprintf("tolerance %g", tol)}
 	}
 	for li := range byLoad {
@@ -323,7 +319,7 @@ func Fig10TransientDuration(p Fig10Params, sc Scale) (*Figure, error) {
 		// Steady state: mean over the last quarter of indices.
 		tailFrom := len(means) * 3 / 4
 		tailMean := stats.Mean(means[tailFrom:])
-		for ti, tol := range p.Tolerances {
+		for ti, tol := range tolerances {
 			series[ti].X = append(series[ti].X, p.CrossLoads[li])
 			series[ti].Y = append(series[ti].Y, float64(stats.TransientLength(means[:tailFrom], tailMean, tol)))
 		}
