@@ -26,6 +26,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"time"
@@ -73,7 +74,6 @@ func parseArgs(args []string) (*bwprobeConfig, error) {
 	if err := fs.Parse(args); err != nil {
 		return nil, clikit.ParseError(err)
 	}
-	c.session = uint32(session)
 	if scen, err := scenFlag.Compiled(); err != nil {
 		return nil, err
 	} else if scen != nil {
@@ -110,6 +110,12 @@ func parseArgs(args []string) (*bwprobeConfig, error) {
 		if c.size < netprobe.HeaderLen {
 			return nil, fmt.Errorf("-size %d below the %d-byte probe header", c.size, netprobe.HeaderLen)
 		}
+		if err := clikit.CheckFinite("-rate-mbps", c.rateMbps); err != nil {
+			return nil, err
+		}
+		if err := clikit.CheckFinite("-train-gap-ms", c.gapMs); err != nil {
+			return nil, err
+		}
 		if c.rateMbps < 0 || c.gapMs < 0 {
 			return nil, fmt.Errorf("-rate-mbps and -train-gap-ms must be non-negative")
 		}
@@ -117,9 +123,14 @@ func parseArgs(args []string) (*bwprobeConfig, error) {
 	if c.trains < 1 {
 		return nil, fmt.Errorf("-trains %d: need at least 1", c.trains)
 	}
+	// Train t carries session id -session+t, a 32-bit wire field.
+	if uint64(session) > math.MaxUint32 || uint64(c.trains-1) > math.MaxUint32-uint64(session) {
+		return nil, fmt.Errorf("-session %d: the ids of %d trains must fit in 32 bits", session, c.trains)
+	}
 	if c.mser < 0 {
 		return nil, fmt.Errorf("-mser %d: need >= 0", c.mser)
 	}
+	c.session = uint32(session)
 	return c, nil
 }
 
@@ -185,16 +196,8 @@ func runReceiver(c *bwprobeConfig) {
 				}
 			}
 			gaps := core.Gaps(deps)
-			corrected := core.CorrectedRate(payloadOf(rep), gaps, c.mser)
+			corrected := core.CorrectedRate(rep.Size, gaps, c.mser)
 			fmt.Printf("          MSER-%d corrected rate=%.3f Mb/s\n", c.mser, corrected/1e6)
 		}
 	}
-}
-
-// payloadOf recovers the datagram size from the report's rate/gap pair.
-func payloadOf(rep *netprobe.Report) int {
-	if rep.OutputGap > 0 && rep.RateBps > 0 {
-		return int(rep.RateBps * rep.OutputGap.Seconds() / 8)
-	}
-	return 1500
 }

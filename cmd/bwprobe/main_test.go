@@ -44,6 +44,13 @@ func TestParseArgs(t *testing.T) {
 		{name: "zero trains", args: []string{"-send", "h:1", "-trains", "0"}, frag: "-trains"},
 		{name: "negative rate", args: []string{"-send", "h:1", "-rate-mbps", "-5"}, frag: "non-negative"},
 		{name: "negative mser", args: []string{"-recv", "-mser", "-1"}, frag: "-mser"},
+		{name: "NaN rate", args: []string{"-send", "h:1", "-rate-mbps", "NaN"}, frag: "-rate-mbps"},
+		{name: "infinite rate", args: []string{"-send", "h:1", "-rate-mbps", "+Inf"}, frag: "-rate-mbps"},
+		{name: "NaN train gap", args: []string{"-send", "h:1", "-train-gap-ms", "NaN"}, frag: "-train-gap-ms"},
+		{name: "session past 32 bits", args: []string{"-send", "h:1", "-session", "4294967297"}, frag: "-session"},
+		{name: "session ids wrap", args: []string{"-recv", "-session", "4294967295", "-trains", "2"}, frag: "-session"},
+		{name: "last session id", args: []string{"-recv", "-session", "4294967294", "-trains", "2"}, ok: true,
+			chk: func(c *bwprobeConfig) bool { return c.session == 4294967294 && c.trains == 2 }},
 		{name: "unknown flag", args: []string{"-recv", "-burst", "3"}},
 	}
 	for _, tt := range cases {

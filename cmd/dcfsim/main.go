@@ -20,11 +20,28 @@
 // With -reps N the cell is replicated N times on -workers goroutines —
 // each replication drawing its traffic from an independent RNG
 // substream, so the table is identical at any -workers — and the table
-// reports per-station means across replications. -trace writes
-// replication 0's channel events to a binary trace file.
+// reports per-station means across replications.
+//
+// -trace FILE writes replication 0's channel events (mac.Event) to a
+// binary trace: the 8-byte magic "CBWTRACE", then one 32-byte
+// little-endian record per event, in the order the engine emits them:
+//
+//	offset  size  field
+//	0       8     At (ns, int64)
+//	8       1     Kind (mac.EventKind)
+//	9       1     Probe (0/1)
+//	10      1     AC (802.11e access category; 0 = legacy DCF)
+//	11      1     reserved (0)
+//	12      4     Station (int32)
+//	16      4     Size (int32)
+//	20      4     Index (int32)
+//	24      4     Retries (int32)
+//	28      4     reserved (0)
 package main
 
 import (
+	"bufio"
+	"encoding/binary"
 	"errors"
 	"flag"
 	"fmt"
@@ -37,7 +54,6 @@ import (
 	"csmabw/internal/scenario"
 	"csmabw/internal/sim"
 	"csmabw/internal/stats"
-	"csmabw/internal/trace"
 )
 
 // dcfConfig is the tool configuration resolved from the command line.
@@ -114,28 +130,27 @@ func run(c *dcfConfig, w io.Writer) error {
 	scen := c.scen
 	end := sim.FromSeconds(c.duration)
 
-	var tw *trace.Writer
+	var tw *traceWriter
 	var traceFile *os.File
 	if c.tracePath != "" {
 		var err error
 		if traceFile, err = os.Create(c.tracePath); err != nil {
 			return err
 		}
-		tw = trace.NewWriter(traceFile)
+		tw = newTraceWriter(traceFile)
 	}
 
 	// Each replication derives its traffic and engine seeds from an
 	// independent substream, so results are identical at any -workers.
 	root := sim.NewStream(scen.Link.Seed)
 	names := scen.StationNames
-	runOne := func(rep int) ([]stationResult, error) {
+	runOne := func(_ struct{}, rep int) ([]stationResult, error) {
 		cfg, err := scen.MACConfig(root.Child(uint64(rep)), end)
 		if err != nil {
 			return nil, err
 		}
 		if rep == 0 && tw != nil {
-			hook, _ := tw.Hook()
-			cfg.OnEvent = hook
+			cfg.OnEvent = tw.event
 		}
 		res, err := mac.Run(cfg)
 		if err != nil {
@@ -167,17 +182,17 @@ func run(c *dcfConfig, w io.Writer) error {
 		return out, nil
 	}
 
-	byRep, err := runner.Map(c.reps, c.workers, runOne)
+	byRep, err := runner.MapBatches(c.reps, c.workers, 0, nil, runOne)
 	if tw != nil {
 		// Close the trace even when a replication failed; the run's
 		// error still wins.
-		err = errors.Join(err, tw.Flush(), traceFile.Close())
+		err = errors.Join(err, tw.w.Flush(), traceFile.Close())
 	}
 	if err != nil {
 		return err
 	}
 	if tw != nil {
-		fmt.Fprintf(w, "wrote %d events to %s\n", tw.Events(), c.tracePath)
+		fmt.Fprintf(w, "wrote %d events to %s\n", tw.events, c.tracePath)
 	}
 
 	p := scen.Link.WithDefaults().Phy
@@ -215,6 +230,37 @@ func run(c *dcfConfig, w io.Writer) error {
 	_, err = fmt.Fprintf(w, "\naggregate: %.3f Mb/s (single-station envelope %.3f Mb/s)\n",
 		agg, p.MaxThroughput(1500)/1e6)
 	return err
+}
+
+// traceWriter writes the -trace file laid out in the package comment.
+// A write error stays latched in w and surfaces at its Flush.
+type traceWriter struct {
+	w      *bufio.Writer
+	events int
+}
+
+func newTraceWriter(f io.Writer) *traceWriter {
+	tw := &traceWriter{w: bufio.NewWriter(f)}
+	_, _ = tw.w.WriteString("CBWTRACE")
+	return tw
+}
+
+// event appends ev's record; it is replication 0's mac.Config.OnEvent.
+func (tw *traceWriter) event(ev mac.Event) {
+	var rec [32]byte
+	le := binary.LittleEndian
+	le.PutUint64(rec[0:], uint64(ev.At))
+	rec[8] = byte(ev.Kind)
+	if ev.Probe {
+		rec[9] = 1
+	}
+	rec[10] = byte(ev.AC)
+	le.PutUint32(rec[12:], uint32(int32(ev.Station)))
+	le.PutUint32(rec[16:], uint32(int32(ev.Size)))
+	le.PutUint32(rec[20:], uint32(int32(ev.Index)))
+	le.PutUint32(rec[24:], uint32(int32(ev.Retries)))
+	_, _ = tw.w.Write(rec[:])
+	tw.events++
 }
 
 func main() {

@@ -1,6 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"flag"
 	"fmt"
@@ -10,6 +14,7 @@ import (
 	"testing"
 
 	"csmabw/internal/clikit"
+	"csmabw/internal/mac"
 	"csmabw/internal/phy"
 	"csmabw/internal/sim"
 	"csmabw/internal/traffic"
@@ -239,5 +244,163 @@ func TestRunListsSpecStations(t *testing.T) {
 	}
 	if two := render("2"); two != out {
 		t.Errorf("2-worker table differs from 1-worker table:\n%s\nvs\n%s", two, out)
+	}
+}
+
+// traceCases are the library specs whose -trace files are pinned: one
+// replication at -duration 1 on the spec's own seed. Between them they
+// cover all five event kinds, two access categories and probe records.
+var traceCases = []struct {
+	spec   string
+	events int
+	sha256 string // prefix of the file's hex digest
+}{
+	{"hidden-warehouse", 1889, "2b0f179d25bfd03a"},
+	{"vo-vs-be-contention", 918, "d687f2f43c672ef2"},
+	{"lossy-fer-cell", 914, "c983e425c275ec84"},
+}
+
+// writeTrace runs dcfsim -trace on a library spec and returns the
+// parsed configuration, the printed output and the trace file's bytes.
+func writeTrace(t *testing.T, spec string) (*dcfConfig, string, []byte) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "cell.trace")
+	c, err := parseArgs([]string{"-scenario", "../../scenarios/" + spec + ".json", "-duration", "1", "-trace", path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := run(c, &out); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, out.String(), data
+}
+
+// TestTraceDigests pins the bytes dcfsim -trace writes: the event
+// count it reports and the sha256 of the file.
+func TestTraceDigests(t *testing.T) {
+	for _, tc := range traceCases {
+		t.Run(tc.spec, func(t *testing.T) {
+			c, out, data := writeTrace(t, tc.spec)
+			if want := fmt.Sprintf("wrote %d events to %s\n", tc.events, c.tracePath); !strings.HasPrefix(out, want) {
+				t.Errorf("output starts %q, want %q", strings.SplitAfter(out, "\n")[0], want)
+			}
+			sum := sha256.Sum256(data)
+			if got := hex.EncodeToString(sum[:]); !strings.HasPrefix(got, tc.sha256) {
+				t.Errorf("trace sha256 %s, want prefix %s", got, tc.sha256)
+			}
+		})
+	}
+}
+
+// decodeTrace checks the 8-byte magic and each 32-byte little-endian
+// record's probe flag and zero reserved bytes, and returns the events
+// the records hold.
+func decodeTrace(t *testing.T, data []byte) []mac.Event {
+	t.Helper()
+	if len(data) < 8 || string(data[:8]) != "CBWTRACE" {
+		t.Fatal("trace does not start with the CBWTRACE magic")
+	}
+	recs := data[8:]
+	if len(recs)%32 != 0 {
+		t.Fatalf("%d record bytes, not a whole number of 32-byte records", len(recs))
+	}
+	le := binary.LittleEndian
+	evs := make([]mac.Event, 0, len(recs)/32)
+	for i := 0; i < len(recs); i += 32 {
+		r := recs[i : i+32]
+		if r[9] > 1 || r[11] != 0 || le.Uint32(r[28:]) != 0 {
+			t.Fatalf("record %d: bad probe flag or nonzero reserved bytes % x", i/32, r)
+		}
+		evs = append(evs, mac.Event{
+			At:      sim.Time(le.Uint64(r[0:])),
+			Kind:    mac.EventKind(r[8]),
+			Probe:   r[9] == 1,
+			AC:      phy.AccessCategory(r[10]),
+			Station: int(int32(le.Uint32(r[12:]))),
+			Size:    int(int32(le.Uint32(r[16:]))),
+			Index:   int(int32(le.Uint32(r[20:]))),
+			Retries: int(int32(le.Uint32(r[24:]))),
+		})
+	}
+	return evs
+}
+
+// TestTraceRoundTrip writes hand-built events through the -trace
+// writer and decodes them back, with values a short run need not
+// reach: cross-traffic index -1 and retry counts past the first.
+func TestTraceRoundTrip(t *testing.T) {
+	events := []mac.Event{
+		{At: 1000, Kind: mac.EvTxStart, Station: 0, Size: 1500, Probe: true, Index: 0, AC: phy.ACVoice},
+		{At: 2000, Kind: mac.EvSuccess, Station: 0, Size: 1500, Probe: true, Index: 0, AC: phy.ACVoice},
+		{At: 3000, Kind: mac.EvCollision, Station: 1, Size: 576, Index: -1, Retries: 2, AC: phy.ACBackground},
+		{At: 4000, Kind: mac.EvDrop, Station: 1, Size: 576, Index: -1, Retries: 7},
+	}
+	var buf bytes.Buffer
+	tw := newTraceWriter(&buf)
+	for _, ev := range events {
+		tw.event(ev)
+	}
+	if err := tw.w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if tw.events != len(events) {
+		t.Errorf("writer counted %d events, want %d", tw.events, len(events))
+	}
+	got := decodeTrace(t, buf.Bytes())
+	if len(got) != len(events) {
+		t.Fatalf("decoded %d events, want %d", len(got), len(events))
+	}
+	for i := range events {
+		if got[i] != events[i] {
+			t.Errorf("event %d: decoded %+v, wrote %+v", i, got[i], events[i])
+		}
+	}
+}
+
+// TestTraceRecordsMatchEvents decodes every trace record and compares
+// it, field by field, with the event stream of replication 0 rerun on
+// the same cell.
+func TestTraceRecordsMatchEvents(t *testing.T) {
+	kinds := map[mac.EventKind]bool{}
+	acs := map[phy.AccessCategory]bool{}
+	probes := 0
+	for _, tc := range traceCases {
+		t.Run(tc.spec, func(t *testing.T) {
+			c, _, data := writeTrace(t, tc.spec)
+			cfg, err := c.scen.MACConfig(sim.NewStream(c.scen.Link.Seed).Child(0), sim.FromSeconds(c.duration))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []mac.Event
+			cfg.OnEvent = func(ev mac.Event) { want = append(want, ev) }
+			if _, err := mac.Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+			got := decodeTrace(t, data)
+			if len(got) != len(want) {
+				t.Fatalf("%d records, engine emitted %d events", len(got), len(want))
+			}
+			for i, ev := range want {
+				if got[i] != ev {
+					t.Fatalf("record %d: decoded %+v, engine emitted %+v", i, got[i], ev)
+				}
+				kinds[ev.Kind] = true
+				acs[ev.AC] = true
+				if ev.Probe {
+					probes++
+				}
+			}
+		})
+	}
+	// The cases stay worth pinning only while they exercise every
+	// record field.
+	if len(kinds) != 5 || len(acs) < 2 || probes == 0 {
+		t.Errorf("cases cover kinds %v, access categories %v, %d probe records; want all five kinds, two categories and probes",
+			kinds, acs, probes)
 	}
 }

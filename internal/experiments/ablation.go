@@ -21,7 +21,9 @@ func DefaultAblation() probe.Link {
 // paper's Fig. 6 transient. The unit of work is one (variant,
 // replication) pair: units 0..Reps-1 are standard DCF, units
 // Reps..2*Reps-1 the ablated variant, and replication rep of both
-// variants draws from sim.NewStream(cell.Seed).Child(rep).
+// variants draws from sim.NewStream(cell.Seed).Child(rep). Each worker
+// resets one engine for every unit it runs (Reset on a zero engine is
+// New).
 func AblationImmediateAccess(cell probe.Link, sc Scale) (*Figure, error) {
 	const probeBps, trainLen = 5e6, 60
 	if err := cell.Validate(); err != nil {
@@ -30,7 +32,8 @@ func AblationImmediateAccess(cell probe.Link, sc Scale) (*Figure, error) {
 	l := cell.WithDefaults()
 	gI := sim.FromSeconds(float64(l.ProbeSize*8) / probeBps)
 	root := sim.NewStream(l.Seed)
-	rows, err := mapUnits(2*sc.Reps, sc, nil, func(_ struct{}, u int) ([]float64, error) {
+	newEngine := func() *mac.Engine { return new(mac.Engine) }
+	rows, err := mapUnits(2*sc.Reps, sc, newEngine, func(e *mac.Engine, u int) ([]float64, error) {
 		s := root.Child(uint64(u % sc.Reps))
 		r := s.Rand()
 		start := l.WarmUp + r.ExpTime(50*sim.Millisecond)
@@ -39,12 +42,11 @@ func AblationImmediateAccess(cell probe.Link, sc Scale) (*Figure, error) {
 		cfg.DisableImmediateAccess = u >= sc.Reps
 		cfg.StopAfterProbes = trainLen
 		cfg.RecordFrames = func(station int) bool { return station == 0 }
-		res, err := mac.Run(cfg)
-		if err != nil {
+		if err := e.Reset(cfg); err != nil {
 			return nil, err
 		}
 		var row []float64
-		for _, f := range res.ProbeFrames(0) {
+		for _, f := range e.Run().ProbeFrames(0) {
 			row = append(row, f.AccessDelay().Seconds())
 		}
 		return row, nil

@@ -37,7 +37,7 @@ var goldenAllocs = map[string]uint64{
 	"fig04":            347,
 	"fig06":            127,
 	"fig07":            139,
-	"ablation-ia":      976,
+	"ablation-ia":      434,
 	"fig08":            449,
 	"fig09":            348,
 	"fig10":            422,

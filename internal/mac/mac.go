@@ -209,8 +209,8 @@ type Config struct {
 	OnDepart func(e *Engine, f *Frame)
 
 	// OnEvent, if set, receives every channel event (transmission
-	// start, success, collision, drop) — the hook the trace recorder
-	// (internal/trace) attaches to.
+	// start, success, collision, drop, channel error) — the hook
+	// cmd/dcfsim's -trace recorder attaches to.
 	OnEvent func(ev Event)
 
 	// StopAfterProbes, if positive, ends the run once that many probe

@@ -457,3 +457,18 @@ func TestImmediateAccessAcceleratesFirstPacket(t *testing.T) {
 		t.Errorf("only %d/%d first packets got immediate access at 2Mb/s cross load", exact, reps)
 	}
 }
+
+func TestEventKindString(t *testing.T) {
+	names := map[EventKind]string{
+		EvTxStart:    "txstart",
+		EvSuccess:    "success",
+		EvCollision:  "collision",
+		EvDrop:       "drop",
+		EventKind(0): "unknown",
+	}
+	for k, want := range names {
+		if k.String() != want {
+			t.Errorf("%d.String() = %q, want %q", k, k.String(), want)
+		}
+	}
+}

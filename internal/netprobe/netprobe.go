@@ -175,7 +175,10 @@ type Report struct {
 	Received  int
 	Lost      int
 	OutputGap time.Duration // (d_last - d_first)/(received-1)
-	// RateBps is the dispersion estimate L/gO using the datagram size.
+	// Size is the datagram size L in bytes: the smallest validated
+	// datagram received, 0 when none arrived.
+	Size int
+	// RateBps is the dispersion estimate L/gO.
 	RateBps float64
 	// Arrivals holds the receiver timestamps by sequence number; zero
 	// time for lost packets.
@@ -275,6 +278,7 @@ func finishReport(rep *Report, recvs []Reception) {
 			}
 		}
 	}
+	rep.Size = size
 	rep.Received = count
 	rep.Lost = rep.Expected - count
 	if count >= 2 {

@@ -118,6 +118,9 @@ func TestLoopbackTrain(t *testing.T) {
 	if rep.RateBps <= 0 {
 		t.Error("no rate estimate")
 	}
+	if rep.Size != spec.Size {
+		t.Errorf("report size %d, want the %d bytes sent", rep.Size, spec.Size)
+	}
 }
 
 func TestLoopbackPairBackToBack(t *testing.T) {
@@ -353,5 +356,8 @@ func TestFinishReportConservativeSize(t *testing.T) {
 	want := float64(300*8) / rep.OutputGap.Seconds()
 	if rep.RateBps != want {
 		t.Errorf("RateBps = %g, want %g (smallest validated size)", rep.RateBps, want)
+	}
+	if rep.Size != 300 {
+		t.Errorf("Size = %d, want 300 (smallest validated size)", rep.Size)
 	}
 }

@@ -3,13 +3,13 @@
 // a bounded set of workers and merges the results deterministically,
 // ordered by unit index regardless of completion order.
 //
-// Determinism is a contract between this package and its callers: Map
-// guarantees that results land at their unit's index and that no unit
-// runs twice; the caller guarantees that unit i's work is a pure
-// function of i (per-replication RNG derived via sim.Stream.Child(i),
-// never shared mutable state). Under that contract a figure generated
-// with one worker is byte-identical to the same figure generated with
-// any other worker count.
+// Determinism is a contract between this package and its callers:
+// MapBatches guarantees that results land at their unit's index and
+// that no unit runs twice; the caller guarantees that unit i's work is
+// a pure function of i (per-replication RNG derived via
+// sim.Stream.Child(i), never shared mutable state). Under that
+// contract a figure generated with one worker is byte-identical to the
+// same figure generated with any other worker count.
 //
 // Work is claimed in contiguous chunks of unit indices rather than one
 // unit at a time. Paper-style replications are short (~0.1-1 ms), so a
@@ -25,7 +25,7 @@
 // invisible to the results: values land at their unit's index either
 // way.
 //
-// MapBatches additionally gives every worker goroutine a private state
+// MapBatches also gives every worker goroutine a private state
 // value, built once when the worker starts and handed to each unit that
 // worker executes. That is the hook for per-worker resource reuse — a
 // simulation engine whose arenas and scratch survive across the
@@ -50,29 +50,22 @@ func Workers(n int) int {
 	return n
 }
 
-// Map runs fn(0), fn(1), …, fn(n-1) on up to workers goroutines and
-// returns the n results in index order. Chunks of units are claimed
-// from a shared counter (guided claims), so scheduling is dynamic but
-// the merge is deterministic.
+// MapBatches runs fn(w, 0), fn(w, 1), …, fn(w, n-1) on up to workers
+// goroutines and returns the n results in index order. Workers claim
+// contiguous blocks of chunk unit indices at a time from a shared
+// counter; a chunk size below 1 selects guided claims of
+// max(1, remaining/(2·workers)) units each. Scheduling is dynamic but
+// the merge is deterministic: results are identical at any chunk size;
+// only the claim granularity — and therefore the dispatch overhead —
+// changes.
 //
-// If any unit fails, Map stops claiming new chunks, abandons the
+// If any unit fails, MapBatches stops claiming new chunks, abandons the
 // unprocessed remainder of every in-flight chunk, waits for in-flight
 // units to finish, and returns the failure with the lowest unit index
 // among the units that ran (so the reported error is stable across
 // schedules that hit the same errors). A nil error guarantees every
 // unit ran exactly once.
-func Map[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
-	return MapBatches(n, workers, 0, nil, func(_ struct{}, i int) (T, error) {
-		return fn(i)
-	})
-}
-
-// MapBatches is the full form of Map: chunked claiming plus per-worker
-// state. Workers claim contiguous blocks of chunk unit indices at a
-// time; a chunk size below 1 selects guided claims of
-// max(1, remaining/(2·workers)) units each. Results and the
-// error contract are identical to Map at any chunk size; only the claim
-// granularity — and therefore the dispatch overhead — changes.
+//
 // newWorker, when non-nil, runs once at the start of each worker
 // goroutine (never concurrently with that worker's units) and its value
 // is passed to every fn call that worker executes — the hook for
@@ -157,12 +150,4 @@ func MapBatches[T, W any](n, workers, chunk int, newWorker func() W, fn func(w W
 // claims cover the range and the last ones are single units.
 func guided(remaining, w int) int {
 	return max(1, remaining/(2*w))
-}
-
-// ForEach is Map for work that produces no value.
-func ForEach(n, workers int, fn func(i int) error) error {
-	_, err := Map(n, workers, func(i int) (struct{}, error) {
-		return struct{}{}, fn(i)
-	})
-	return err
 }

@@ -12,7 +12,7 @@ import (
 
 func TestMapOrdered(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, 100} {
-		got, err := Map(37, workers, func(i int) (int, error) { return i * i, nil })
+		got, err := MapBatches(37, workers, 0, nil, func(_ struct{}, i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -29,7 +29,7 @@ func TestMapOrdered(t *testing.T) {
 
 func TestMapEachUnitOnce(t *testing.T) {
 	var counts [64]atomic.Int32
-	_, err := Map(len(counts), 8, func(i int) (struct{}, error) {
+	_, err := MapBatches(len(counts), 8, 0, nil, func(_ struct{}, i int) (struct{}, error) {
 		counts[i].Add(1)
 		return struct{}{}, nil
 	})
@@ -45,7 +45,7 @@ func TestMapEachUnitOnce(t *testing.T) {
 
 func TestMapError(t *testing.T) {
 	sentinel := errors.New("boom")
-	_, err := Map(100, 4, func(i int) (int, error) {
+	_, err := MapBatches(100, 4, 0, nil, func(_ struct{}, i int) (int, error) {
 		if i == 13 {
 			return 0, fmt.Errorf("unit 13: %w", sentinel)
 		}
@@ -62,7 +62,7 @@ func TestMapError(t *testing.T) {
 func TestMapErrorLowestIndexWins(t *testing.T) {
 	// Serial execution hits unit 2 first; the reported index must be 2
 	// even though later units would also fail.
-	_, err := Map(10, 1, func(i int) (int, error) {
+	_, err := MapBatches(10, 1, 0, nil, func(_ struct{}, i int) (int, error) {
 		if i >= 2 {
 			return 0, errors.New("fail")
 		}
@@ -74,7 +74,7 @@ func TestMapErrorLowestIndexWins(t *testing.T) {
 }
 
 func TestMapEmpty(t *testing.T) {
-	got, err := Map(0, 4, func(i int) (int, error) {
+	got, err := MapBatches(0, 4, 0, nil, func(_ struct{}, i int) (int, error) {
 		t.Error("fn called for empty input")
 		return 0, nil
 	})
@@ -89,22 +89,6 @@ func TestWorkers(t *testing.T) {
 	}
 	if Workers(0) < 1 || Workers(-5) < 1 {
 		t.Error("auto worker count must be at least 1")
-	}
-}
-
-func TestForEach(t *testing.T) {
-	var sum atomic.Int64
-	if err := ForEach(10, 4, func(i int) error {
-		sum.Add(int64(i))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 45 {
-		t.Errorf("sum = %d", sum.Load())
-	}
-	if err := ForEach(3, 2, func(i int) error { return errors.New("x") }); err == nil {
-		t.Error("error swallowed")
 	}
 }
 
@@ -318,7 +302,7 @@ func TestMapBatchesRunsWorkersAtOnce(t *testing.T) {
 }
 
 // TestMapBatchesNilNewWorker: the zero value of W is handed to fn when
-// no constructor is given (the Map path).
+// no constructor is given.
 func TestMapBatchesNilNewWorker(t *testing.T) {
 	got, err := MapBatches(8, 2, 0, nil, func(w int, i int) (int, error) {
 		return w + i, nil // w is always the zero int
